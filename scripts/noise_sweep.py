@@ -3,8 +3,10 @@
 
 For each noise level, synthesizes many 50-point scenes at a fixed gaze,
 re-estimates the gaze from the noisy correspondences, and reports the
-median and 90th-percentile relative range error. Writes a CSV suitable
-for plotting.
+median and 90th-percentile relative range error over the fits that
+succeed, with the count of fits that end in a typed degenerate-geometry
+error. Writes a CSV suitable for plotting; the error columns are empty
+where every fit failed.
 
 Example:
   python3 scripts/noise_sweep.py --rho 2.0 --beta 0.2 --trials 100 \
@@ -19,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from cyclovision.errors import DegenerateGeometryError
 from cyclovision.estimation import estimate_gaze
 from cyclovision.gaze import GazeState, eye_azimuths
 from cyclovision.records import csv_rows
@@ -48,29 +51,39 @@ def main() -> int:
 
     rows = []
     for sigma in args.sigmas:
-        rho_errors, azimuth_errors = [], []
+        rho_errors, azimuth_errors, failures = [], [], 0
         for trial in range(args.trials):
             spec = SceneSpec(count=args.count, sigma=sigma,
                              seed=args.seed + 10_000 * trial + hash(sigma) % 1000)
             records = synthesize_scene(gaze, spec).records
-            fit = estimate_gaze(records)
+            try:
+                fit = estimate_gaze(records)
+            except DegenerateGeometryError:
+                failures += 1
+                continue
             rho_errors.append(abs(fit.gaze.rho - gaze.rho) / gaze.rho)
             azimuth_errors.append(
                 max(abs(fit.azimuths.beta_l - true_az.beta_l),
                     abs(fit.azimuths.beta_r - true_az.beta_r))
             )
-        rows.append([
-            sigma,
-            float(np.median(rho_errors)),
-            float(np.quantile(rho_errors, 0.9)),
-            float(np.median(azimuth_errors)),
-            float(np.quantile(azimuth_errors, 0.9)),
-        ])
-        print(f"sigma={sigma:9.2e}  median rho err={rows[-1][1]:.2e}  "
-              f"p90 rho err={rows[-1][2]:.2e}  median az err={rows[-1][3]:.2e}")
+        errors = [""] * 4
+        if rho_errors:
+            errors = [
+                float(np.median(rho_errors)),
+                float(np.quantile(rho_errors, 0.9)),
+                float(np.median(azimuth_errors)),
+                float(np.quantile(azimuth_errors, 0.9)),
+            ]
+        rows.append([sigma, *errors, failures])
+        line = f"sigma={sigma:9.2e}  failed={failures}/{args.trials}"
+        if rho_errors:
+            line += (f"  median rho err={errors[0]:.2e}  p90 rho err={errors[1]:.2e}  "
+                     f"median az err={errors[2]:.2e}")
+        print(line)
 
     args.out.write_text(csv_rows(
-        "sigma,rho_err_median,rho_err_p90,azimuth_err_median,azimuth_err_p90", rows
+        "sigma,rho_err_median,rho_err_p90,azimuth_err_median,azimuth_err_p90,failures",
+        rows
     ), encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

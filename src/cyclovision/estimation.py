@@ -1,12 +1,15 @@
 """Recovery of gaze parameters and plane-relative depths from correspondences.
 
 The fixation constraint reduces the Essential matrix to two parameters,
-the eye azimuths (beta_l, beta_r). They are fit by damped least squares
-on the normalized epipolar residuals q_r^T E(beta_l, beta_r) q_l, seeded
-by a coarse grid over vergence and version; (beta, rho) then follow
-algebraically. Depths are recovered per point by projecting each observed
-offset onto its epipolar direction and inverting the parallax map,
-independently in the two eyes.
+the eye azimuths (beta_l, beta_r). Each normalized epipolar residual
+q_r^T E q_l is linear in c = (sin beta_l, sin beta_r, cos beta_r, cos beta_l),
+with features f = (x_l y_r, -x_r y_l, y_l, -y_r) / sqrt(2), so the objective
+||F c||^2 over the N x 4 feature matrix F equals ||R c||^2 for the 4 x 4 R
+factor of its QR (not F^T F, which squares the conditioning). A grid over
+vergence and version seeds damped least squares on R c, with its analytic
+Jacobian; (beta, rho) then follow algebraically. Depths are recovered per
+point by projecting each observed offset onto its epipolar direction and
+inverting the parallax map, independently in the two eyes.
 
 Data lying entirely on the horizontal image meridian satisfies the
 epipolar constraint for every azimuth pair, so such sets are rejected
@@ -16,7 +19,7 @@ perspective effects off the meridian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from cyclovision.disparity import (
     project_parallax_scalar,
     recover_depth,
 )
+from cyclovision.epipolar import closed_form_entries, epipolar_residual
 from cyclovision.errors import (
     DegenerateConfigurationError,
     DegenerateGeometryError,
@@ -47,21 +51,18 @@ GRID_DELTA_MAX = 1.2
 GRID_EPSILON_MAX = 0.8
 GRID_SIZE = 64
 
+INITIAL_DAMPING = 1e-3
+DAMPING_FACTOR = 10.0           # multiplier on a rejected step, divisor on an accepted one
+STEP_TOLERANCE = 1e-10          # radians; smaller steps mean convergence
+OBJECTIVE_TOLERANCE = 1e-12     # relative objective decrease at convergence
+MERIDIAN_TOLERANCE = 1e-9       # data is degenerate when sqrt(sum of all y^2) is below this
+
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Tolerances and schedule of the damped least-squares fit."""
+    """Iteration cap of the damped least-squares fit."""
 
     max_iterations: int = 100
-    initial_damping: float = 1e-3
-    damping_increase: float = 10.0   # multiplier on a rejected step
-    damping_decrease: float = 10.0   # divisor on an accepted step
-    step_tolerance: float = 1e-10    # radians; smaller steps mean convergence
-    objective_tolerance: float = 1e-12  # relative objective decrease at convergence
-    jacobian_step: float = 1e-7      # radians, central finite differences
-    meridian_tolerance: float = 1e-9  # max |y| below which the data is degenerate
-    delta_bounds: tuple[float, float] | None = None    # optional box on vergence
-    epsilon_bounds: tuple[float, float] | None = None  # optional box on version
 
 
 @dataclass(frozen=True)
@@ -75,27 +76,49 @@ class GazeEstimate:
     converged: bool
 
 
-def _point_arrays(correspondences: list[Correspondence]) -> tuple[np.ndarray, ...]:
-    ql = np.array([normalize_point(c.q_l) for c in correspondences])
-    qr = np.array([normalize_point(c.q_r) for c in correspondences])
-    return ql[:, 0], ql[:, 1], qr[:, 0], qr[:, 1]
+def _r_factor(correspondences: list[Correspondence]) -> np.ndarray:
+    """R factor, min(N, 4) x 4, of the N x 4 feature matrix F: ||R c|| = ||F c||."""
+    if not correspondences:
+        raise ValueError("empty correspondence list")
+    q = np.array([[c.q_l, c.q_r] for c in correspondences], dtype=float)
+    w = q[..., 2]
+    if not (np.abs(w) > 1e-12 * np.abs(q).max(axis=-1)).all():
+        raise PointAtInfinityError("cannot normalize an image point at infinity")
+    (xl, xr), (yl, yr) = (q[..., 0] / w).T, (q[..., 1] / w).T
+    features = np.column_stack([xl * yr, -xr * yl, yl, -yr]) / _SQRT2
+    return np.linalg.qr(features, mode="r")
 
 
-def _residuals(beta_l, beta_r, xl, yl, xr, yr):
-    # q_r^T E q_l expanded for the closed form; ||E||_F = sqrt(2) always.
-    return (
-        np.sin(beta_l) * xl * yr
-        - np.sin(beta_r) * xr * yl
-        + np.cos(beta_r) * yl
-        - np.cos(beta_l) * yr
-    ) / _SQRT2
+def _coefficients(beta_l, beta_r) -> np.ndarray:
+    """c(beta_l, beta_r), stacked along a last axis for array arguments."""
+    return np.stack([np.sin(beta_l), np.sin(beta_r), np.cos(beta_r), np.cos(beta_l)], axis=-1)
+
+
+def _coefficient_jacobian(theta: np.ndarray) -> np.ndarray:
+    """(4, 2) derivative of c with respect to (beta_l, beta_r)."""
+    (sl, sr), (cl, cr) = np.sin(theta), np.cos(theta)
+    return np.array([[cl, 0.0], [0.0, cr], [0.0, -sr], [-sl, 0.0]])
 
 
 def residual_rms(correspondences: list[Correspondence], az: EyeAzimuths) -> float:
-    """Root mean square of the normalized epipolar residuals at given azimuths."""
-    xl, yl, xr, yr = _point_arrays(correspondences)
-    r = _residuals(az.beta_l, az.beta_r, xl, yl, xr, yr)
-    return float(np.sqrt(np.mean(r**2)))
+    """Root mean square of the normalized epipolar residuals, point by point."""
+    e = closed_form_entries(az.beta_l, az.beta_r)
+    r = [epipolar_residual(e, c.q_l, c.q_r) for c in correspondences]
+    return float(np.sqrt(np.mean(np.square(r))))
+
+
+def _grid(r_factor: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    deltas = GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE
+    epsilons = np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE)
+    dd, ee = np.meshgrid(deltas, epsilons, indexing="ij")
+    c = _coefficients(ee + 0.5 * dd, ee - 0.5 * dd)
+    return deltas, epsilons, np.sum(np.square(c @ r_factor.T), axis=-1) / count
+
+
+def _grid_seed(r_factor: np.ndarray, count: int) -> EyeAzimuths:
+    deltas, epsilons, mse = _grid(r_factor, count)
+    i, j = np.unravel_index(np.argmin(mse), mse.shape)
+    return EyeAzimuths(float(epsilons[j] + 0.5 * deltas[i]), float(epsilons[j] - 0.5 * deltas[i]))
 
 
 def grid_objective(
@@ -106,17 +129,7 @@ def grid_objective(
     Returns (deltas, epsilons, mse) with mse indexed [delta, epsilon];
     vergence spans (0, 1.2] and version [-0.8, 0.8] at 64 x 64 resolution.
     """
-    if not correspondences:
-        raise ValueError("empty correspondence list")
-    xl, yl, xr, yr = _point_arrays(correspondences)
-    deltas = GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE
-    epsilons = np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE)
-    dd, ee = np.meshgrid(deltas, epsilons, indexing="ij")
-    bl = (ee + 0.5 * dd).ravel()[:, None]
-    br = (ee - 0.5 * dd).ravel()[:, None]
-    r = _residuals(bl, br, xl[None, :], yl[None, :], xr[None, :], yr[None, :])
-    mse = np.mean(r**2, axis=1).reshape(GRID_SIZE, GRID_SIZE)
-    return deltas, epsilons, mse
+    return _grid(_r_factor(correspondences), len(correspondences))
 
 
 def grid_init(correspondences: list[Correspondence]) -> EyeAzimuths:
@@ -125,29 +138,13 @@ def grid_init(correspondences: list[Correspondence]) -> EyeAzimuths:
     Total on any nonempty input; with fewer than three points the seed is
     returned but its quality is unguaranteed.
     """
-    deltas, epsilons, mse = grid_objective(correspondences)
-    i, j = np.unravel_index(np.argmin(mse), mse.shape)
-    return EyeAzimuths(
-        float(epsilons[j] + 0.5 * deltas[i]), float(epsilons[j] - 0.5 * deltas[i])
-    )
-
-
-def _clamp(theta: np.ndarray, config: EstimationConfig) -> np.ndarray:
-    if config.delta_bounds is None and config.epsilon_bounds is None:
-        return theta
-    delta = theta[0] - theta[1]
-    epsilon = 0.5 * (theta[0] + theta[1])
-    if config.delta_bounds is not None:
-        delta = float(np.clip(delta, *config.delta_bounds))
-    if config.epsilon_bounds is not None:
-        epsilon = float(np.clip(epsilon, *config.epsilon_bounds))
-    return np.array([epsilon + 0.5 * delta, epsilon - 0.5 * delta])
+    return _grid_seed(_r_factor(correspondences), len(correspondences))
 
 
 def estimate_gaze(
     correspondences: list[Correspondence],
     initial: EyeAzimuths | None = None,
-    config: EstimationConfig | None = None,
+    config: EstimationConfig = EstimationConfig(),
     alpha: float = 0.0,
 ) -> GazeEstimate:
     """Fit (beta_l, beta_r) to correspondences by damped least squares.
@@ -155,69 +152,62 @@ def estimate_gaze(
     ``initial`` defaults to the grid seed. ``alpha`` only orients the
     visual plane of the returned gaze; the image data cannot constrain it.
     Noiseless data from a true fixation is recovered to well below 1e-6 rad.
+    Raises DegenerateConfigurationError when the data lie on the meridian
+    or the fit ends outside the domain of a fixation.
     """
-    cfg = config or EstimationConfig()
-    if len(correspondences) < 3:
+    count = len(correspondences)
+    if count < 3:
         raise ValueError("need at least 3 correspondences")
-    xl, yl, xr, yr = _point_arrays(correspondences)
-    if max(np.abs(yl).max(), np.abs(yr).max()) < cfg.meridian_tolerance:
+    r_factor = _r_factor(correspondences)
+    # ||R e_j|| = ||F e_j||: the y columns' norm is sqrt(sum y^2 / 2)
+    if np.linalg.norm(r_factor[:, 2:]) * _SQRT2 < MERIDIAN_TOLERANCE:
         raise DegenerateConfigurationError(
             "all points lie on the horizontal meridian, which satisfies the "
             "epipolar constraint for every gaze"
         )
     if initial is None:
-        initial = grid_init(correspondences)
+        initial = _grid_seed(r_factor, count)
 
-    theta = _clamp(np.array([initial.beta_l, initial.beta_r]), cfg)
-    r = _residuals(theta[0], theta[1], xl, yl, xr, yr)
+    theta = np.array([initial.beta_l, initial.beta_r])
+    r = r_factor @ _coefficients(*theta)
     objective = float(r @ r)
-    damping = cfg.initial_damping
-    h = cfg.jacobian_step
+    damping = INITIAL_DAMPING
     iterations = 0
     converged = False
 
-    for _ in range(cfg.max_iterations):
-        jac = np.empty((r.size, 2))
-        for k in range(2):
-            bump = np.zeros(2)
-            bump[k] = h
-            r_plus = _residuals(*(theta + bump), xl, yl, xr, yr)
-            r_minus = _residuals(*(theta - bump), xl, yl, xr, yr)
-            jac[:, k] = (r_plus - r_minus) / (2.0 * h)
+    while iterations < config.max_iterations and not converged:
+        jac = r_factor @ _coefficient_jacobian(theta)
         gradient = jac.T @ r
         normal = jac.T @ jac
-
-        accepted = False
         while damping < 1e15:
             step = np.linalg.solve(normal + damping * np.eye(2), -gradient)
-            candidate = _clamp(theta + step, cfg)
-            r_new = _residuals(candidate[0], candidate[1], xl, yl, xr, yr)
+            r_new = r_factor @ _coefficients(*(theta + step))
             objective_new = float(r_new @ r_new)
             if objective_new < objective:
-                accepted = True
                 break
-            damping *= cfg.damping_increase
-        if not accepted:
-            # No admissible step decreases the objective: numerical minimum.
+            damping *= DAMPING_FACTOR
+        else:
+            # No step decreases the objective: numerical minimum.
             converged = True
             break
 
-        step_norm = float(np.linalg.norm(candidate - theta))
-        decrease = objective - objective_new
-        theta, r, objective = candidate, r_new, objective_new
-        damping /= cfg.damping_decrease
+        converged = bool(
+            np.linalg.norm(step) < STEP_TOLERANCE
+            or objective - objective_new <= OBJECTIVE_TOLERANCE * objective
+        )
+        theta, r, objective = theta + step, r_new, objective_new
+        damping /= DAMPING_FACTOR
         iterations += 1
-        if step_norm < cfg.step_tolerance or decrease <= cfg.objective_tolerance * (
-            objective + decrease
-        ):
-            converged = True
-            break
 
-    azimuths = EyeAzimuths(float(theta[0]), float(theta[1]))
+    try:
+        azimuths = EyeAzimuths(float(theta[0]), float(theta[1]))
+        gaze = gaze_from_azimuths(azimuths)
+    except ValueError as err:
+        raise DegenerateConfigurationError(f"fit left the fixation domain: {err}") from err
     return GazeEstimate(
         azimuths=azimuths,
-        gaze=gaze_from_azimuths(azimuths, alpha=alpha),
-        rms_residual=float(np.sqrt(objective / r.size)),
+        gaze=replace(gaze, alpha=alpha),
+        rms_residual=float(np.sqrt(objective / count)),
         iterations=iterations,
         converged=converged,
     )

@@ -145,35 +145,43 @@ class ParsedCorrespondences:
     has_truth: bool
 
 
+def _image_points(rows: list, key: str) -> np.ndarray:
+    """(N, 3) points under ``key``, each finite with a nonzero third component."""
+    try:
+        points = np.array([row[key] for row in rows], dtype=float)
+    except (KeyError, TypeError, ValueError) as err:
+        raise SchemaError(f"every row needs {key!r} as three numbers") from err
+    if rows and (points.shape != (len(rows), 3) or not np.isfinite(points).all()
+                 or not points[:, 2].all()):
+        raise SchemaError(f"every {key!r} must be 3 finite numbers, the third nonzero")
+    return points
+
+
 def parse_correspondence_file(data: dict) -> ParsedCorrespondences:
     require_schema(data, "correspondences")
     gaze = gaze_from_dict(data["gaze"]) if "gaze" in data else None
     rows = data.get("records")
     if not isinstance(rows, list):
         raise SchemaError("correspondence file has no 'records' array")
-    records = []
-    has_truth = bool(rows)
-    for row in rows:
-        try:
-            q_l = np.array(row["q_l"], dtype=float)
-            q_r = np.array(row["q_r"], dtype=float)
-        except (KeyError, TypeError, ValueError) as err:
-            raise SchemaError(f"malformed correspondence row {row!r}") from err
-        truth = None
-        if gaze is not None and "p_c" in row and "s" in row:
-            s = float(row["s"])
-            truth = DepthSample(
-                cyclopean_dir=np.array(row["p_c"], dtype=float), s=s, z_c=gaze.rho + s
-            )
-        else:
-            has_truth = False
-        records.append(Correspondence(q_l=q_l, q_r=q_r, truth=truth))
+    q_l, q_r = _image_points(rows, "q_l"), _image_points(rows, "q_r")
+    known = [gaze is not None and "p_c" in row and "s" in row for row in rows]
+    truth_rows = [row for row, k in zip(rows, known) if k]
+    try:
+        depths = [float(row["s"]) for row in truth_rows]
+    except (TypeError, ValueError) as err:
+        raise SchemaError("every 's' must be a number") from err
+    if not np.isfinite(depths).all():
+        raise SchemaError("every 's' must be finite")
+    truths = iter(DepthSample(cyclopean_dir=p, s=s, z_c=gaze.rho + s)
+                  for p, s in zip(_image_points(truth_rows, "p_c"), depths))
+    records = [Correspondence(q_l=ql, q_r=qr, truth=next(truths) if k else None)
+               for ql, qr, k in zip(q_l, q_r, known)]
     return ParsedCorrespondences(
         gaze=gaze,
         records=records,
         sigma=float(data.get("sigma", 0.0)),
         seed=data.get("seed"),
-        has_truth=has_truth,
+        has_truth=bool(rows) and all(known),
     )
 
 

@@ -234,6 +234,34 @@ class TestEstimate:
         result = runner.invoke(main, ["estimate", str(tmp_path / "nope.json")])
         assert result.exit_code != 0
 
+    def test_fit_leaving_the_fixation_domain_exits_4(self, runner, tmp_path):
+        corr = synthesize_file(runner, tmp_path, sigma=1e-2, beta=0.6, rho=40.0, seed=0)
+        result = runner.invoke(main, ["estimate", str(corr)])
+        assert result.exit_code == 4, result.output
+
+
+def _corrupted_file(runner, tmp_path, edit):
+    corr = synthesize_file(runner, tmp_path, count=20)
+    data = json.loads(corr.read_text())
+    edit(data["records"][3])
+    corr.write_text(json.dumps(data))
+    return corr
+
+
+class TestMalformedPoints:
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    def test_two_component_point_exits_3(self, runner, tmp_path, command):
+        corr = _corrupted_file(runner, tmp_path, lambda row: row["q_l"].pop())
+        result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 3, result.output
+
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    def test_nan_coordinate_exits_3(self, runner, tmp_path, command):
+        corr = _corrupted_file(runner, tmp_path,
+                               lambda row: row["q_r"].__setitem__(0, math.nan))
+        result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 3, result.output
+
 
 class TestPipeline:
     def test_end_to_end_over_seeded_configurations(self, runner, tmp_path):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cyclovision.disparity import Correspondence, synthesize_correspondence
-from cyclovision.errors import DegenerateConfigurationError
+from cyclovision.errors import DegenerateConfigurationError, DegenerateGeometryError
 from cyclovision.estimation import (
-    EstimationConfig,
+    _coefficient_jacobian,
+    _coefficients,
+    _r_factor,
     estimate_depth_map,
     estimate_gaze,
     grid_init,
@@ -101,16 +105,6 @@ class TestEstimateGaze:
         assert abs(mirrored_fit.azimuths.beta_l + fit.azimuths.beta_r) < 1e-6
         assert abs(mirrored_fit.azimuths.beta_r + fit.azimuths.beta_l) < 1e-6
 
-    def test_bounds_are_respected(self):
-        records = synthesized_set(TRUE_GAZE, seed=19)
-        vv = vergence_version(eye_azimuths(TRUE_GAZE))
-        config = EstimationConfig(
-            delta_bounds=(vv.delta + 0.05, 1.2), epsilon_bounds=(-0.8, 0.8)
-        )
-        fit = estimate_gaze(records, config=config)
-        fitted_vv = vergence_version(fit.azimuths)
-        assert fitted_vv.delta >= vv.delta + 0.05 - 1e-12
-
     def test_noisy_range_recovery_statistics(self):
         errors = []
         for trial in range(20):
@@ -118,6 +112,82 @@ class TestEstimateGaze:
             fit = estimate_gaze(records)
             errors.append(abs(fit.gaze.rho - TRUE_GAZE.rho) / TRUE_GAZE.rho)
         assert np.median(errors) < 0.05
+
+    def test_default_seed_is_the_grid_seed(self):
+        records = synthesized_set(TRUE_GAZE, seed=7, sigma=1e-3)
+        assert estimate_gaze(records) == estimate_gaze(records, initial=grid_init(records))
+
+    def test_fit_leaving_the_fixation_domain_is_typed(self):
+        # far, eccentric fixation under heavy noise: the fit runs past
+        # |beta| = pi/2 or crosses beta_r > beta_l
+        gaze = GazeState(beta=0.6, rho=40.0)
+        records = synthesized_set(gaze, seed=0, sigma=1e-2)
+        with pytest.raises(DegenerateConfigurationError):
+            estimate_gaze(records)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(-10.0, 10.0)] * 4), min_size=3, max_size=30))
+    def test_fit_is_total(self, rows):
+        records = [
+            Correspondence(q_l=np.array([xl, yl, 1.0]), q_r=np.array([xr, yr, 1.0]))
+            for xl, yl, xr, yr in rows
+        ]
+        try:
+            fit = estimate_gaze(records)
+        except DegenerateGeometryError:
+            return
+        values = (fit.azimuths.beta_l, fit.azimuths.beta_r, fit.gaze.beta, fit.gaze.rho,
+                  fit.rms_residual)
+        assert np.isfinite(values).all()
+
+
+def direct_residuals(records, beta_l, beta_r):
+    """Per-point normalized epipolar residuals, broadcast over azimuth arrays."""
+    ql = np.array([r.q_l / r.q_l[2] for r in records])
+    qr = np.array([r.q_r / r.q_r[2] for r in records])
+    xl, yl, xr, yr = ql[:, 0], ql[:, 1], qr[:, 0], qr[:, 1]
+    bl, br = np.asarray(beta_l)[..., None], np.asarray(beta_r)[..., None]
+    return (np.sin(bl) * xl * yr - np.sin(br) * xr * yl
+            + np.cos(br) * yl - np.cos(bl) * yr) / np.sqrt(2.0)
+
+
+class TestCompressedObjective:
+    @pytest.mark.parametrize("count,sigma", [(50, 0.0), (50, 1e-3), (3, 1e-3)])
+    def test_grid_matches_direct_residuals(self, count, sigma):
+        records = synthesized_set(TRUE_GAZE, count=count, seed=47, sigma=sigma)[:count]
+        deltas, epsilons, mse = grid_objective(records)
+        dd, ee = np.meshgrid(deltas, epsilons, indexing="ij")
+        direct = np.mean(direct_residuals(records, ee + 0.5 * dd, ee - 0.5 * dd) ** 2, axis=-1)
+        assert_allclose(mse, direct, rtol=1e-12, atol=0.0)
+
+    def test_direct_residuals_match_reference(self):
+        records = synthesized_set(TRUE_GAZE, seed=53, sigma=1e-3)
+        az = EyeAzimuths(0.4, 0.1)
+        rms = np.sqrt(np.mean(direct_residuals(records, az.beta_l, az.beta_r) ** 2))
+        assert rms == pytest.approx(residual_rms(records, az), rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-2])
+    def test_reported_rms_matches_reference(self, sigma):
+        records = synthesized_set(TRUE_GAZE, seed=59, sigma=sigma)
+        fit = estimate_gaze(records)
+        assert fit.rms_residual == pytest.approx(residual_rms(records, fit.azimuths), rel=1e-9)
+
+    def test_analytic_jacobian_matches_central_differences(self):
+        records = synthesized_set(TRUE_GAZE, seed=61, sigma=1e-3)
+        r_factor = _r_factor(records)
+        theta = np.array([0.45, 0.02])
+        jac = r_factor @ _coefficient_jacobian(theta)
+        residual = r_factor @ _coefficients(*theta)
+        h = 1e-6
+        direct_jac = np.column_stack([
+            (direct_residuals(records, *(theta + step))
+             - direct_residuals(records, *(theta - step))) / (2.0 * h)
+            for step in h * np.eye(2)
+        ])
+        direct = direct_residuals(records, *theta)
+        # R = Q^T F with orthonormal Q: the normal equations agree
+        assert_allclose(jac.T @ jac, direct_jac.T @ direct_jac, rtol=1e-8)
+        assert_allclose(jac.T @ residual, direct_jac.T @ direct, rtol=1e-8)
 
 
 class TestGridInit:

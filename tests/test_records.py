@@ -108,6 +108,33 @@ class TestCorrespondenceFiles:
         with pytest.raises(SchemaError):
             parse_correspondence_file(data)
 
+    @pytest.mark.parametrize("key,value", [
+        ("q_l", [0.1, 0.2]),
+        ("q_r", [0.1, float("nan"), 1.0]),
+        ("q_l", [0.1, 0.2, 0.0]),
+        ("p_c", [0.1, 0.2, 1.0, 1.0]),
+        ("p_c", [0.1, float("inf"), 1.0]),
+        ("s", float("nan")),
+    ])
+    def test_invalid_point_rejected(self, key, value):
+        data = sample_file_dict()
+        data["records"][2][key] = value
+        with pytest.raises(SchemaError):
+            parse_correspondence_file(data)
+
+    def test_points_and_partial_truth_stay_with_their_rows(self):
+        data = sample_file_dict()
+        del data["records"][4]["s"]
+        parsed = parse_correspondence_file(data)
+        assert not parsed.has_truth
+        for row, rec in zip(data["records"], parsed.records):
+            assert rec.q_l.tolist() == row["q_l"] and rec.q_r.tolist() == row["q_r"]
+            if "s" in row:
+                assert rec.truth.cyclopean_dir.tolist() == row["p_c"]
+                assert rec.truth.s == row["s"]
+            else:
+                assert rec.truth is None
+
     def test_load_json_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json", encoding="utf-8")
