@@ -6,13 +6,10 @@ from correspondences and a simulation CLI (``cyclovision``).
 """
 
 from cyclovision.disparity import (
-    Correspondence,
-    DepthSample,
-    FixationPlane,
+    Correspondences,
     ParallaxDecomposition,
     decompose,
     parallax,
-    plane_depth,
     plane_homography,
     project_parallax_scalar,
     recover_depth,
@@ -38,6 +35,7 @@ from cyclovision.errors import (
     SchemaError,
 )
 from cyclovision.estimation import (
+    DepthMap,
     EstimationConfig,
     GazeEstimate,
     estimate_depth_map,

@@ -31,7 +31,7 @@ from cyclovision.gaze import (
     vergence_version,
     vieth_muller,
 )
-from cyclovision.geometry import rot_x
+from cyclovision.geometry import rot_x, transform
 from cyclovision.horopter import forward_arc_limit, midline, vm_point
 from cyclovision.records import (
     SCHEMA_VERSION,
@@ -43,6 +43,7 @@ from cyclovision.records import (
     gaze_to_dict,
     load_json,
     parse_correspondence_file,
+    table_rows,
 )
 from cyclovision.simulate import GENERATORS, SceneSpec, synthesize_scene
 
@@ -117,6 +118,12 @@ def _emit(text: str, out: Path | None) -> None:
         out.write_text(text, encoding="utf-8")
 
 
+def _depth_errors(depth, records) -> np.ndarray:
+    """Estimated minus true depth, in the rows where both are known."""
+    errors = depth.s - records.s
+    return errors[~np.isnan(errors)]
+
+
 _out_option = click.option(
     "--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
     help="Output file (default: stdout).",
@@ -175,17 +182,13 @@ def horopter(alpha, beta, rho, point, degrees, samples, out):
     mid = midline(vv)
     tilt = rot_x(gaze.alpha)
 
-    rows = []
-    limit = forward_arc_limit(circle)
     # Right half-sweep starts at theta = 0 (the circle's top), then the
     # mirrored left half, so the full forward arc is covered.
-    thetas = list(np.linspace(0.0, limit, samples)) + list(-np.linspace(0.0, limit, samples)[1:])
-    for theta in thetas:
-        p = tilt @ vm_point(circle, theta)
-        rows.append(["circle", p[0], p[1], p[2]])
-    for y in np.linspace(-1.0, 1.0, samples):
-        p = tilt @ (mid.scene_base + np.array([0.0, y, 0.0]))
-        rows.append(["midline", p[0], p[1], p[2]])
+    sweep = np.linspace(0.0, forward_arc_limit(circle), samples)
+    arc = transform(tilt, vm_point(circle, np.concatenate([sweep, -sweep[1:]])))
+    heights = np.outer(np.linspace(-1.0, 1.0, samples), [0.0, 1.0, 0.0])
+    axis = transform(tilt, mid.scene_base + heights)
+    rows = [["circle", *p] for p in arc.tolist()] + [["midline", *p] for p in axis.tolist()]
     _emit(csv_rows("component,x,y,z", rows), out)
 
 
@@ -259,32 +262,25 @@ def reconstruct(corr_file, alpha, beta, rho, point, degrees, out):
         raise click.UsageError(
             f"{corr_file} has no gaze header; provide --rho/--beta or --point"
         )
-    samples = estimate_depth_map(parsed.records, gaze)
-
-    rows = []
-    errors = []
-    for corr, sample in zip(parsed.records, samples):
-        row: dict = {}
-        if sample is None:
-            row["error"] = "unrecoverable (behind an eye or at infinity)"
-        else:
-            row["p_c"] = [float(x) for x in sample.cyclopean_dir]
-            row["s_est"] = float(sample.s)
-            row["z_c_est"] = float(sample.z_c)
-        if corr.truth is not None:
-            row["s_true"] = float(corr.truth.s)
-            if sample is not None:
-                errors.append(sample.s - corr.truth.s)
-        rows.append(row)
+    records = parsed.records
+    depth = estimate_depth_map(records, gaze)
+    failed = np.isnan(depth.s)
+    rows = table_rows({
+        "error": np.where(failed, "unrecoverable (behind an eye or at infinity)", None),
+        "p_c": depth.p_c,
+        "s_est": depth.s,
+        "z_c_est": gaze.rho + depth.s,
+        "s_true": records.s,
+    })
 
     stats = None
     if parsed.has_truth:
-        failed = sum(1 for s in samples if s is None)
+        errors = _depth_errors(depth, records)
         stats = {
             "count": len(rows),
-            "failed": failed,
-            "rms_error": float(np.sqrt(np.mean(np.square(errors)))) if errors else 0.0,
-            "max_abs_error": float(np.max(np.abs(errors))) if errors else 0.0,
+            "failed": int(failed.sum()),
+            "rms_error": float(np.sqrt(np.mean(np.square(errors)))) if errors.size else 0.0,
+            "max_abs_error": float(np.max(np.abs(errors))) if errors.size else 0.0,
         }
     _emit(dumps(depth_map_file(gaze, rows, stats)), out)
 
@@ -298,36 +294,30 @@ def reconstruct(corr_file, alpha, beta, rho, point, degrees, out):
 def estimate(corr_file, max_iterations, out):
     """Estimate gaze from correspondences, then reconstruct the depth map."""
     parsed = parse_correspondence_file(load_json(corr_file))
-    truth_gaze = parsed.gaze
+    records, truth_gaze = parsed.records, parsed.gaze
     alpha = truth_gaze.alpha if truth_gaze is not None else 0.0
 
     started = time.perf_counter()
     fit = estimate_gaze(
-        parsed.records,
+        records,
         config=EstimationConfig(max_iterations=max_iterations),
         alpha=alpha,
     )
     fitted = time.perf_counter()
-    samples = estimate_depth_map(parsed.records, fit.gaze)
+    depth = estimate_depth_map(records, fit.gaze)
     finished = time.perf_counter()
 
-    points = []
-    depth_errors = []
-    for corr, sample in zip(parsed.records, samples):
-        row: dict = {}
-        if sample is not None:
-            row["p_c"] = [float(x) for x in sample.cyclopean_dir]
-            row["s_est"] = float(sample.s)
-        if corr.truth is not None:
-            row["s_true"] = float(corr.truth.s)
-            if sample is not None:
-                depth_errors.append(sample.s - corr.truth.s)
-        row["q_l"] = [float(x) for x in corr.q_l]
-        row["q_r"] = [float(x) for x in corr.q_r]
-        points.append(row)
+    points = table_rows({
+        "p_c": depth.p_c,
+        "s_est": depth.s,
+        "s_true": records.s,
+        "q_l": records.q_l,
+        "q_r": records.q_r,
+    })
 
     residual_stats = {"rms_residual": fit.rms_residual}
-    if depth_errors:
+    depth_errors = _depth_errors(depth, records)
+    if depth_errors.size:
         residual_stats["rms_depth_error"] = float(np.sqrt(np.mean(np.square(depth_errors))))
 
     deltas = None

@@ -15,6 +15,12 @@ lay in the plane, ``d`` is a unit vector along the epipolar direction
 is a 1-d projective (Mobius) function of ``s``. All image points in this
 module are normalized to third component 1; homogeneous scale freedom
 lives in :mod:`cyclovision.geometry` and :mod:`cyclovision.epipolar`.
+
+Every formula broadcasts over a leading axis: rays and points are (3,)
+or (N, 3), depths and parallaxes scalars or (N,), and a correspondence
+set is one :class:`Correspondences` of such arrays. A batch marks the
+rows that fail (behind an eye, at the epipole, at infinity) with NaN and
+goes on; a single ray raises the typed error instead.
 """
 
 from __future__ import annotations
@@ -34,72 +40,77 @@ from cyclovision.gaze import (
     direction_from_angles,
     eye_azimuths,
     eye_poses,
+    project,
 )
-from cyclovision.geometry import HomogPoint2, Vec3, normalize_point, rot_y
+from cyclovision.geometry import (
+    HomogPoint2,
+    inner,
+    mark_failures,
+    normalize_point,
+    rot_y,
+    transform,
+)
 
 _EYES = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False)
-class FixationPlane:
-    """Plane through the fixation point, orthogonal to the Cyclopean gaze."""
+@dataclass(eq=False)
+class Correspondences:
+    """Left/right images of N scene points, optionally with their truth.
 
-    normal: Vec3  # unit gaze direction
-    range: float  # rho, orthogonal distance of the plane from the origin
-
-    @classmethod
-    def from_gaze(cls, gaze: GazeState) -> "FixationPlane":
-        return cls(normal=direction_from_angles(gaze.alpha, gaze.beta), range=gaze.rho)
-
-
-@dataclass(frozen=True, eq=False)
-class DepthSample:
-    """Plane-relative depth of one Cyclopean ray.
-
-    ``s`` is negative for points nearer than the fixation plane, positive
-    beyond it; ``z_c = rho + s`` is the Cyclopean depth and must be positive.
+    ``q_l`` and ``q_r`` are (N, 3) with third component 1. ``p_c`` (N, 3)
+    and ``s`` (N,) are the generating Cyclopean ray and plane depth, NaN in
+    the rows where they are unknown. Indexing selects rows as numpy does (a
+    slice shares memory); a single correspondence has (3,) points and a
+    scalar depth.
     """
 
-    cyclopean_dir: HomogPoint2  # p_c, third component 1
-    s: float
-    z_c: float
+    q_l: np.ndarray
+    q_r: np.ndarray
+    p_c: np.ndarray | None = None
+    s: np.ndarray | None = None
 
+    def __post_init__(self):
+        if self.s is None:
+            self.p_c = np.full(self.q_l.shape, np.nan)
+            self.s = np.full(self.q_l.shape[:-1], np.nan)
 
-@dataclass(frozen=True, eq=False)
-class Correspondence:
-    """A left/right image pair, optionally with its generating depth sample."""
+    def __len__(self) -> int:
+        return len(self.s)
 
-    q_l: HomogPoint2  # third component 1
-    q_r: HomogPoint2
-    truth: DepthSample | None = None
+    def __getitem__(self, rows) -> "Correspondences":
+        return Correspondences(self.q_l[rows], self.q_r[rows], self.p_c[rows], self.s[rows])
 
 
 @dataclass(frozen=True, eq=False)
 class ParallaxDecomposition:
-    """Per-eye ingredients of the parallax model for one Cyclopean ray.
+    """Per-eye ingredients of the parallax model for Cyclopean rays.
 
     ``predicted`` is the image of the ray's intersection with the fixation
     plane; ``direction`` the unit epipolar direction with exactly zero
     third component; ``kappa`` its normalizing length. ``lam`` and ``mu``
     relate eye depths to Cyclopean depths affinely: z_eye = lam z_c + mu.
+    All but ``mu`` and ``eye`` have the leading shape of the rays.
     """
 
     predicted: HomogPoint2
     direction: HomogPoint2
-    kappa: float
-    lam: float
+    kappa: np.ndarray
+    lam: np.ndarray
     mu: float
     eye: str
 
 
-def plane_depth(q: Vec3, plane: FixationPlane) -> tuple[float, float]:
-    """Signed plane distance s = v . q - rho and Cyclopean depth z_c = v . q."""
-    z_c = float(plane.normal @ np.asarray(q, dtype=float))
-    return z_c - plane.range, z_c
+def ray_and_depth(gaze: GazeState, scene: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclopean rays p_c and plane depths s of scene points in front of the Cyclopean eye."""
+    ray = project(eye_poses(gaze).cyclopean, scene)
+    ray = mark_failures(ray[..., 2] <= 1e-12, BehindEyeError,
+                        "point lies behind the Cyclopean eye", ray)
+    return ray / ray[..., 2:], ray[..., 2] - gaze.rho
 
 
 def decompose(gaze: GazeState, p_c: HomogPoint2, eye: str) -> ParallaxDecomposition:
-    """Parallax decomposition of the Cyclopean ray p_c for one eye.
+    """Parallax decomposition of the Cyclopean rays p_c for one eye.
 
     The predicted point is the normalized rho R_eye R^T p_c + e/2, where
     e/2 is the image of the Cyclopean point in that eye. The epipolar
@@ -118,21 +129,21 @@ def decompose(gaze: GazeState, p_c: HomogPoint2, eye: str) -> ParallaxDecomposit
         beta_eye = az.beta_r
         e_half = 0.5 * np.array([-np.cos(beta_eye), 0.0, -np.sin(beta_eye)])
     relative = rot_y(beta_eye - gaze.beta)  # R_eye R^T, elevation cancels
-    u = gaze.rho * (relative @ p_c) + e_half
-    if u[2] <= 1e-12:
-        raise BehindEyeError(f"predicted point lies behind the {eye} eye")
-    predicted = u / u[2]
-    lam = float(p_c[0] * np.sin(beta_eye - gaze.beta) + np.cos(beta_eye - gaze.beta))
+    u = gaze.rho * transform(relative, p_c) + e_half
+    u = mark_failures(u[..., 2] <= 1e-12, BehindEyeError,
+                      f"predicted point lies behind the {eye} eye", u)
+    predicted = u / u[..., 2:]
+    lam = p_c[..., 0] * np.sin(beta_eye - gaze.beta) + np.cos(beta_eye - gaze.beta)
     mu = float(e_half[2])
     kappa_vec = mu * predicted - e_half
-    kappa = float(np.linalg.norm(kappa_vec))
-    if kappa < 1e-12:
-        raise DegenerateGeometryError(
-            f"Cyclopean ray predicts the {eye} epipole: epipolar direction undefined"
-        )
+    kappa = np.sqrt(inner(kappa_vec, kappa_vec))
+    kappa = mark_failures(
+        kappa < 1e-12, DegenerateGeometryError,
+        f"Cyclopean ray predicts the {eye} epipole: epipolar direction undefined", kappa,
+    )
     return ParallaxDecomposition(
         predicted=predicted,
-        direction=kappa_vec / kappa,
+        direction=kappa_vec / kappa[..., None],
         kappa=kappa,
         lam=lam,
         mu=mu,
@@ -140,30 +151,30 @@ def decompose(gaze: GazeState, p_c: HomogPoint2, eye: str) -> ParallaxDecomposit
     )
 
 
-def parallax(dec: ParallaxDecomposition, s: float, rho: float) -> float:
+def parallax(dec: ParallaxDecomposition, s, rho: float):
     """Scalar parallax t(s) = kappa (s/rho) / (lam (rho + s) + mu).
 
     The denominator is the scene point's depth along this eye's axis and
     must be positive.
     """
     denom = dec.lam * (rho + s) + dec.mu
-    if denom <= 0.0:
-        raise BehindEyeError(f"scene point at s={s} lies behind the {dec.eye} eye")
+    denom = mark_failures(denom <= 0.0, BehindEyeError,
+                          f"scene point lies behind the {dec.eye} eye", denom)
     return dec.kappa * (s / rho) / denom
 
 
-def recover_depth(dec: ParallaxDecomposition, t: float, rho: float) -> float:
+def recover_depth(dec: ParallaxDecomposition, t, rho: float):
     """Invert the parallax map: s = t rho (lam rho + mu) / (kappa - t lam rho)."""
     denom = dec.kappa - t * dec.lam * rho
-    if abs(denom) <= 1e-15 * (dec.kappa + abs(t * dec.lam * rho)):
-        raise PointAtInfinityError("parallax corresponds to a point at infinite depth")
+    denom = mark_failures(
+        np.abs(denom) <= 1e-15 * (dec.kappa + np.abs(t * dec.lam * rho)),
+        PointAtInfinityError, "parallax corresponds to a point at infinite depth", denom,
+    )
     return t * rho * (dec.lam * rho + dec.mu) / denom
 
 
-def project_parallax_scalar(
-    dec: ParallaxDecomposition, q_observed: HomogPoint2
-) -> tuple[float, float]:
-    """Parallax scalar of an observed point, plus its off-epipolar residual.
+def project_parallax_scalar(dec: ParallaxDecomposition, q_observed: HomogPoint2):
+    """Parallax scalar of observed points, plus their off-epipolar residual.
 
     Returns (t, perpendicular): t is the least-squares projection of
     q - predicted onto the epipolar direction, and perpendicular is the
@@ -171,31 +182,28 @@ def project_parallax_scalar(
     pure noise under the model otherwise.
     """
     offset = normalize_point(q_observed) - dec.predicted
-    t = float(dec.direction @ offset)
-    perpendicular = float(np.linalg.norm(offset - t * dec.direction))
+    t = inner(dec.direction, offset)
+    remainder = offset - t[..., None] * dec.direction
+    perpendicular = np.sqrt(inner(remainder, remainder))
     return t, perpendicular
 
 
-def synthesize_correspondence(gaze: GazeState, p_c: HomogPoint2, s: float) -> Correspondence:
-    """Left and right images of the scene point at ray p_c, plane depth s.
+def synthesize_correspondence(gaze: GazeState, p_c: HomogPoint2, s) -> Correspondences:
+    """Left and right images of the scene points at rays p_c, plane depths s.
 
     Both points equal the direct pinhole projections of z_c R^T p_c; the
     parallax route is used so that tests can check that identity against
-    the projection oracle.
+    the projection oracle. The truth of the result is (p_c, s).
     """
-    z_c = gaze.rho + s
-    if z_c <= 0.0:
-        raise BehindEyeError(f"Cyclopean depth rho + s = {z_c} is not positive")
+    s = np.asarray(s, dtype=float)
+    depth = mark_failures(gaze.rho + s <= 0.0, BehindEyeError,
+                          "Cyclopean depth rho + s is not positive", s)
     p_c = normalize_point(p_c)
-    points = {}
+    images = []
     for eye in _EYES:
         dec = decompose(gaze, p_c, eye)
-        points[eye] = dec.predicted + parallax(dec, s, gaze.rho) * dec.direction
-    return Correspondence(
-        q_l=points["left"],
-        q_r=points["right"],
-        truth=DepthSample(cyclopean_dir=p_c, s=s, z_c=z_c),
-    )
+        images.append(dec.predicted + parallax(dec, depth, gaze.rho)[..., None] * dec.direction)
+    return Correspondences(*images, p_c=p_c, s=s)
 
 
 def plane_homography(gaze: GazeState) -> np.ndarray:

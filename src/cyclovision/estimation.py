@@ -7,9 +7,11 @@ with features f = (x_l y_r, -x_r y_l, y_l, -y_r) / sqrt(2), so the objective
 ||F c||^2 over the N x 4 feature matrix F equals ||R c||^2 for the 4 x 4 R
 factor of its QR (not F^T F, which squares the conditioning). A grid over
 vergence and version seeds damped least squares on R c, with its analytic
-Jacobian; (beta, rho) then follow algebraically. Depths are recovered per
-point by projecting each observed offset onto its epipolar direction and
-inverting the parallax map, independently in the two eyes.
+Jacobian; (beta, rho) then follow algebraically. The fit needs a
+Correspondences set of at least three points. Depths are recovered for
+all points in one array pass, by projecting each observed offset onto its
+epipolar direction and inverting the parallax map, independently in the
+two eyes; a point that cannot be recovered reads NaN in the depth map.
 
 Data lying entirely on the horizontal image meridian satisfies the
 epipolar constraint for every azimuth pair, so such sets are rejected
@@ -20,20 +22,20 @@ perspective effects off the meridian.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from cyclovision.disparity import (
-    Correspondence,
-    DepthSample,
+    Correspondences,
     decompose,
     project_parallax_scalar,
+    ray_and_depth,
     recover_depth,
 )
-from cyclovision.epipolar import closed_form_entries, epipolar_residual
 from cyclovision.errors import (
+    BehindEyeError,
     DegenerateConfigurationError,
-    DegenerateGeometryError,
     PointAtInfinityError,
 )
 from cyclovision.gaze import (
@@ -43,7 +45,14 @@ from cyclovision.gaze import (
     eye_poses,
     gaze_from_azimuths,
 )
-from cyclovision.geometry import HomogPoint2, Vec3, normalize_point
+from cyclovision.geometry import (
+    HomogPoint2,
+    Vec3,
+    inner,
+    mark_failures,
+    normalize_point,
+    transform,
+)
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -76,15 +85,21 @@ class GazeEstimate:
     converged: bool
 
 
-def _r_factor(correspondences: list[Correspondence]) -> np.ndarray:
+class DepthMap(NamedTuple):
+    """Recovered Cyclopean rays (N, 3) and plane depths (N,); NaN rows failed."""
+
+    p_c: np.ndarray
+    s: np.ndarray
+
+
+def _r_factor(correspondences: Correspondences) -> np.ndarray:
     """R factor, min(N, 4) x 4, of the N x 4 feature matrix F: ||R c|| = ||F c||."""
-    if not correspondences:
-        raise ValueError("empty correspondence list")
-    q = np.array([[c.q_l, c.q_r] for c in correspondences], dtype=float)
-    w = q[..., 2]
-    if not (np.abs(w) > 1e-12 * np.abs(q).max(axis=-1)).all():
+    if not len(correspondences):
+        raise DegenerateConfigurationError("no correspondences")
+    q = normalize_point(np.stack([correspondences.q_l, correspondences.q_r], axis=1))
+    if np.isnan(q).any():
         raise PointAtInfinityError("cannot normalize an image point at infinity")
-    (xl, xr), (yl, yr) = (q[..., 0] / w).T, (q[..., 1] / w).T
+    (xl, xr), (yl, yr) = q[..., 0].T, q[..., 1].T
     features = np.column_stack([xl * yr, -xr * yl, yl, -yr]) / _SQRT2
     return np.linalg.qr(features, mode="r")
 
@@ -98,13 +113,6 @@ def _coefficient_jacobian(theta: np.ndarray) -> np.ndarray:
     """(4, 2) derivative of c with respect to (beta_l, beta_r)."""
     (sl, sr), (cl, cr) = np.sin(theta), np.cos(theta)
     return np.array([[cl, 0.0], [0.0, cr], [0.0, -sr], [-sl, 0.0]])
-
-
-def residual_rms(correspondences: list[Correspondence], az: EyeAzimuths) -> float:
-    """Root mean square of the normalized epipolar residuals, point by point."""
-    e = closed_form_entries(az.beta_l, az.beta_r)
-    r = [epipolar_residual(e, c.q_l, c.q_r) for c in correspondences]
-    return float(np.sqrt(np.mean(np.square(r))))
 
 
 def _grid(r_factor: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -122,7 +130,7 @@ def _grid_seed(r_factor: np.ndarray, count: int) -> EyeAzimuths:
 
 
 def grid_objective(
-    correspondences: list[Correspondence],
+    correspondences: Correspondences,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mean squared residual over the (vergence, version) seed grid.
 
@@ -132,7 +140,7 @@ def grid_objective(
     return _grid(_r_factor(correspondences), len(correspondences))
 
 
-def grid_init(correspondences: list[Correspondence]) -> EyeAzimuths:
+def grid_init(correspondences: Correspondences) -> EyeAzimuths:
     """Azimuth seed at the minimum of the coarse grid objective.
 
     Total on any nonempty input; with fewer than three points the seed is
@@ -142,7 +150,7 @@ def grid_init(correspondences: list[Correspondence]) -> EyeAzimuths:
 
 
 def estimate_gaze(
-    correspondences: list[Correspondence],
+    correspondences: Correspondences,
     initial: EyeAzimuths | None = None,
     config: EstimationConfig = EstimationConfig(),
     alpha: float = 0.0,
@@ -157,7 +165,7 @@ def estimate_gaze(
     """
     count = len(correspondences)
     if count < 3:
-        raise ValueError("need at least 3 correspondences")
+        raise DegenerateConfigurationError(f"need at least 3 correspondences, got {count}")
     r_factor = _r_factor(correspondences)
     # ||R e_j|| = ||F e_j||: the y columns' norm is sqrt(sum y^2 / 2)
     if np.linalg.norm(r_factor[:, 2:]) * _SQRT2 < MERIDIAN_TOLERANCE:
@@ -216,53 +224,38 @@ def estimate_gaze(
 def triangulate_midpoint(
     poses: BinocularPoses, q_l: HomogPoint2, q_r: HomogPoint2
 ) -> Vec3:
-    """Midpoint of the closest points of the two back-projected rays."""
-    d1 = poses.left.rotation.T @ normalize_point(q_l)
-    d2 = poses.right.rotation.T @ normalize_point(q_r)
+    """Midpoints of the closest points of the back-projected ray pairs."""
+    d1 = transform(poses.left.rotation.T, normalize_point(q_l))
+    d2 = transform(poses.right.rotation.T, normalize_point(q_r))
     w0 = poses.left.centre - poses.right.centre
-    a, b, c = d1 @ d1, d1 @ d2, d2 @ d2
+    a, b, c = inner(d1, d1), inner(d1, d2), inner(d2, d2)
     det = b * b - a * c
-    if abs(det) <= 1e-15 * a * c:
-        raise PointAtInfinityError("rays are parallel: triangulated point at infinity")
-    rhs1, rhs2 = -(d1 @ w0), -(d2 @ w0)
+    det = mark_failures(np.abs(det) <= 1e-15 * a * c, PointAtInfinityError,
+                        "rays are parallel: triangulated point at infinity", det)
+    rhs1, rhs2 = -inner(d1, w0), -inner(d2, w0)
     u = (-c * rhs1 + b * rhs2) / det
     v = (-b * rhs1 + a * rhs2) / det
-    near_l = poses.left.centre + u * d1
-    near_r = poses.right.centre + v * d2
+    near_l = poses.left.centre + u[..., None] * d1
+    near_r = poses.right.centre + v[..., None] * d2
     return 0.5 * (near_l + near_r)
 
 
-def estimate_depth_map(
-    correspondences: list[Correspondence], gaze: GazeState
-) -> list[DepthSample | None]:
-    """Per-point plane-relative depths for a known (or estimated) gaze.
+def estimate_depth_map(correspondences: Correspondences, gaze: GazeState) -> DepthMap:
+    """Plane-relative depths of all points for a known (or estimated) gaze.
 
     Each point is triangulated to fix its Cyclopean direction, the
     parallax scalar is extracted in the two eyes independently, and the
-    two recovered depths are averaged. Entries are None where the point
-    is behind an eye or at infinity; such failures are not fatal.
+    two recovered depths are averaged. Rows read NaN where the point is
+    behind an eye or at infinity; such failures are not fatal.
     """
     poses = eye_poses(gaze)
-    samples: list[DepthSample | None] = []
-    for corr in correspondences:
-        try:
-            scene = triangulate_midpoint(poses, corr.q_l, corr.q_r)
-            ray = poses.cyclopean.rotation @ (scene - poses.cyclopean.centre)
-            if ray[2] <= 1e-12:
-                samples.append(None)
-                continue
-            p_c = ray / ray[2]
-            recovered = []
-            for eye, observed in (("left", corr.q_l), ("right", corr.q_r)):
-                dec = decompose(gaze, p_c, eye)
-                t, _ = project_parallax_scalar(dec, observed)
-                recovered.append(recover_depth(dec, t, gaze.rho))
-            s = 0.5 * (recovered[0] + recovered[1])
-            z_c = gaze.rho + s
-            if z_c <= 0.0:
-                samples.append(None)
-                continue
-            samples.append(DepthSample(cyclopean_dir=p_c, s=s, z_c=z_c))
-        except DegenerateGeometryError:
-            samples.append(None)
-    return samples
+    scene = triangulate_midpoint(poses, correspondences.q_l, correspondences.q_r)
+    p_c, _ = ray_and_depth(gaze, scene)
+    left, right = (
+        recover_depth(dec, project_parallax_scalar(dec, observed)[0], gaze.rho)
+        for dec, observed in ((decompose(gaze, p_c, "left"), correspondences.q_l),
+                              (decompose(gaze, p_c, "right"), correspondences.q_r))
+    )
+    s = 0.5 * (left + right)
+    s = mark_failures(gaze.rho + s <= 0.0, BehindEyeError, "point lies behind the eyes", s)
+    return DepthMap(p_c=np.where(np.isnan(s)[..., None], np.nan, p_c), s=s)

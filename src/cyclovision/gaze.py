@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from cyclovision.errors import DegenerateGeometryError
-from cyclovision.geometry import HomogPoint2, Rot3, Vec3, rot_x, rot_y
+from cyclovision.geometry import HomogPoint2, Rot3, Vec3, rot_x, rot_y, transform
 
 #: smallest admissible fixation range, in baseline units; closer fixation
 #: points fall inside the immediate inter-ocular region and are rejected
@@ -163,7 +163,7 @@ def eye_azimuths(gaze: GazeState) -> EyeAzimuths:
     """
     cb = np.cos(gaze.beta)
     if cb <= 1e-12:
-        raise ValueError("eye azimuths are unbounded at |beta| = pi/2")
+        raise DegenerateGeometryError("eye azimuths are unbounded at |beta| = pi/2")
     half = 1.0 / (2.0 * gaze.rho * cb)
     t = np.tan(gaze.beta)
     return EyeAzimuths(float(np.arctan(t + half)), float(np.arctan(t - half)))
@@ -205,8 +205,8 @@ def eye_poses(gaze: GazeState) -> BinocularPoses:
 
 
 def project(pose: EyePose, point: Vec3) -> HomogPoint2:
-    """Pinhole image of a scene point: R @ (q - c), as homogeneous coordinates."""
-    return pose.rotation @ (np.asarray(point, dtype=float) - pose.centre)
+    """Pinhole images of scene points (..., 3): R @ (q - c), as homogeneous coordinates."""
+    return transform(pose.rotation, np.asarray(point, dtype=float) - pose.centre)
 
 
 def vieth_muller(vv: VergenceVersion) -> ViethMullerCircle:

@@ -24,14 +24,6 @@ PROJECTIVE_TOL = 1e-9
 _DEGENERATE_TOL = 1e-12
 
 
-def vec3(x: float, y: float, z: float) -> Vec3:
-    """Build a scene vector, rejecting non-finite components."""
-    v = np.array([x, y, z], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"vector components must be finite, got {v}")
-    return v
-
-
 def cross_matrix(w: Vec3) -> np.ndarray:
     """Antisymmetric matrix M with M @ p == cross(w, p) for every p."""
     x, y, z = np.asarray(w, dtype=float)
@@ -78,12 +70,38 @@ def rot_x(angle: float) -> Rot3:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
+def transform(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``matrix @ p`` for each point p in (..., 3), rounded as for one point alone."""
+    return (matrix @ points[..., None])[..., 0]
+
+
+def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise ``a @ b`` of (..., 3) arrays, rounded as for one row alone."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def mark_failures(bad, error: type[Exception], message: str, values):
+    """NaN the rows of ``values`` where ``bad`` holds, or raise ``error(message)``.
+
+    A single point or ray (0-d ``bad``) raises; a batch marks its failing
+    rows, and every value computed from a marked row reads NaN in turn.
+    """
+    if np.ndim(bad) == 0:
+        if bad:
+            raise error(message)
+        return values
+    return np.where(bad[..., None] if np.ndim(values) > np.ndim(bad) else bad, np.nan, values)
+
+
 def normalize_point(p: HomogPoint2) -> HomogPoint2:
-    """Scale a homogeneous point so that its third component is exactly 1."""
+    """Scale homogeneous points (..., 3) so that the third component is exactly 1.
+
+    A point at infinity raises PointAtInfinityError, or reads NaN in a batch.
+    """
     p = np.asarray(p, dtype=float)
-    if abs(p[2]) <= _DEGENERATE_TOL * np.abs(p).max():
-        raise PointAtInfinityError(f"cannot normalize point at infinity {p}")
-    return p / p[2]
+    p = mark_failures(np.abs(p[..., 2]) <= _DEGENERATE_TOL * np.abs(p).max(axis=-1),
+                      PointAtInfinityError, "cannot normalize a point at infinity", p)
+    return p / p[..., 2:]
 
 
 def proportional_form(a: np.ndarray) -> np.ndarray:

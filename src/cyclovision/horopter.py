@@ -39,16 +39,17 @@ class MidlineHoropter:
     image_line: HomogLine2   # vertical image line through every midline image
 
 
-def vm_point(circle: ViethMullerCircle, theta: float) -> Vec3:
-    """Point (eta sin t, 0, zeta + eta cos t) on the forward arc of the circle.
+def vm_point(circle: ViethMullerCircle, theta) -> Vec3:
+    """Points (eta sin t, 0, zeta + eta cos t) on the forward arc of the circle.
 
-    theta = 0 is the top of the circle; parameters on the backward arc
+    theta = 0 is the top of the circle; a scalar theta gives one (3,)
+    point, an array one row per angle. Parameters on the backward arc
     (z < 0) are rejected.
     """
     z = circle.zeta + circle.eta * np.cos(theta)
-    if z < -_FORWARD_TOL:
+    if np.any(z < -_FORWARD_TOL):
         raise ValueError(f"theta={theta} lies on the backward arc (z < 0)")
-    return np.array([circle.eta * np.sin(theta), 0.0, z])
+    return np.stack([circle.eta * np.sin(theta), np.zeros_like(z), z], axis=-1)
 
 
 def forward_arc_limit(circle: ViethMullerCircle) -> float:

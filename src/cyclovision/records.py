@@ -15,12 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from cyclovision.disparity import Correspondence, DepthSample
+from cyclovision.disparity import Correspondences
 from cyclovision.errors import SchemaError
 from cyclovision.estimation import GazeEstimate
 from cyclovision.gaze import EyeAzimuths, GazeState
 
 SCHEMA_VERSION = "cyclovision/1"
+
+#: what a malformed value raises on conversion to float
+_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def float_repr(x: float) -> str:
@@ -90,10 +93,6 @@ def require_schema(data: dict, kind: str) -> None:
         raise SchemaError(f"expected a {kind!r} file, got kind {data.get('kind')!r}")
 
 
-def _triple(v) -> list[float]:
-    return [float(v[0]), float(v[1]), float(v[2])]
-
-
 def gaze_to_dict(gaze: GazeState) -> dict:
     return {"alpha": float(gaze.alpha), "beta": float(gaze.beta), "rho": float(gaze.rho)}
 
@@ -102,28 +101,35 @@ def gaze_from_dict(data: dict) -> GazeState:
     try:
         return GazeState(beta=float(data["beta"]), rho=float(data["rho"]),
                          alpha=float(data.get("alpha", 0.0)))
-    except (KeyError, TypeError) as err:
-        raise SchemaError(f"malformed gaze record {data!r}") from err
+    except _MALFORMED as err:
+        raise SchemaError(f"malformed gaze record {data!r}: {err}") from err
+
+
+def table_rows(columns: dict[str, np.ndarray]) -> list[dict]:
+    """One record per row from (N,) and (N, 3) columns, keys in column order.
+
+    A row leaves out a key whose value there is NaN (a failed or unknown
+    value) or None (in an object column).
+    """
+    present = [np.not_equal(c, None) if c.dtype == object
+               else ~np.isnan(c).all(axis=tuple(range(1, c.ndim))) for c in columns.values()]
+    return [
+        {key: value for key, value, keep in zip(columns, row, keeps) if keep}
+        for row, keeps in zip(zip(*(c.tolist() for c in columns.values())),
+                              zip(*(p.tolist() for p in present)))
+    ]
 
 
 def correspondence_file(
     gaze: GazeState,
-    records: list[Correspondence],
+    records: Correspondences,
     skipped: int,
     generator: str,
     sigma: float,
     seed: int,
 ) -> dict:
     """Header plus one record per correspondence, truth included when known."""
-    rows = []
-    for rec in records:
-        row: dict = {}
-        if rec.truth is not None:
-            row["p_c"] = _triple(rec.truth.cyclopean_dir)
-            row["s"] = float(rec.truth.s)
-        row["q_l"] = _triple(rec.q_l)
-        row["q_r"] = _triple(rec.q_r)
-        rows.append(row)
+    rows = table_rows({"p_c": records.p_c, "s": records.s, "q_l": records.q_l, "q_r": records.q_r})
     return {
         "schema": SCHEMA_VERSION,
         "kind": "correspondences",
@@ -139,7 +145,7 @@ def correspondence_file(
 @dataclass(eq=False)
 class ParsedCorrespondences:
     gaze: GazeState | None
-    records: list[Correspondence]
+    records: Correspondences
     sigma: float
     seed: int | None
     has_truth: bool
@@ -147,12 +153,13 @@ class ParsedCorrespondences:
 
 def _image_points(rows: list, key: str) -> np.ndarray:
     """(N, 3) points under ``key``, each finite with a nonzero third component."""
+    if not rows:
+        return np.empty((0, 3))
     try:
         points = np.array([row[key] for row in rows], dtype=float)
-    except (KeyError, TypeError, ValueError) as err:
+    except _MALFORMED as err:
         raise SchemaError(f"every row needs {key!r} as three numbers") from err
-    if rows and (points.shape != (len(rows), 3) or not np.isfinite(points).all()
-                 or not points[:, 2].all()):
+    if points.shape != (len(rows), 3) or not np.isfinite(points).all() or not points[:, 2].all():
         raise SchemaError(f"every {key!r} must be 3 finite numbers, the third nonzero")
     return points
 
@@ -163,25 +170,27 @@ def parse_correspondence_file(data: dict) -> ParsedCorrespondences:
     rows = data.get("records")
     if not isinstance(rows, list):
         raise SchemaError("correspondence file has no 'records' array")
-    q_l, q_r = _image_points(rows, "q_l"), _image_points(rows, "q_r")
-    known = [gaze is not None and "p_c" in row and "s" in row for row in rows]
+    records = Correspondences(_image_points(rows, "q_l"), _image_points(rows, "q_r"))
+    known = np.array([gaze is not None and "p_c" in row and "s" in row for row in rows], dtype=bool)
     truth_rows = [row for row, k in zip(rows, known) if k]
     try:
-        depths = [float(row["s"]) for row in truth_rows]
-    except (TypeError, ValueError) as err:
+        depths = np.array([row["s"] for row in truth_rows], dtype=float)
+    except _MALFORMED as err:
         raise SchemaError("every 's' must be a number") from err
-    if not np.isfinite(depths).all():
-        raise SchemaError("every 's' must be finite")
-    truths = iter(DepthSample(cyclopean_dir=p, s=s, z_c=gaze.rho + s)
-                  for p, s in zip(_image_points(truth_rows, "p_c"), depths))
-    records = [Correspondence(q_l=ql, q_r=qr, truth=next(truths) if k else None)
-               for ql, qr, k in zip(q_l, q_r, known)]
+    if depths.shape != (len(truth_rows),) or not np.isfinite(depths).all():
+        raise SchemaError("every 's' must be a finite number")
+    records.p_c[known] = _image_points(truth_rows, "p_c")
+    records.s[known] = depths
+    try:
+        sigma = float(data.get("sigma", 0.0))
+    except _MALFORMED as err:
+        raise SchemaError(f"'sigma' must be a number, got {data.get('sigma')!r}") from err
     return ParsedCorrespondences(
         gaze=gaze,
         records=records,
-        sigma=float(data.get("sigma", 0.0)),
+        sigma=sigma,
         seed=data.get("seed"),
-        has_truth=bool(rows) and all(known),
+        has_truth=bool(rows) and bool(known.all()),
     )
 
 

@@ -1,4 +1,8 @@
-"""Synthetic scenes and correspondence generation for the simulation CLI."""
+"""Synthetic scenes and correspondence generation for the simulation CLI.
+
+A scene is drawn, projected and perturbed in one array pass into a
+Correspondences set whose truth is each point's clean (p_c, s).
+"""
 
 from __future__ import annotations
 
@@ -7,17 +11,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cyclovision.disparity import Correspondence, synthesize_correspondence
-from cyclovision.errors import DegenerateGeometryError
+from cyclovision.disparity import Correspondences, ray_and_depth, synthesize_correspondence
 from cyclovision.gaze import (
     GazeState,
     eye_azimuths,
-    eye_poses,
     fixation_point,
     vergence_version,
     vieth_muller,
 )
-from cyclovision.geometry import rot_x
+from cyclovision.geometry import rot_x, transform
 from cyclovision.horopter import forward_arc_limit, vm_point
 
 GENERATORS = ("random-box", "fixation-plane-patch", "horopter-samples")
@@ -64,7 +66,7 @@ class SceneSpec:
 
 
 class SynthesisResult(NamedTuple):
-    records: list[Correspondence]
+    records: Correspondences
     skipped: int  # candidates behind an eye or otherwise degenerate
 
 
@@ -89,8 +91,7 @@ def _scene_candidates(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator
     circle = vieth_muller(vergence_version(eye_azimuths(gaze)))
     limit = ARC_MARGIN * forward_arc_limit(circle)
     thetas = rng.uniform(-limit, limit, spec.count)
-    tilt = rot_x(gaze.alpha)
-    return np.array([tilt @ vm_point(circle, t) for t in thetas])
+    return transform(rot_x(gaze.alpha), vm_point(circle, thetas))
 
 
 def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
@@ -101,38 +102,17 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
     the stored truth (p_c, s) stays clean.
     """
     rng = np.random.default_rng(spec.seed)
-    records: list[Correspondence] = []
-    skipped = 0
-
     if spec.generator == "fixation-plane-patch":
         offsets = rng.uniform(-PATCH_HALF_WIDTH, PATCH_HALF_WIDTH, (spec.count, 2))
-        rays = [np.array([u, w, 1.0]) for u, w in offsets]
-        depths = [0.0] * spec.count
+        rays = np.column_stack([offsets, np.ones(spec.count)])
+        depths = np.zeros(spec.count)
     else:
-        poses = eye_poses(gaze)
-        rays, depths = [], []
-        for scene_point in _scene_candidates(gaze, spec, rng):
-            ray = poses.cyclopean.rotation @ (scene_point - poses.cyclopean.centre)
-            if ray[2] <= 1e-12:
-                skipped += 1
-                continue
-            rays.append(ray / ray[2])
-            depths.append(float(ray[2]) - gaze.rho)
+        rays, depths = ray_and_depth(gaze, _scene_candidates(gaze, spec, rng))
 
-    for ray, depth in zip(rays, depths):
-        try:
-            records.append(synthesize_correspondence(gaze, ray, depth))
-        except DegenerateGeometryError:
-            skipped += 1
-
+    records = synthesize_correspondence(gaze, rays, depths)
+    records = records[np.isfinite(records.q_l + records.q_r).all(axis=1)]
     if spec.sigma > 0.0:
-        noisy = []
-        for record in records:
-            q_l = record.q_l.copy()
-            q_r = record.q_r.copy()
-            q_l[:2] += rng.normal(0.0, spec.sigma, 2)
-            q_r[:2] += rng.normal(0.0, spec.sigma, 2)
-            noisy.append(Correspondence(q_l=q_l, q_r=q_r, truth=record.truth))
-        records = noisy
-
-    return SynthesisResult(records=records, skipped=skipped)
+        noise = rng.normal(0.0, spec.sigma, (len(records), 2, 2))  # per row: left, then right
+        records.q_l[:, :2] += noise[:, 0]
+        records.q_r[:, :2] += noise[:, 1]
+    return SynthesisResult(records=records, skipped=spec.count - len(records))

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cyclovision.cli import main
 from cyclovision.gaze import GazeState, eye_azimuths
@@ -261,6 +263,74 @@ class TestMalformedPoints:
                                lambda row: row["q_r"].__setitem__(0, math.nan))
         result = runner.invoke(main, [command, str(corr)])
         assert result.exit_code == 3, result.output
+
+
+class TestHeaderFaults:
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    @pytest.mark.parametrize("section,key,value", [
+        ("gaze", "rho", math.nan),
+        ("gaze", "rho", 0.5),
+        ("gaze", "beta", "left"),
+        (None, "sigma", "small"),
+    ])
+    def test_malformed_header_exits_3(self, runner, tmp_path, command, section, key, value):
+        corr = synthesize_file(runner, tmp_path, count=20)
+        data = json.loads(corr.read_text())
+        (data[section] if section else data)[key] = value
+        corr.write_text(json.dumps(data))
+        result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 3, result.output
+
+
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    def test_gaze_along_the_baseline_exits_4(self, runner, tmp_path, command):
+        # |beta| = pi/2 is a valid gaze whose eye azimuths are unbounded
+        corr = synthesize_file(runner, tmp_path, count=20)
+        data = json.loads(corr.read_text())
+        data["gaze"]["beta"] = math.pi / 2
+        corr.write_text(json.dumps(data))
+        result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 4, result.output
+
+
+class TestTooFewPoints:
+    def test_two_row_file_exits_4(self, runner, tmp_path):
+        corr = synthesize_file(runner, tmp_path, count=20)
+        data = json.loads(corr.read_text())
+        data["records"] = data["records"][:2]
+        corr.write_text(dumps(data))
+        result = runner.invoke(main, ["estimate", str(corr)])
+        assert result.exit_code == 4, result.output
+
+
+# Any finite float in +-1e3, mixed with the valid gaze domain and with
+# ordinary image points so that the accepting paths are reached too.
+finite = st.floats(-1e3, 1e3)
+angle = st.one_of(finite, st.floats(-1.5, 1.5))
+fixation_range = st.one_of(finite, st.floats(0.75, 50.0))
+triple = st.one_of(st.lists(finite, min_size=3, max_size=3),
+                   st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.just(1.0)).map(list))
+rows = st.lists(
+    st.fixed_dictionaries({"q_l": triple, "q_r": triple},
+                          optional={"p_c": triple, "s": finite}),
+    max_size=20,
+)
+
+
+class TestAnyFiniteFile:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=rows, alpha=angle, beta=angle, rho=fixation_range, sigma=finite)
+    def test_exits_with_a_result_or_a_typed_error(self, runner, tmp_path, rows, alpha, beta,
+                                                 rho, sigma):
+        data = {"schema": "cyclovision/1", "kind": "correspondences",
+                "gaze": {"alpha": alpha, "beta": beta, "rho": rho}, "sigma": sigma,
+                "records": rows}
+        corr = tmp_path / "any.json"
+        corr.write_text(json.dumps(data))
+        for command in ("estimate", "reconstruct"):
+            result = runner.invoke(main, [command, str(corr)])
+            assert result.exit_code in (0, 3, 4), (command, result.output, result.exception)
 
 
 class TestPipeline:

@@ -3,17 +3,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from cyclovision.disparity import (
-    FixationPlane,
+    Correspondences,
     decompose,
     parallax,
-    plane_depth,
     plane_homography,
     project_parallax_scalar,
     recover_depth,
     synthesize_correspondence,
 )
 from cyclovision.epipolar import epipolar_residual, essential_closed_form
-from cyclovision.errors import BehindEyeError, PointAtInfinityError
+from cyclovision.errors import BehindEyeError, DegenerateGeometryError, PointAtInfinityError
 from cyclovision.gaze import (
     GazeState,
     eye_azimuths,
@@ -21,6 +20,7 @@ from cyclovision.gaze import (
     fixation_point,
     project,
 )
+from cyclovision.estimation import estimate_depth_map
 from cyclovision.geometry import normalize_point
 
 from helpers import project_both, random_gaze
@@ -40,29 +40,31 @@ def cross_ratio(a, b, c, d):
 
 
 class TestPlaneDepth:
+    """Plane depth s = v . q - rho of scene points, read back from their images."""
+
+    @staticmethod
+    def depth_of(gaze, scene_points):
+        q_l, q_r = zip(*(project_both(gaze, q) for q in scene_points))
+        return estimate_depth_map(Correspondences(np.array(q_l), np.array(q_r)), gaze)
+
     def test_fixation_point_has_zero_depth(self):
         gaze = GazeState(beta=0.3, rho=2.5, alpha=0.2)
-        plane = FixationPlane.from_gaze(gaze)
-        s, z_c = plane_depth(fixation_point(gaze), plane)
-        assert abs(s) < 1e-12
-        assert abs(z_c - gaze.rho) < 1e-12
+        depth = self.depth_of(gaze, [fixation_point(gaze)])
+        assert abs(depth.s[0]) < 1e-12
+        assert_allclose(depth.p_c[0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_on_axis_point(self):
-        plane = FixationPlane.from_gaze(RUNNING_GAZE)
-        s, z_c = plane_depth(np.array([0.0, 0.0, 1.5]), plane)
-        assert s == pytest.approx(0.5, abs=1e-15)
-        assert z_c == pytest.approx(1.5, abs=1e-15)
+        depth = self.depth_of(RUNNING_GAZE, [np.array([0.0, 0.0, 1.5])])
+        assert depth.s[0] == pytest.approx(0.5, abs=1e-12)
+        assert RUNNING_GAZE.rho + depth.s[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_random_in_plane_points(self):
         rng = np.random.default_rng(3)
         gaze = GazeState(beta=0.4, rho=1.8)
-        plane = FixationPlane.from_gaze(gaze)
         poses = eye_poses(gaze)
-        for _ in range(100):
-            ray = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), 1.0])
-            scene = gaze.rho * (poses.cyclopean.rotation.T @ ray)
-            s, _ = plane_depth(scene, plane)
-            assert abs(s) < 1e-12
+        rays = np.column_stack([rng.uniform(-1, 1, (100, 2)), np.ones(100)])
+        depth = self.depth_of(gaze, gaze.rho * rays @ poses.cyclopean.rotation)
+        assert np.abs(depth.s).max() < 1e-12
 
 
 class TestDecompose:
@@ -174,7 +176,8 @@ class TestSynthesize:
         corr = synthesize_correspondence(RUNNING_GAZE, RUNNING_RAY, 0.5)
         assert_allclose(corr.q_l, [-1.0 / 7.0, 0.0, 1.0], atol=1e-15)
         assert_allclose(corr.q_r, [1.0 / 7.0, 0.0, 1.0], atol=1e-15)
-        assert corr.truth.z_c == pytest.approx(1.5)
+        assert corr.p_c.tolist() == RUNNING_RAY.tolist()
+        assert corr.s == 0.5
 
     def test_matches_direct_projection(self):
         rng = np.random.default_rng(13)
@@ -333,3 +336,64 @@ class TestPlaneHomography:
             scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ ray)
             expected = normalize_point(project(poses.right, scene))
             assert np.abs(composed - expected).max() < 1e-9
+
+
+class TestBatches:
+    """A batch runs the single-ray formulas row by row: same bits, failures marked."""
+
+    def test_batch_rows_equal_single_rays(self):
+        rng = np.random.default_rng(43)
+        gaze = GazeState(beta=0.3, rho=2.5, alpha=-0.2)
+        rays = np.column_stack([rng.uniform(-0.4, 0.4, (200, 2)), np.ones(200)])
+        depths = rng.uniform(-0.3 * gaze.rho, 1.5 * gaze.rho, 200)
+        batch = synthesize_correspondence(gaze, rays, depths)
+        assert len(batch) == 200
+        for eye, images in (("left", batch.q_l), ("right", batch.q_r)):
+            dec = decompose(gaze, rays, eye)
+            t, perpendicular = project_parallax_scalar(dec, images)
+            recovered = recover_depth(dec, t, gaze.rho)
+            for i, ray in enumerate(rays):
+                single = synthesize_correspondence(gaze, ray, depths[i])
+                assert np.array_equal(single.q_l if eye == "left" else single.q_r, images[i])
+                one = decompose(gaze, ray, eye)
+                assert np.array_equal(one.direction, dec.direction[i])
+                assert (one.kappa, one.lam) == (dec.kappa[i], dec.lam[i])
+                assert parallax(one, depths[i], gaze.rho) == parallax(dec, depths, gaze.rho)[i]
+                one_t, one_perpendicular = project_parallax_scalar(one, images[i])
+                assert (one_t, one_perpendicular) == (t[i], perpendicular[i])
+                assert recover_depth(one, one_t, gaze.rho) == recovered[i]
+
+    def test_depth_behind_the_cyclopean_eye_marks_its_row(self):
+        depths = np.array([0.5, -1.5, 0.0])
+        batch = synthesize_correspondence(RUNNING_GAZE, np.tile(RUNNING_RAY, (3, 1)), depths)
+        assert np.isnan(batch.q_l[1]).all() and np.isnan(batch.q_r[1]).all()
+        assert np.isfinite(batch.q_l[[0, 2]]).all() and np.isfinite(batch.q_r[[0, 2]]).all()
+        assert batch.s.tolist() == depths.tolist()
+
+    def test_ray_behind_an_eye_marks_its_row(self):
+        # a ray far off axis in a near fixation lands behind the left eye
+        rays = np.array([[0.0, 0.0, 1.0], [-40.0, 0.0, 1.0]])
+        with pytest.raises(BehindEyeError):
+            decompose(RUNNING_GAZE, rays[1], "left")
+        dec = decompose(RUNNING_GAZE, rays, "left")
+        assert np.isnan(dec.predicted[1]).all() and np.isnan(dec.kappa[1])
+        assert np.isfinite(dec.predicted[0]).all() and np.isfinite(dec.kappa[0])
+
+    def test_ray_at_the_epipole_marks_its_row(self):
+        # the fixation plane of beta = 0.5, rho = 1 meets the baseline at
+        # x = 1/sin(0.5), seen along the Cyclopean ray (cot(0.5), 0, 1)
+        gaze = GazeState(beta=0.5, rho=1.0)
+        on_baseline = np.array([1.0 / np.tan(0.5), 0.0, 1.0])
+        with pytest.raises(DegenerateGeometryError, match="epipole"):
+            decompose(gaze, on_baseline, "left")
+        dec = decompose(gaze, np.array([[0.1, 0.0, 1.0], on_baseline]), "left")
+        assert np.isnan(dec.direction[1]).all() and np.isnan(dec.kappa[1])
+        assert np.isfinite(dec.direction[0]).all() and np.isfinite(dec.kappa[0])
+
+    def test_infinite_depth_and_behind_eye_mark_rows(self):
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        t_at_infinity = dec.kappa / (dec.lam * RUNNING_GAZE.rho)
+        depths = recover_depth(dec, np.array([1.0 / 7.0, t_at_infinity]), RUNNING_GAZE.rho)
+        assert depths[0] == pytest.approx(0.5, abs=1e-12) and np.isnan(depths[1])
+        values = parallax(dec, np.array([0.5, -2.0]), RUNNING_GAZE.rho)
+        assert values[0] == pytest.approx(1.0 / 7.0, abs=1e-15) and np.isnan(values[1])

@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cyclovision.disparity import Correspondence, synthesize_correspondence
-from cyclovision.errors import DegenerateConfigurationError, DegenerateGeometryError
+from cyclovision.disparity import Correspondences, synthesize_correspondence
+from cyclovision.epipolar import closed_form_entries, epipolar_residual
+from cyclovision.errors import (
+    DegenerateConfigurationError,
+    DegenerateGeometryError,
+    PointAtInfinityError,
+)
 from cyclovision.estimation import (
     _coefficient_jacobian,
     _coefficients,
@@ -14,7 +19,6 @@ from cyclovision.estimation import (
     estimate_gaze,
     grid_init,
     grid_objective,
-    residual_rms,
     triangulate_midpoint,
 )
 from cyclovision.gaze import (
@@ -22,11 +26,20 @@ from cyclovision.gaze import (
     GazeState,
     eye_azimuths,
     eye_poses,
+    project,
     vergence_version,
 )
+from cyclovision.geometry import normalize_point
 from cyclovision.simulate import SceneSpec, synthesize_scene
 
 TRUE_GAZE = GazeState(beta=0.2, rho=2.0)
+
+
+def residual_rms(records, az):
+    """Reference: RMS of the normalized epipolar residuals q_r^T E q_l, point by point."""
+    e = closed_form_entries(az.beta_l, az.beta_r)
+    r = [epipolar_residual(e, q_l, q_r) for q_l, q_r in zip(records.q_l, records.q_r)]
+    return float(np.sqrt(np.mean(np.square(r))))
 
 
 def synthesized_set(gaze, count=50, seed=0, sigma=0.0):
@@ -63,20 +76,15 @@ class TestEstimateGaze:
 
     def test_too_few_points_rejected(self):
         records = synthesized_set(TRUE_GAZE)[:2]
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateConfigurationError):
             estimate_gaze(records)
 
     def test_resynthesis_consistency(self):
         # re-synthesizing with the fitted gaze reproduces the images
         records = synthesized_set(TRUE_GAZE, seed=9)
         fit = estimate_gaze(records)
-        worst = 0.0
-        for rec in records:
-            again = synthesize_correspondence(
-                fit.gaze, rec.truth.cyclopean_dir, rec.truth.s
-            )
-            worst = max(worst, np.abs(again.q_l - rec.q_l).max(),
-                        np.abs(again.q_r - rec.q_r).max())
+        again = synthesize_correspondence(fit.gaze, records.p_c, records.s)
+        worst = max(np.abs(again.q_l - records.q_l).max(), np.abs(again.q_r - records.q_r).max())
         assert worst < 1e-6
 
     def test_truth_is_a_local_minimum(self):
@@ -93,13 +101,8 @@ class TestEstimateGaze:
     def test_mirror_equivariance(self):
         # mirroring x and swapping eyes maps (b_l, b_r) to (-b_r, -b_l)
         records = synthesized_set(TRUE_GAZE, seed=17)
-        mirrored = [
-            Correspondence(
-                q_l=np.array([-r.q_r[0], r.q_r[1], 1.0]),
-                q_r=np.array([-r.q_l[0], r.q_l[1], 1.0]),
-            )
-            for r in records
-        ]
+        flip = np.array([-1.0, 1.0, 1.0])
+        mirrored = Correspondences(q_l=flip * records.q_r, q_r=flip * records.q_l)
         fit = estimate_gaze(records)
         mirrored_fit = estimate_gaze(mirrored)
         assert abs(mirrored_fit.azimuths.beta_l + fit.azimuths.beta_r) < 1e-6
@@ -128,10 +131,9 @@ class TestEstimateGaze:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(*[st.floats(-10.0, 10.0)] * 4), min_size=3, max_size=30))
     def test_fit_is_total(self, rows):
-        records = [
-            Correspondence(q_l=np.array([xl, yl, 1.0]), q_r=np.array([xr, yr, 1.0]))
-            for xl, yl, xr, yr in rows
-        ]
+        xl, yl, xr, yr = np.array(rows).T
+        ones = np.ones(len(rows))
+        records = Correspondences(np.column_stack([xl, yl, ones]), np.column_stack([xr, yr, ones]))
         try:
             fit = estimate_gaze(records)
         except DegenerateGeometryError:
@@ -143,8 +145,8 @@ class TestEstimateGaze:
 
 def direct_residuals(records, beta_l, beta_r):
     """Per-point normalized epipolar residuals, broadcast over azimuth arrays."""
-    ql = np.array([r.q_l / r.q_l[2] for r in records])
-    qr = np.array([r.q_r / r.q_r[2] for r in records])
+    ql = records.q_l / records.q_l[:, 2:]
+    qr = records.q_r / records.q_r[:, 2:]
     xl, yl, xr, yr = ql[:, 0], ql[:, 1], qr[:, 0], qr[:, 1]
     bl, br = np.asarray(beta_l)[..., None], np.asarray(beta_r)[..., None]
     return (np.sin(bl) * xl * yr - np.sin(br) * xr * yl
@@ -218,45 +220,95 @@ class TestGridInit:
         assert at_truth <= mse[far].min()
 
     def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            grid_init([])
+        with pytest.raises(DegenerateConfigurationError):
+            grid_init(Correspondences(np.empty((0, 3)), np.empty((0, 3))))
+
+
+def point_depth(gaze, q_l, q_r):
+    """Reference: one point's depth through the single-ray calls, NaN where one raises."""
+    from cyclovision.disparity import decompose, project_parallax_scalar, recover_depth
+
+    poses = eye_poses(gaze)
+    try:
+        ray = project(poses.cyclopean, triangulate_midpoint(poses, q_l, q_r))
+        if ray[2] <= 1e-12:
+            return np.nan
+        recovered = []
+        for eye, observed in (("left", q_l), ("right", q_r)):
+            dec = decompose(gaze, ray / ray[2], eye)
+            recovered.append(recover_depth(dec, project_parallax_scalar(dec, observed)[0],
+                                           gaze.rho))
+    except DegenerateGeometryError:
+        return np.nan
+    s = 0.5 * (recovered[0] + recovered[1])
+    return s if gaze.rho + s > 0.0 else np.nan
 
 
 class TestDepthMap:
     def test_noiseless_round_trip(self):
         records = synthesized_set(TRUE_GAZE, seed=31)
-        samples = estimate_depth_map(records, TRUE_GAZE)
-        assert all(s is not None for s in samples)
-        worst = max(
-            abs(sample.s - rec.truth.s) for rec, sample in zip(records, samples)
-        )
-        assert worst < 1e-9
+        depth = estimate_depth_map(records, TRUE_GAZE)
+        assert depth.s.shape == (len(records),) and depth.p_c.shape == (len(records), 3)
+        assert not np.isnan(depth.s).any()
+        assert np.abs(depth.s - records.s).max() < 1e-9
+        assert np.abs(depth.p_c - records.p_c).max() < 1e-9
 
     def test_in_plane_scene_recovers_zero_depth(self):
         spec = SceneSpec(generator="fixation-plane-patch", count=50, seed=37)
         records = synthesize_scene(TRUE_GAZE, spec).records
-        samples = estimate_depth_map(records, TRUE_GAZE)
-        assert max(abs(s.s) for s in samples) < 1e-9
+        depth = estimate_depth_map(records, TRUE_GAZE)
+        assert np.abs(depth.s).max() < 1e-9
 
     def test_left_and_right_recoveries_agree(self):
         from cyclovision.disparity import decompose, project_parallax_scalar, recover_depth
 
         records = synthesized_set(TRUE_GAZE, seed=41)[:20]
-        for rec in records:
-            ray = rec.truth.cyclopean_dir
-            per_eye = []
-            for eye, observed in (("left", rec.q_l), ("right", rec.q_r)):
-                dec = decompose(TRUE_GAZE, ray, eye)
-                t, _ = project_parallax_scalar(dec, observed)
-                per_eye.append(recover_depth(dec, t, TRUE_GAZE.rho))
-            assert per_eye[0] == pytest.approx(per_eye[1], abs=1e-10)
-            assert per_eye[0] == pytest.approx(rec.truth.s, abs=1e-10)
+        per_eye = []
+        for eye, observed in (("left", records.q_l), ("right", records.q_r)):
+            dec = decompose(TRUE_GAZE, records.p_c, eye)
+            t, _ = project_parallax_scalar(dec, observed)
+            per_eye.append(recover_depth(dec, t, TRUE_GAZE.rho))
+        assert_allclose(per_eye[0], per_eye[1], rtol=0.0, atol=1e-10)
+        assert_allclose(per_eye[0], records.s, rtol=0.0, atol=1e-10)
 
     def test_triangulation_recovers_scene_points(self):
         records = synthesized_set(TRUE_GAZE, seed=43)[:20]
         poses = eye_poses(TRUE_GAZE)
-        for rec in records:
-            scene = triangulate_midpoint(poses, rec.q_l, rec.q_r)
-            expected = rec.truth.z_c * (poses.cyclopean.rotation.T
-                                        @ rec.truth.cyclopean_dir)
-            assert_allclose(scene, expected, atol=1e-10)
+        scene = triangulate_midpoint(poses, records.q_l, records.q_r)
+        expected = (TRUE_GAZE.rho + records.s)[:, None] * (records.p_c @ poses.cyclopean.rotation)
+        assert_allclose(scene, expected, atol=1e-10)
+        for i in range(len(records)):
+            assert np.array_equal(triangulate_midpoint(poses, records.q_l[i], records.q_r[i]),
+                                  scene[i])
+
+    def test_matches_the_point_by_point_reference(self):
+        # a wrong gaze on a scene around the eyes: many points fail
+        spec = SceneSpec(count=300, seed=13, sigma=1e-4,
+                         region=((-0.5, 0.5), (-0.5, 0.5), (-1.0, 1.0)))
+        records = synthesize_scene(GazeState(beta=0.1, rho=1.5), spec).records
+        gaze = GazeState(beta=0.7, rho=0.8)
+        depth = estimate_depth_map(records, gaze)
+        reference = np.array([point_depth(gaze, q_l, q_r)
+                              for q_l, q_r in zip(records.q_l, records.q_r)])
+        assert 0 < np.isnan(reference).sum() < len(records)
+        assert np.array_equal(depth.s, reference, equal_nan=True)
+
+    def test_failed_points_read_nan_and_leave_the_rest_alone(self):
+        records = synthesized_set(TRUE_GAZE, seed=47)[:10]
+        clean = estimate_depth_map(records, TRUE_GAZE)
+        poses = eye_poses(TRUE_GAZE)
+        broken = Correspondences(records.q_l.copy(), records.q_r.copy())
+        far = np.array([0.1, 0.05, 1.0])          # images of a point at infinity
+        broken.q_l[3] = normalize_point(poses.left.rotation @ far)
+        broken.q_r[3] = normalize_point(poses.right.rotation @ far)
+        broken.q_l[6] = [1.0, 0.0, 1e-13]        # image point at infinity
+        broken.q_l[8] = [-0.9, 0.0, 1.0]         # rays that meet behind the eyes
+        broken.q_r[8] = [0.9, 0.0, 1.0]
+        depth = estimate_depth_map(broken, TRUE_GAZE)
+        failed = np.isnan(depth.s)
+        assert failed.tolist() == [i in (3, 6, 8) for i in range(10)]
+        assert np.isnan(depth.p_c[failed]).all()
+        assert np.array_equal(depth.s[~failed], clean.s[~failed])
+        assert np.array_equal(depth.p_c[~failed], clean.p_c[~failed])
+        with pytest.raises(PointAtInfinityError):
+            triangulate_midpoint(poses, broken.q_l[3], broken.q_r[3])

@@ -117,7 +117,7 @@ class TestEyeAzimuths:
             assert_allclose(image, [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_extreme_azimuth_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateGeometryError):
             eye_azimuths(GazeState(beta=np.pi / 2, rho=2.0))
 
 

@@ -77,9 +77,9 @@ class TestCorrespondenceFiles:
         assert parsed.gaze == GAZE
         assert parsed.has_truth
         assert parsed.seed == 5
-        for rec in parsed.records:
-            assert rec.truth is not None
-            assert rec.truth.z_c == pytest.approx(GAZE.rho + rec.truth.s)
+        data = sample_file_dict(seed=5)
+        assert parsed.records.p_c.tolist() == [row["p_c"] for row in data["records"]]
+        assert parsed.records.s.tolist() == [row["s"] for row in data["records"]]
 
     def test_truthless_records_flagged(self):
         data = sample_file_dict()
@@ -88,7 +88,8 @@ class TestCorrespondenceFiles:
             row.pop("s")
         parsed = parse_correspondence_file(data)
         assert not parsed.has_truth
-        assert all(rec.truth is None for rec in parsed.records)
+        assert len(parsed.records) == len(data["records"])
+        assert np.isnan(parsed.records.s).all() and np.isnan(parsed.records.p_c).all()
 
     def test_schema_version_checked(self):
         data = sample_file_dict()
@@ -127,13 +128,51 @@ class TestCorrespondenceFiles:
         del data["records"][4]["s"]
         parsed = parse_correspondence_file(data)
         assert not parsed.has_truth
-        for row, rec in zip(data["records"], parsed.records):
-            assert rec.q_l.tolist() == row["q_l"] and rec.q_r.tolist() == row["q_r"]
+        records = parsed.records
+        for i, row in enumerate(data["records"]):
+            assert records.q_l[i].tolist() == row["q_l"] and records.q_r[i].tolist() == row["q_r"]
             if "s" in row:
-                assert rec.truth.cyclopean_dir.tolist() == row["p_c"]
-                assert rec.truth.s == row["s"]
+                assert records.p_c[i].tolist() == row["p_c"]
+                assert records.s[i] == row["s"]
             else:
-                assert rec.truth is None
+                assert np.isnan(records.p_c[i]).all() and np.isnan(records.s[i])
+
+    def test_partial_truth_round_trips(self):
+        data = sample_file_dict()
+        for i in (0, 4, 5):
+            del data["records"][i]["s"]
+            del data["records"][i]["p_c"]
+        parsed = parse_correspondence_file(json.loads(dumps(data)))
+        again = correspondence_file(GAZE, parsed.records, data["skipped"], data["generator"],
+                                    parsed.sigma, parsed.seed)
+        assert dumps(again) == dumps(data)
+
+    def test_empty_file_parses_to_an_empty_set(self):
+        data = sample_file_dict()
+        data["records"] = []
+        parsed = parse_correspondence_file(data)
+        assert len(parsed.records) == 0 and parsed.records.q_l.shape == (0, 3)
+        assert not parsed.has_truth
+
+    @pytest.mark.parametrize("gaze", [
+        {"beta": 0.2, "rho": float("nan")},
+        {"beta": 0.2, "rho": 0.5},
+        {"beta": 0.2, "rho": "far"},
+        {"beta": 2.0, "rho": 2.0},
+        {"beta": 0.2},
+        [0.2, 2.0],
+    ])
+    def test_malformed_gaze_header_rejected(self, gaze):
+        data = sample_file_dict()
+        data["gaze"] = gaze
+        with pytest.raises(SchemaError):
+            parse_correspondence_file(data)
+
+    def test_non_numeric_sigma_rejected(self):
+        data = sample_file_dict()
+        data["sigma"] = "small"
+        with pytest.raises(SchemaError):
+            parse_correspondence_file(data)
 
     def test_load_json_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,0 +1,36 @@
+"""Smoke runs of the experiment scripts on tiny configurations."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, name, args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    assert stop.value.code == 0
+
+
+def test_noise_sweep(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    run_script(monkeypatch, "noise_sweep.py",
+               ["--sigmas", "0", "1e-3", "--trials", "3", "--count", "20", "--out", str(out)])
+    header, *rows = out.read_text(encoding="utf-8").splitlines()
+    assert header == "sigma,rho_err_median,rho_err_p90,azimuth_err_median,azimuth_err_p90,failures"
+    assert len(rows) == 2
+    noiseless = [float(cell) for cell in rows[0].split(",")]
+    assert noiseless[0] == 0.0 and noiseless[-1] == 0.0
+    assert noiseless[3] < 1e-6  # median azimuth error without noise
+    assert "failed=0/3" in capsys.readouterr().out
+
+
+def test_end_to_end_demo(monkeypatch, capsys):
+    run_script(monkeypatch, "end_to_end_demo.py", ["--beta", "0.2", "--rho", "2.0", "--seed", "7"])
+    out = capsys.readouterr().out
+    assert "=== noiseless" in out and "=== sigma=0.001" in out
+    assert out.count("depth map") == 2

@@ -33,41 +33,52 @@ class TestSynthesizeScene:
         a = synthesize_scene(GAZE, SceneSpec(count=25, seed=3, sigma=1e-3))
         b = synthesize_scene(GAZE, SceneSpec(count=25, seed=3, sigma=1e-3))
         assert a.skipped == b.skipped
-        for ra, rb in zip(a.records, b.records):
-            assert np.array_equal(ra.q_l, rb.q_l)
-            assert np.array_equal(ra.q_r, rb.q_r)
+        assert np.array_equal(a.records.q_l, b.records.q_l)
+        assert np.array_equal(a.records.q_r, b.records.q_r)
 
     def test_noiseless_records_satisfy_epipolar_constraint(self):
         result = synthesize_scene(GAZE, SceneSpec(count=100, seed=5))
         e = essential_closed_form(eye_azimuths(GAZE))
-        for rec in result.records:
-            assert abs(epipolar_residual(e, rec.q_l, rec.q_r)) < 1e-9
+        for q_l, q_r in zip(result.records.q_l, result.records.q_r):
+            assert abs(epipolar_residual(e, q_l, q_r)) < 1e-9
 
     def test_noise_perturbs_images_not_truth(self):
         clean = synthesize_scene(GAZE, SceneSpec(count=25, seed=7))
         noisy = synthesize_scene(GAZE, SceneSpec(count=25, seed=7, sigma=1e-3))
-        assert len(clean.records) == len(noisy.records)
-        for rc, rn in zip(clean.records, noisy.records):
-            assert not np.array_equal(rc.q_l, rn.q_l)
-            assert np.abs(rc.q_l - rn.q_l).max() < 0.01
-            assert rn.q_l[2] == 1.0
-            assert np.array_equal(rc.truth.cyclopean_dir, rn.truth.cyclopean_dir)
-            assert rc.truth.s == rn.truth.s
+        rc, rn = clean.records, noisy.records
+        assert len(rc) == len(rn)
+        assert (rc.q_l != rn.q_l).any(axis=1).all()
+        assert np.abs(rc.q_l - rn.q_l).max() < 0.01
+        assert (rn.q_l[:, 2] == 1.0).all()
+        assert np.array_equal(rc.p_c, rn.p_c)
+        assert np.array_equal(rc.s, rn.s)
+
+    def test_noise_is_drawn_per_row_left_then_right(self):
+        # the noise stream follows the scene draw: two values for the left
+        # image, then two for the right, row by row
+        spec = SceneSpec(count=25, seed=7, sigma=1e-3)
+        clean = synthesize_scene(GAZE, SceneSpec(count=25, seed=7)).records
+        noisy = synthesize_scene(GAZE, spec).records
+        rng = np.random.default_rng(7)
+        rng.uniform(size=(25, 3))
+        for i in range(len(noisy)):
+            assert np.array_equal(noisy.q_l[i, :2], clean.q_l[i, :2] + rng.normal(0.0, 1e-3, 2))
+            assert np.array_equal(noisy.q_r[i, :2], clean.q_r[i, :2] + rng.normal(0.0, 1e-3, 2))
 
     def test_plane_patch_depths_are_zero(self):
         result = synthesize_scene(GAZE, SceneSpec(generator="fixation-plane-patch",
                                                   count=40, seed=9))
         assert len(result.records) == 40
-        assert all(rec.truth.s == 0.0 for rec in result.records)
+        assert (result.records.s == 0.0).all()
 
     def test_horopter_samples_lie_on_the_meridian(self):
         result = synthesize_scene(GAZE, SceneSpec(generator="horopter-samples",
                                                   count=40, seed=11))
-        for rec in result.records:
-            assert abs(rec.q_l[1]) < 1e-12
-            assert abs(rec.q_r[1]) < 1e-12
-            # fixed points: both images coincide
-            assert np.abs(rec.q_l - rec.q_r).max() < 1e-9
+        records = result.records
+        assert np.abs(records.q_l[:, 1]).max() < 1e-12
+        assert np.abs(records.q_r[:, 1]).max() < 1e-12
+        # fixed points: both images coincide
+        assert np.abs(records.q_l - records.q_r).max() < 1e-9
 
     def test_points_behind_eyes_are_skipped_and_counted(self):
         # a box straddling the baseline plane puts some points behind the eyes
@@ -76,9 +87,9 @@ class TestSynthesizeScene:
         assert result.skipped > 0
         assert len(result.records) + result.skipped == 200
         poses = eye_poses(GAZE)
-        for rec in result.records:
-            scene = rec.truth.z_c * (poses.cyclopean.rotation.T
-                                     @ rec.truth.cyclopean_dir)
+        records = result.records
+        for p_c, s in zip(records.p_c, records.s):
+            scene = (GAZE.rho + s) * (poses.cyclopean.rotation.T @ p_c)
             assert project(poses.left, scene)[2] > 0
             assert project(poses.right, scene)[2] > 0
 
@@ -86,8 +97,8 @@ class TestSynthesizeScene:
         gaze = GazeState(beta=0.2, rho=2.0, alpha=0.5)
         result = synthesize_scene(gaze, SceneSpec(count=30, seed=15))
         poses = eye_poses(gaze)
-        for rec in result.records:
-            scene = rec.truth.z_c * (poses.cyclopean.rotation.T
-                                     @ rec.truth.cyclopean_dir)
+        records = result.records
+        for p_c, s, q_l in zip(records.p_c, records.s, records.q_l):
+            scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ p_c)
             left = project(poses.left, scene)
-            assert np.abs(rec.q_l - left / left[2]).max() < 1e-9
+            assert np.abs(q_l - left / left[2]).max() < 1e-9
