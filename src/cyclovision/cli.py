@@ -48,47 +48,26 @@ from cyclovision.records import (
 from cyclovision.simulate import GENERATORS, SceneSpec, synthesize_scene
 
 
-class _DegenerateGeometryFailure(click.ClickException):
-    exit_code = 4
+_GAZE_OPTIONS = (
+    click.option("--alpha", type=float, default=0.0, show_default=True,
+                 help="Fixation elevation (radians unless --degrees)."),
+    click.option("--beta", type=float, default=0.0, show_default=True,
+                 help="Cyclopean azimuth (radians unless --degrees)."),
+    click.option("--rho", type=float, default=None,
+                 help="Fixation range in baseline units."),
+    click.option("--point", type=str, default=None, metavar="X,Y,Z",
+                 help="Cartesian fixation point; overrides the angular flags."),
+    click.option("--degrees", is_flag=True,
+                 help="Interpret --alpha and --beta in degrees."),
+)
 
+_CORR_FILE = click.argument(
+    "corr_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
 
-class _SchemaFailure(click.ClickException):
-    exit_code = 3
-
-
-def _mapped_errors(f):
-    """Translate library errors into the documented exit codes."""
-
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
-        try:
-            return f(*args, **kwargs)
-        except SchemaError as err:
-            raise _SchemaFailure(str(err)) from err
-        except DegenerateGeometryError as err:
-            raise _DegenerateGeometryFailure(str(err)) from err
-        except ValueError as err:
-            raise click.UsageError(str(err)) from err
-
-    return wrapper
-
-
-def _gaze_options(f):
-    options = [
-        click.option("--alpha", type=float, default=0.0, show_default=True,
-                     help="Fixation elevation (radians unless --degrees)."),
-        click.option("--beta", type=float, default=0.0, show_default=True,
-                     help="Cyclopean azimuth (radians unless --degrees)."),
-        click.option("--rho", type=float, default=None,
-                     help="Fixation range in baseline units."),
-        click.option("--point", type=str, default=None, metavar="X,Y,Z",
-                     help="Cartesian fixation point; overrides the angular flags."),
-        click.option("--degrees", is_flag=True,
-                     help="Interpret --alpha and --beta in degrees."),
-    ]
-    for option in reversed(options):
-        f = option(f)
-    return f
+_OUT_OPTION = click.option(
+    "--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
+    help="Output file (default: stdout).",
+)
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:
@@ -111,23 +90,10 @@ def _gaze_from_flags(alpha, beta, rho, point, degrees) -> GazeState:
     return GazeState(beta=beta, rho=rho, alpha=alpha)
 
 
-def _emit(text: str, out: Path | None) -> None:
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        out.write_text(text, encoding="utf-8")
-
-
 def _depth_errors(depth, records) -> np.ndarray:
     """Estimated minus true depth, in the rows where both are known."""
     errors = depth.s - records.s
     return errors[~np.isnan(errors)]
-
-
-_out_option = click.option(
-    "--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
-    help="Output file (default: stdout).",
-)
 
 
 @click.group()
@@ -135,44 +101,77 @@ def main():
     """Binocular fixation geometry simulator."""
 
 
-@main.command()
-@_gaze_options
-@_out_option
-@_mapped_errors
-def fixate(alpha, beta, rho, point, degrees, out):
+def _command(*params):
+    """Register a subcommand: ``params``, then ``--out``, around a function
+    that returns the output text.
+
+    The text goes to ``--out`` or stdout. Library errors map to the
+    documented exit codes with the library error as ``__cause__``:
+    SchemaError exits 3, DegenerateGeometryError 4, any other ValueError 2.
+    """
+
+    def register(f):
+        @functools.wraps(f)
+        def run(out, **kwargs):
+            try:
+                text = f(**kwargs)
+            except ValueError as err:
+                if not isinstance(err, (SchemaError, DegenerateGeometryError)):
+                    raise click.UsageError(str(err)) from err
+                failure = click.ClickException(str(err))
+                failure.exit_code = 3 if isinstance(err, SchemaError) else 4
+                raise failure from err
+            if out is None:
+                click.echo(text, nl=False)
+            else:
+                out.write_text(text, encoding="utf-8")
+
+        for param in reversed((*params, _OUT_OPTION)):
+            run = param(run)
+        return main.command()(run)
+
+    return register
+
+
+def _report_head(kind: str, gaze: GazeState, az) -> dict:
+    """Schema, kind, gaze and eye azimuths: how fixate and essential start."""
+    return {
+        "schema": SCHEMA_VERSION,
+        "kind": kind,
+        "gaze": gaze_to_dict(gaze),
+        "azimuths": {"beta_l": az.beta_l, "beta_r": az.beta_r},
+    }
+
+
+def _epipoles_block(az) -> dict:
+    epi = epipoles(az)
+    return {"e_l": epi.e_l.tolist(), "e_r": epi.e_r.tolist()}
+
+
+@_command(*_GAZE_OPTIONS)
+def fixate(alpha, beta, rho, point, degrees):
     """Report azimuths, vergence/version, circle parameters and epipoles."""
     gaze = _gaze_from_flags(alpha, beta, rho, point, degrees)
     az = eye_azimuths(gaze)
     vv = vergence_version(az)
     circle = vieth_muller(vv)
-    epi = epipoles(az)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "kind": "fixation",
-        "gaze": gaze_to_dict(gaze),
-        "azimuths": {"beta_l": az.beta_l, "beta_r": az.beta_r},
+    return dumps({
+        **_report_head("fixation", gaze, az),
         "vergence": vv.delta,
         "version": vv.epsilon,
         "circle": {
             "zeta": circle.zeta,
             "eta": circle.eta,
-            "back_point": [float(x) for x in circle.back_point],
+            "back_point": circle.back_point.tolist(),
         },
-        "epipoles": {
-            "e_l": [float(x) for x in epi.e_l],
-            "e_r": [float(x) for x in epi.e_r],
-        },
-    }
-    _emit(dumps(report), out)
+        "epipoles": _epipoles_block(az),
+    })
 
 
-@main.command()
-@_gaze_options
-@click.option("--samples", type=int, default=64, show_default=True,
-              help="Points per polyline (at least 2).")
-@_out_option
-@_mapped_errors
-def horopter(alpha, beta, rho, point, degrees, samples, out):
+@_command(*_GAZE_OPTIONS,
+          click.option("--samples", type=int, default=64, show_default=True,
+                       help="Points per polyline (at least 2)."))
+def horopter(alpha, beta, rho, point, degrees, samples):
     """Sample the iso-vergence circle and midline as CSV (component,x,y,z)."""
     if samples < 2:
         raise click.UsageError("--samples must be at least 2")
@@ -189,48 +188,35 @@ def horopter(alpha, beta, rho, point, degrees, samples, out):
     heights = np.outer(np.linspace(-1.0, 1.0, samples), [0.0, 1.0, 0.0])
     axis = transform(tilt, mid.scene_base + heights)
     rows = [["circle", *p] for p in arc.tolist()] + [["midline", *p] for p in axis.tolist()]
-    _emit(csv_rows("component,x,y,z", rows), out)
+    return csv_rows("component,x,y,z", rows)
 
 
-@main.command()
-@_gaze_options
-@_out_option
-@_mapped_errors
-def essential(alpha, beta, rho, point, degrees, out):
+@_command(*_GAZE_OPTIONS)
+def essential(alpha, beta, rho, point, degrees):
     """Emit the Essential matrix, epipoles and singular values."""
     gaze = _gaze_from_flags(alpha, beta, rho, point, degrees)
     az = eye_azimuths(gaze)
     matrix = essential_closed_form(az)
-    epi = epipoles(az)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "kind": "essential",
-        "gaze": gaze_to_dict(gaze),
-        "azimuths": {"beta_l": az.beta_l, "beta_r": az.beta_r},
-        "E": [[float(x) for x in row] for row in matrix],
-        "epipoles": {
-            "e_l": [float(x) for x in epi.e_l],
-            "e_r": [float(x) for x in epi.e_r],
-        },
-        "singular_values": [float(s) for s in np.linalg.svd(matrix, compute_uv=False)],
-    }
-    _emit(dumps(report), out)
+    return dumps({
+        **_report_head("essential", gaze, az),
+        "E": matrix.tolist(),
+        "epipoles": _epipoles_block(az),
+        "singular_values": np.linalg.svd(matrix, compute_uv=False).tolist(),
+    })
 
 
-@main.command()
-@_gaze_options
-@click.option("--scene", type=click.Choice(GENERATORS), default="random-box",
-              show_default=True, help="Scene generator.")
-@click.option("--count", type=int, default=50, show_default=True,
-              help="Number of scene points to draw.")
-@click.option("--sigma", type=float, default=0.0, show_default=True,
-              help="Image noise standard deviation (image units).")
-@click.option("--seed", type=int, default=0, show_default=True, help="RNG seed.")
-@click.option("--region", type=str, default=None, metavar="X0,X1,Y0,Y1,Z0,Z1",
-              help="Random-box bounds in baseline units (default: around the fixation point).")
-@_out_option
-@_mapped_errors
-def synthesize(alpha, beta, rho, point, degrees, scene, count, sigma, seed, region, out):
+@_command(*_GAZE_OPTIONS,
+          click.option("--scene", type=click.Choice(GENERATORS), default="random-box",
+                       show_default=True, help="Scene generator."),
+          click.option("--count", type=int, default=50, show_default=True,
+                       help="Number of scene points to draw."),
+          click.option("--sigma", type=float, default=0.0, show_default=True,
+                       help="Image noise standard deviation (image units)."),
+          click.option("--seed", type=int, default=0, show_default=True, help="RNG seed."),
+          click.option("--region", type=str, default=None, metavar="X0,X1,Y0,Y1,Z0,Z1",
+                       help="Random-box bounds in baseline units "
+                            "(default: around the fixation point)."))
+def synthesize(alpha, beta, rho, point, degrees, scene, count, sigma, seed, region):
     """Project a synthetic scene to a correspondence file."""
     gaze = _gaze_from_flags(alpha, beta, rho, point, degrees)
     bounds = None
@@ -239,16 +225,11 @@ def synthesize(alpha, beta, rho, point, degrees, scene, count, sigma, seed, regi
         bounds = ((x0, x1), (y0, y1), (z0, z1))
     spec = SceneSpec(generator=scene, count=count, sigma=sigma, seed=seed, region=bounds)
     result = synthesize_scene(gaze, spec)
-    data = correspondence_file(gaze, result.records, result.skipped, scene, sigma, seed)
-    _emit(dumps(data), out)
+    return dumps(correspondence_file(gaze, result.records, result.skipped, scene, sigma, seed))
 
 
-@main.command()
-@click.argument("corr_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@_gaze_options
-@_out_option
-@_mapped_errors
-def reconstruct(corr_file, alpha, beta, rho, point, degrees, out):
+@_command(_CORR_FILE, *_GAZE_OPTIONS)
+def reconstruct(corr_file, alpha, beta, rho, point, degrees):
     """Recover plane-relative depths from a correspondence file.
 
     Uses the gaze flags when given, otherwise the file's gaze header.
@@ -282,16 +263,13 @@ def reconstruct(corr_file, alpha, beta, rho, point, degrees, out):
             "rms_error": float(np.sqrt(np.mean(np.square(errors)))) if errors.size else 0.0,
             "max_abs_error": float(np.max(np.abs(errors))) if errors.size else 0.0,
         }
-    _emit(dumps(depth_map_file(gaze, rows, stats)), out)
+    return dumps(depth_map_file(gaze, rows, stats))
 
 
-@main.command()
-@click.argument("corr_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--max-iterations", type=int, default=100, show_default=True,
-              help="Damped least-squares iteration cap.")
-@_out_option
-@_mapped_errors
-def estimate(corr_file, max_iterations, out):
+@_command(_CORR_FILE,
+          click.option("--max-iterations", type=int, default=100, show_default=True,
+                       help="Damped least-squares iteration cap."))
+def estimate(corr_file, max_iterations):
     """Estimate gaze from correspondences, then reconstruct the depth map."""
     parsed = parse_correspondence_file(load_json(corr_file))
     records, truth_gaze = parsed.records, parsed.gaze
@@ -341,7 +319,7 @@ def estimate(corr_file, max_iterations, out):
             "depth_map_s": finished - fitted,
         },
     )
-    _emit(dumps(record.to_dict()), out)
+    return dumps(record.to_dict())
 
 
 if __name__ == "__main__":

@@ -3,12 +3,16 @@
 Floats are printed with 17 significant digits, enough to reproduce the
 exact double on parsing, so write -> read -> write is byte-identical.
 Dictionaries are built in fixed key order and never sorted.
+
+:func:`dumps` is a short recursive writer over the values records hold:
+dicts with str keys, lists and tuples, floats (through :func:`float_repr`)
+and str, int, bool and None (through ``json.dumps``). Its layout is that
+of ``json.dumps(obj, indent=2)`` plus a final newline.
 """
 
 from __future__ import annotations
 
 import json
-import json.encoder
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +22,7 @@ import numpy as np
 from cyclovision.disparity import Correspondences
 from cyclovision.errors import SchemaError
 from cyclovision.estimation import GazeEstimate
-from cyclovision.gaze import EyeAzimuths, GazeState
+from cyclovision.gaze import EyeAzimuths, GazeState, vergence_version
 
 SCHEMA_VERSION = "cyclovision/1"
 
@@ -33,40 +37,29 @@ def float_repr(x: float) -> str:
     return format(float(x), ".17g")
 
 
-class SignificantDigitEncoder(json.JSONEncoder):
-    """JSON encoder that prints every float via :func:`float_repr`."""
-
-    def iterencode(self, o, _one_shot=False):
-        markers = {} if self.check_circular else None
-        string_encoder = (
-            json.encoder.encode_basestring_ascii
-            if self.ensure_ascii
-            else json.encoder.encode_basestring
-        )
-
-        def floatstr(x):
-            return float_repr(x)
-
-        # The pure-python encoder accepts a float formatter; the C fast
-        # path does not, so it is bypassed deliberately.
-        iterencode = json.encoder._make_iterencode(
-            markers,
-            self.default,
-            string_encoder,
-            self.indent,
-            floatstr,
-            self.key_separator,
-            self.item_separator,
-            self.sort_keys,
-            self.skipkeys,
-            _one_shot,
-        )
-        return iterencode(o, 0)
+def _encode(value, indent: str) -> str:
+    """JSON text of ``value`` nested at ``indent``, laid out as ``indent=2``."""
+    if isinstance(value, float):
+        return float_repr(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError(f"JSON object keys must be str, got {list(value)!r}")
+        items = [f"{json.dumps(key)}: {_encode(item, inner)}" for key, item in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        items = [_encode(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
 def dumps(obj) -> str:
     """Serialize a record dictionary to canonical JSON text."""
-    return json.dumps(obj, cls=SignificantDigitEncoder, indent=2) + "\n"
+    return _encode(obj, "") + "\n"
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -208,13 +201,12 @@ def depth_map_file(gaze: GazeState, rows: list[dict], stats: dict | None) -> dic
 
 
 def estimate_to_dict(estimate: GazeEstimate) -> dict:
-    vv_delta = estimate.azimuths.beta_l - estimate.azimuths.beta_r
-    vv_epsilon = 0.5 * (estimate.azimuths.beta_l + estimate.azimuths.beta_r)
+    vv = vergence_version(estimate.azimuths)
     return {
         "beta_l": float(estimate.azimuths.beta_l),
         "beta_r": float(estimate.azimuths.beta_r),
-        "delta": float(vv_delta),
-        "epsilon": float(vv_epsilon),
+        "delta": float(vv.delta),
+        "epsilon": float(vv.epsilon),
         "alpha": float(estimate.gaze.alpha),
         "beta": float(estimate.gaze.beta),
         "rho": float(estimate.gaze.rho),
@@ -237,8 +229,8 @@ def estimate_from_dict(data: dict) -> GazeEstimate:
             iterations=int(data["iterations"]),
             converged=bool(data["converged"]),
         )
-    except (KeyError, TypeError) as err:
-        raise SchemaError(f"malformed gaze estimate {data!r}") from err
+    except _MALFORMED as err:
+        raise SchemaError(f"malformed gaze estimate {data!r}: {err}") from err
 
 
 @dataclass(eq=False)

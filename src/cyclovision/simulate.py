@@ -6,6 +6,7 @@ Correspondences set whose truth is each point's clean (p_c, s).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,10 +60,15 @@ class SceneSpec:
             raise ValueError(f"count must be positive, got {self.count}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.region is not None:
             for low, high in self.region:
                 if not low < high:
                     raise ValueError(f"region bounds must increase, got ({low}, {high})")
+                if not math.isfinite(high - low):
+                    raise ValueError(
+                        f"region bounds and their width must be finite, got ({low}, {high})")
 
 
 class SynthesisResult(NamedTuple):
@@ -72,13 +78,11 @@ class SynthesisResult(NamedTuple):
 
 def default_region(gaze: GazeState) -> Region:
     """Axis-aligned box centred on the fixation point, scaled with range."""
-    centre = fixation_point(gaze)
     half = BOX_HALF_EXTENT * gaze.rho
-    return (
-        (centre[0] - half, centre[0] + half),
-        (centre[1] - half, centre[1] + half),
-        (centre[2] - half, centre[2] + half),
-    )
+    box = tuple((c - half, c + half) for c in fixation_point(gaze).tolist())
+    if not all(math.isfinite(bound) for pair in box for bound in pair):
+        raise ValueError(f"rho {gaze.rho} is too large for the default region; give a region")
+    return box
 
 
 def _scene_candidates(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
@@ -115,4 +119,6 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
         noise = rng.normal(0.0, spec.sigma, (len(records), 2, 2))  # per row: left, then right
         records.q_l[:, :2] += noise[:, 0]
         records.q_r[:, :2] += noise[:, 1]
+        if not np.isfinite([records.q_l, records.q_r]).all():
+            raise ValueError(f"sigma {spec.sigma} makes image coordinates non-finite")
     return SynthesisResult(records=records, skipped=spec.count - len(records))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cyclovision.cli import main
 from cyclovision.gaze import GazeState, eye_azimuths
 from cyclovision.records import ExperimentRecord, dumps
+from cyclovision.simulate import GENERATORS
 
 from helpers import random_gaze
 
@@ -157,6 +158,19 @@ class TestSynthesize:
                         "--count", "10", "--out", str(path)])
         text = path.read_text()
         assert dumps(json.loads(text)) == text
+
+    @pytest.mark.parametrize("flags,name", [
+        (["--sigma", "nan"], "sigma"),
+        (["--sigma", "inf"], "sigma"),
+        (["--sigma", "1e308", "--count", "50"], "sigma"),
+        (["--region", "-1e308,1e308,-1,1,1,3"], "region"),
+        (["--region", "0,1,0,1,1,inf"], "region"),
+        (["--rho", "1.7e308"], "rho"),
+    ])
+    def test_overflowing_flags_exit_2_naming_the_flag(self, runner, flags, name):
+        result = runner.invoke(main, ["synthesize", "--beta", "0.2", "--rho", "2", *flags])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert f"Error: {name}" in result.output
 
 
 def synthesize_file(runner, tmp_path, name="corr.json", sigma=0.0, beta=0.2,
@@ -331,6 +345,63 @@ class TestAnyFiniteFile:
         for command in ("estimate", "reconstruct"):
             result = runner.invoke(main, [command, str(corr)])
             assert result.exit_code in (0, 3, 4), (command, result.output, result.exception)
+
+
+# Flags from the valid gaze domain, ordinary values and extremes up to
+# +-1.7e308, so that both the accepting paths and the overflows are reached.
+extreme = st.one_of(st.floats(-1.7e308, 1.7e308),
+                    st.sampled_from([-1.7e308, -1e308, -1e300, 1e300, 1e308, 1.7e308]))
+
+
+def mixed(typical):
+    return st.one_of(typical, finite, extreme)
+
+
+def joined(values):
+    return ",".join(map(repr, values))
+
+
+def angular_flags(alpha, beta, rho):
+    return st.tuples(alpha, beta, rho, st.booleans()).map(
+        lambda t: ["--alpha", repr(t[0]), "--beta", repr(t[1]), "--rho", repr(t[2])]
+        + ["--degrees"] * t[3])
+
+
+valid_angle = st.floats(-math.pi / 2, math.pi / 2)
+valid_range = st.one_of(st.floats(0.75, 50.0), st.floats(1e308, 1.7e308))
+gaze_flags = st.one_of(
+    angular_flags(valid_angle, valid_angle, valid_range),
+    angular_flags(mixed(valid_angle), mixed(valid_angle), mixed(valid_range)),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 10.0)).map(
+        lambda p: ["--point", joined(p)]),
+    st.lists(mixed(st.floats(-3.0, 3.0)), min_size=3, max_size=3).map(
+        lambda p: ["--point", joined(p)]),
+)
+coordinate = mixed(st.floats(-3.0, 3.0))
+region = st.one_of(
+    st.lists(st.tuples(coordinate, coordinate).map(sorted), min_size=3, max_size=3).map(
+        lambda box: joined(bound for pair in box for bound in pair)),
+    st.lists(coordinate, min_size=6, max_size=6).map(joined),
+)
+synthesize_flags = st.tuples(
+    st.integers(1, 20),
+    mixed(st.one_of(st.floats(0.0, 1e-2), st.floats(1e308, 1.7e308))),
+    st.one_of(st.none(), region),
+).map(lambda t: ["--count", str(t[0]), "--sigma", repr(t[1])]
+      + ["--region", t[2]] * (t[2] is not None))
+
+
+class TestAnyFiniteFlags:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(gaze=gaze_flags, samples=st.integers(-5, 100), synthesize=synthesize_flags)
+    def test_exits_with_a_result_or_a_typed_error(self, runner, gaze, samples, synthesize):
+        commands = [["fixate"], ["essential"], ["horopter", "--samples", str(samples)]]
+        commands += [["synthesize", "--scene", scene, *synthesize] for scene in GENERATORS]
+        for command in commands:
+            result = runner.invoke(main, [*command, *gaze])
+            assert result.exit_code in (0, 2, 4), (command, gaze, result.output, result.exception)
+            assert "cannot be serialized" not in result.output, (command, gaze, result.output)
 
 
 class TestPipeline:

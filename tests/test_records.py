@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cyclovision.errors import SchemaError
 from cyclovision.estimation import estimate_gaze
@@ -47,6 +50,46 @@ class TestFloatFormatting:
     def test_dumps_uses_formatter(self):
         text = dumps({"x": 0.1})
         assert "0.10000000000000001" in text
+
+
+def json_values(leaves, containers):
+    return st.recursive(leaves, lambda children: st.one_of(
+        *(container(children) for container in containers),
+        st.dictionaries(st.text(), children)), max_leaves=30)
+
+
+float_free = st.one_of(st.none(), st.booleans(), st.integers(), st.text())
+finite_float = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def float_tokens(value):
+    """``value`` with each float as JSON reads back its float_repr text:
+    a str where it parses as a float, an int where it has no point or
+    exponent."""
+    if isinstance(value, float):
+        token = float_repr(value)
+        return token if any(c in token for c in ".eE") else int(token)
+    if isinstance(value, list):
+        return [float_tokens(item) for item in value]
+    if isinstance(value, dict):
+        return {key: float_tokens(item) for key, item in value.items()}
+    return value
+
+
+class TestWriterProperties:
+    @given(json_values(float_free, [st.lists, lambda c: st.lists(c).map(tuple)]))
+    def test_layout_is_the_stdlib_indent_2_layout(self, value):
+        assert dumps(value) == json.dumps(value, indent=2) + "\n"
+
+    @given(json_values(st.one_of(float_free, finite_float), [st.lists]))
+    def test_floats_round_trip_as_float_repr_prints_them(self, value):
+        text = dumps(value)
+        assert json.loads(text) == value
+        assert json.loads(text, parse_float=str) == float_tokens(value)
+
+    def test_non_string_keys_rejected(self):
+        with pytest.raises(TypeError):
+            dumps({1: 2.0})
 
 
 class TestRoundTrips:
@@ -203,6 +246,18 @@ class TestExperimentRecord:
         assert again.gaze_truth == record.gaze_truth
         assert again.gaze_estimate.azimuths == record.gaze_estimate.azimuths
         assert again.gaze_estimate.rms_residual == record.gaze_estimate.rms_residual
+
+    @pytest.mark.parametrize("key,value", [
+        ("rho", "far"),
+        ("rho", math.nan),
+        ("beta_r", 1.0),  # beyond beta_l
+        ("iterations", "x"),
+    ])
+    def test_malformed_estimate_raises_schema_error(self, key, value):
+        data = self.make_record().to_dict()
+        data["gaze_estimate"][key] = value
+        with pytest.raises(SchemaError):
+            ExperimentRecord.from_dict(data)
 
     def test_truthless_record_omits_sections(self):
         record = self.make_record()

@@ -28,6 +28,23 @@ class TestSceneSpec:
         assert region[2][0] < GAZE.rho * np.cos(GAZE.beta) < region[2][1]
 
 
+class TestFiniteScenes:
+    """Inputs that would overflow the box draw or the noise fail early,
+    with a ValueError that names the flag at fault."""
+
+    @pytest.mark.parametrize("gaze,spec,name", [
+        (GAZE, dict(sigma=float("nan")), "sigma"),
+        (GAZE, dict(sigma=float("inf")), "sigma"),
+        (GAZE, dict(sigma=1e308, count=50), "sigma"),
+        (GAZE, dict(region=((-1e308, 1e308), (-1.0, 1.0), (1.0, 3.0))), "region"),
+        (GAZE, dict(region=((0.0, 1.0), (0.0, 1.0), (1.0, float("inf")))), "region"),
+        (GazeState(beta=0.0, rho=1.7e308), dict(), "rho"),
+    ])
+    def test_rejected_with_the_flag_named(self, gaze, spec, name):
+        with pytest.raises(ValueError, match=f"^{name}"):
+            synthesize_scene(gaze, SceneSpec(**spec))
+
+
 class TestSynthesizeScene:
     def test_deterministic_for_seed(self):
         a = synthesize_scene(GAZE, SceneSpec(count=25, seed=3, sigma=1e-3))
