@@ -36,6 +36,7 @@ from cyclovision.horopter import forward_arc_limit, midline, vm_point
 from cyclovision.records import (
     SCHEMA_VERSION,
     ExperimentRecord,
+    Table,
     correspondence_file,
     csv_rows,
     depth_map_file,
@@ -43,7 +44,6 @@ from cyclovision.records import (
     gaze_to_dict,
     load_json,
     parse_correspondence_file,
-    table_rows,
 )
 from cyclovision.simulate import GENERATORS, SceneSpec, synthesize_scene
 
@@ -246,7 +246,7 @@ def reconstruct(corr_file, alpha, beta, rho, point, degrees):
     records = parsed.records
     depth = estimate_depth_map(records, gaze)
     failed = np.isnan(depth.s)
-    rows = table_rows({
+    rows = Table({
         "error": np.where(failed, "unrecoverable (behind an eye or at infinity)", None),
         "p_c": depth.p_c,
         "s_est": depth.s,
@@ -258,7 +258,7 @@ def reconstruct(corr_file, alpha, beta, rho, point, degrees):
     if parsed.has_truth:
         errors = _depth_errors(depth, records)
         stats = {
-            "count": len(rows),
+            "count": len(records),
             "failed": int(failed.sum()),
             "rms_error": float(np.sqrt(np.mean(np.square(errors)))) if errors.size else 0.0,
             "max_abs_error": float(np.max(np.abs(errors))) if errors.size else 0.0,
@@ -285,7 +285,7 @@ def estimate(corr_file, max_iterations):
     depth = estimate_depth_map(records, fit.gaze)
     finished = time.perf_counter()
 
-    points = table_rows({
+    points = Table({
         "p_c": depth.p_c,
         "s_est": depth.s,
         "s_true": records.s,

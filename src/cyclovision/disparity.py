@@ -101,6 +101,7 @@ class ParallaxDecomposition:
     eye: str
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
 def ray_and_depth(gaze: GazeState, scene: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclopean rays p_c and plane depths s of scene points in front of the Cyclopean eye."""
     ray = project(eye_poses(gaze).cyclopean, scene)
@@ -109,6 +110,7 @@ def ray_and_depth(gaze: GazeState, scene: np.ndarray) -> tuple[np.ndarray, np.nd
     return ray / ray[..., 2:], ray[..., 2] - gaze.rho
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
 def decompose(gaze: GazeState, p_c: HomogPoint2, eye: str) -> ParallaxDecomposition:
     """Parallax decomposition of the Cyclopean rays p_c for one eye.
 
@@ -188,6 +190,7 @@ def project_parallax_scalar(dec: ParallaxDecomposition, q_observed: HomogPoint2)
     return t, perpendicular
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
 def synthesize_correspondence(gaze: GazeState, p_c: HomogPoint2, s) -> Correspondences:
     """Left and right images of the scene points at rays p_c, plane depths s.
 

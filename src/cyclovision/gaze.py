@@ -139,6 +139,7 @@ def fixation_point(gaze: GazeState) -> Vec3:
     return gaze.rho * direction_from_angles(gaze.alpha, gaze.beta)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing norm is inf: GazeState refuses it
 def helmholtz_from_point(p: Vec3) -> GazeState:
     """Helmholtz coordinates of a scene point in the forward hemifield.
 

@@ -5,9 +5,17 @@ exact double on parsing, so write -> read -> write is byte-identical.
 Dictionaries are built in fixed key order and never sorted.
 
 :func:`dumps` is a short recursive writer over the values records hold:
-dicts with str keys, lists and tuples, floats (through :func:`float_repr`)
-and str, int, bool and None (through ``json.dumps``). Its layout is that
-of ``json.dumps(obj, indent=2)`` plus a final newline.
+dicts with str keys, lists and tuples, floats (through :func:`float_repr`),
+str, int, bool and None (through ``json.dumps``) and :class:`Table`. Its
+layout is that of ``json.dumps(obj, indent=2)`` plus a final newline.
+
+A :class:`Table` is an array of row objects held as columns, the form in
+which the correspondence, depth-map and experiment records are built. It
+is written straight from its arrays, with the bytes the same rows would
+get as dicts: the rows that keep the same keys share one ``%``-template
+with ``%.17g`` in each float slot (``'%.17g' % x == format(x, '.17g')``,
+so :func:`float_repr` stays the one formatting rule), and each such group
+is rendered by one ``template % row`` per row of its stacked float columns.
 """
 
 from __future__ import annotations
@@ -37,24 +45,94 @@ def float_repr(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@dataclass(frozen=True, eq=False)
+class Table:
+    """Rows held as columns: name -> float (N,) or (N, k) array, or an
+    object (N,) array of str or None.
+
+    Written as an array of N objects with the keys in column order. A row
+    leaves out a key whose value there is NaN (all k of an (N, k) row: a
+    failed or unknown value) or None; any other non-finite value raises
+    ``ValueError``.
+    """
+
+    columns: dict[str, np.ndarray]
+
+
+def _block(items: list[str], brackets: str, indent: str) -> str:
+    """A JSON array or object of the item texts, closing at ``indent``."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
+def _table_text(columns: dict[str, np.ndarray], indent: str) -> str:
+    """JSON text of a :class:`Table`'s rows nested at ``indent``."""
+    rows_at = indent + "  "
+    cells_at = rows_at + "  "
+    n = len(next(iter(columns.values()), ()))
+    if n == 0:
+        return "[]"
+    # Per column: a code for each row, and for each code the cell text
+    # (float slots as %.17g), or None where the row leaves the key out.
+    codes, cells = [], []
+    bad = np.zeros(n, dtype=bool)
+    for c in columns.values():
+        if c.dtype == object:
+            distinct: dict = {}
+            codes.append([distinct.setdefault(v, len(distinct)) for v in c.tolist()])
+            cells.append([None if v is None else _encode(v, cells_at).replace("%", "%%")
+                          for v in distinct])
+            continue
+        inner = tuple(range(1, c.ndim))
+        present = ~np.isnan(c).all(axis=inner)
+        bad |= present & ~np.isfinite(c).all(axis=inner)
+        codes.append(present)
+        slots = "%.17g" if c.ndim == 1 else _block(["%.17g"] * c.shape[1], "[]", cells_at)
+        cells.append([None, slots])
+    codes = np.array(codes, dtype=np.intp)
+    if bad.any():  # the first row with a non-finite value, written cell by cell, raises there
+        row = int(np.argmax(bad))
+        _encode({name: c[row:row + 1].tolist()[0] for (name, c), text, code
+                 in zip(columns.items(), cells, codes[:, row]) if text[code] is not None}, indent)
+
+    # Rows with equal codes share one template; the stable sort keeps each
+    # group in row order.
+    names = [json.dumps(name).replace("%", "%%") for name in columns]
+    order = np.lexsort(codes)
+    grouped = codes[:, order]
+    changes = np.flatnonzero((grouped[:, 1:] != grouped[:, :-1]).any(axis=0)) + 1
+    out = [""] * n
+    for rows in np.split(order, changes):
+        kept = [(f"{name}: {text[code]}", c) for name, text, code, c
+                in zip(names, cells, codes[:, rows[0]], columns.values()) if text[code] is not None]
+        template = _block([item for item, _ in kept], "{}", rows_at)
+        floats = [c[rows] for _, c in kept if c.dtype != object]
+        if floats:
+            texts = [template % tuple(v) for v in np.column_stack(floats).tolist()]
+        else:
+            texts = [template % ()] * len(rows)
+        for i, text in zip(rows.tolist(), texts):
+            out[i] = text
+    return _block(out, "[]", indent)
+
+
 def _encode(value, indent: str) -> str:
     """JSON text of ``value`` nested at ``indent``, laid out as ``indent=2``."""
     if isinstance(value, float):
         return float_repr(value)
+    if isinstance(value, Table):
+        return _table_text(value.columns, indent)
     inner = indent + "  "
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):
             raise TypeError(f"JSON object keys must be str, got {list(value)!r}")
-        items = [f"{json.dumps(key)}: {_encode(item, inner)}" for key, item in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)):
-        items = [_encode(item, inner) for item in value]
-        brackets = "[]"
-    else:
-        return json.dumps(value)
-    if not items:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+        return _block([f"{json.dumps(key)}: {_encode(item, inner)}" for key, item in value.items()],
+                      "{}", indent)
+    if isinstance(value, (list, tuple)):
+        return _block([_encode(item, inner) for item in value], "[]", indent)
+    return json.dumps(value)
 
 
 def dumps(obj) -> str:
@@ -68,8 +146,12 @@ def write_json(path: str | Path, obj) -> None:
 
 def load_json(path: str | Path) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path}: not UTF-8 text ({err})") from err
+    try:
+        data = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as err:  # nested too deep to parse
         raise SchemaError(f"{path}: not valid JSON ({err})") from err
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object at top level")
@@ -98,21 +180,6 @@ def gaze_from_dict(data: dict) -> GazeState:
         raise SchemaError(f"malformed gaze record {data!r}: {err}") from err
 
 
-def table_rows(columns: dict[str, np.ndarray]) -> list[dict]:
-    """One record per row from (N,) and (N, 3) columns, keys in column order.
-
-    A row leaves out a key whose value there is NaN (a failed or unknown
-    value) or None (in an object column).
-    """
-    present = [np.not_equal(c, None) if c.dtype == object
-               else ~np.isnan(c).all(axis=tuple(range(1, c.ndim))) for c in columns.values()]
-    return [
-        {key: value for key, value, keep in zip(columns, row, keeps) if keep}
-        for row, keeps in zip(zip(*(c.tolist() for c in columns.values())),
-                              zip(*(p.tolist() for p in present)))
-    ]
-
-
 def correspondence_file(
     gaze: GazeState,
     records: Correspondences,
@@ -122,7 +189,6 @@ def correspondence_file(
     seed: int,
 ) -> dict:
     """Header plus one record per correspondence, truth included when known."""
-    rows = table_rows({"p_c": records.p_c, "s": records.s, "q_l": records.q_l, "q_r": records.q_r})
     return {
         "schema": SCHEMA_VERSION,
         "kind": "correspondences",
@@ -131,7 +197,8 @@ def correspondence_file(
         "sigma": float(sigma),
         "seed": int(seed),
         "skipped": int(skipped),
-        "records": rows,
+        "records": Table({"p_c": records.p_c, "s": records.s,
+                          "q_l": records.q_l, "q_r": records.q_r}),
     }
 
 
@@ -187,7 +254,7 @@ def parse_correspondence_file(data: dict) -> ParsedCorrespondences:
     )
 
 
-def depth_map_file(gaze: GazeState, rows: list[dict], stats: dict | None) -> dict:
+def depth_map_file(gaze: GazeState, rows: Table, stats: dict | None) -> dict:
     """Depth-map records plus optional error statistics."""
     out = {
         "schema": SCHEMA_VERSION,
@@ -240,7 +307,8 @@ class ExperimentRecord:
     gaze_estimate: GazeEstimate
     gaze_truth: GazeState | None = None
     deltas: dict | None = None           # truth-vs-estimate differences
-    points: list[dict] = field(default_factory=list)  # p_c, s_true, s_est, q_l, q_r
+    # p_c, s_est, s_true, q_l, q_r: a Table when built, JSON rows when read
+    points: Table | list[dict] = field(default_factory=list)
     residual_stats: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)       # seconds, by stage
 

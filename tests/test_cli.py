@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from cyclovision.records import ExperimentRecord, dumps
 from cyclovision.simulate import GENERATORS
 
 from helpers import random_gaze
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -53,6 +59,17 @@ class TestFixate:
     def test_missing_rho_exits_2(self, runner):
         result = runner.invoke(main, ["fixate", "--beta", "0.1"])
         assert result.exit_code == 2
+
+    def test_overflowing_point_exits_2_without_a_warning(self):
+        # a fresh interpreter, so that the default warning filters apply
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-m", "cyclovision", "fixate", "--point", "1e308,1e308,1e308"],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 2, run.stderr
+        assert "RuntimeWarning" not in run.stderr
 
 
 class TestHoropter:
@@ -223,6 +240,14 @@ class TestReconstruct:
         result = runner.invoke(main, ["reconstruct", str(corr)])
         assert result.exit_code == 3
 
+    def test_failing_rows_write_read_write_byte_identical(self, runner, tmp_path):
+        corr = synthesize_file(runner, tmp_path)
+        text = run_ok(runner, ["reconstruct", str(corr), "--beta", "1.3", "--rho", "0.9"])
+        report = json.loads(text)
+        assert report["stats"]["failed"] > 0
+        assert any("error" in row and "s_est" not in row for row in report["records"])
+        assert dumps(report) == text
+
 
 class TestEstimate:
     def test_noiseless_recovery(self, runner, tmp_path):
@@ -240,6 +265,11 @@ class TestEstimate:
         assert record.timings["estimate_s"] >= 0.0
         # lossless re-serialization
         assert dumps(record.to_dict()) == text
+
+    def test_write_read_write_byte_identical(self, runner, tmp_path):
+        corr = synthesize_file(runner, tmp_path, sigma=1e-3)
+        text = run_ok(runner, ["estimate", str(corr)])
+        assert dumps(json.loads(text)) == text
 
     def test_meridian_only_data_exits_4(self, runner, tmp_path):
         corr = synthesize_file(runner, tmp_path, scene="horopter-samples")
@@ -305,6 +335,17 @@ class TestHeaderFaults:
         corr.write_text(json.dumps(data))
         result = runner.invoke(main, [command, str(corr)])
         assert result.exit_code == 4, result.output
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_file_exits_3(self, runner, tmp_path, command, content):
+        corr = tmp_path / "bad.json"
+        corr.write_bytes(content)
+        result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 3, (result.output, result.exception)
 
 
 class TestTooFewPoints:

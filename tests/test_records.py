@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclovision.errors import SchemaError
@@ -12,6 +12,7 @@ from cyclovision.gaze import GazeState
 from cyclovision.records import (
     SCHEMA_VERSION,
     ExperimentRecord,
+    Table,
     correspondence_file,
     csv_rows,
     dumps,
@@ -24,15 +25,18 @@ from cyclovision.records import (
 )
 from cyclovision.simulate import SceneSpec, synthesize_scene
 
+from helpers import table_rows
+
 GAZE = GazeState(beta=0.2, rho=2.0)
 
 
 def sample_file_dict(seed=0, sigma=0.0, count=20):
+    """A correspondence file as it reads back: plain JSON rows."""
     spec = SceneSpec(count=count, seed=seed, sigma=sigma)
     result = synthesize_scene(GAZE, spec)
-    return correspondence_file(
+    return json.loads(dumps(correspondence_file(
         GAZE, result.records, result.skipped, spec.generator, sigma, seed
-    )
+    )))
 
 
 class TestFloatFormatting:
@@ -90,6 +94,71 @@ class TestWriterProperties:
     def test_non_string_keys_rejected(self):
         with pytest.raises(TypeError):
             dumps({1: 2.0})
+
+
+# Finite floats with the edge cases of the 17-digit format, and NaN for a
+# missing value.
+table_float = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
+                     1.7e308, -1.7e308, 0.1, 1 / 3]),
+    st.just(math.nan),
+)
+# text rich in what the writer must escape: %, quotes, control and non-ASCII
+table_text = st.text(st.one_of(st.sampled_from('%"\\\n\x00\x1fé€'), st.characters()), max_size=6)
+
+
+@st.composite
+def table_columns(draw, cell=table_float):
+    """1-5 columns of 0-30 rows: (N,) and (N, 3) floats, object str/None."""
+    n = draw(st.integers(0, 30))
+    columns = {}
+    for name in draw(st.lists(table_text, min_size=1, max_size=5, unique=True)):
+        kind = draw(st.sampled_from(["scalar", "vector", "object"]))
+        if kind == "object":
+            cells = draw(st.lists(st.one_of(st.none(), table_text), min_size=n, max_size=n))
+            column = np.empty(n, dtype=object)
+            column[:] = cells
+        else:
+            k = 1 if kind == "scalar" else 3
+            rows = draw(st.lists(st.one_of(
+                st.lists(cell, min_size=k, max_size=k), st.just([math.nan] * k)),
+                min_size=n, max_size=n))
+            column = np.array(rows, dtype=float).reshape(n, k)
+            column = column[:, 0] if kind == "scalar" else column
+        columns[name] = column
+    return columns
+
+
+def written(rows):
+    """dumps of a table at the nesting the records use, or the error it raises."""
+    try:
+        return dumps({"t": rows})
+    except ValueError as err:
+        return ValueError, str(err)
+
+
+class TestTableWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(table_columns())
+    def test_same_bytes_as_the_rows_it_holds(self, columns):
+        assert written(Table(columns)) == written(table_rows(columns))
+
+    @settings(max_examples=50, deadline=None)
+    @given(table_columns(st.one_of(table_float, st.sampled_from([math.inf, -math.inf]))))
+    def test_a_present_infinity_raises_where_the_rows_do(self, columns):
+        assert written(Table(columns)) == written(table_rows(columns))
+
+    @pytest.mark.parametrize("row", [[0.5, math.nan, 1.0], [math.inf, 0.0, 1.0]])
+    def test_partly_finite_vector_row_raises(self, row):
+        columns = {"s": np.array([1.0, 2.0]), "q": np.array([[0.0, 0.0, 1.0], row])}
+        with pytest.raises(ValueError, match="cannot be serialized"):
+            dumps(Table(columns))
+        assert written(Table(columns)) == written(table_rows(columns))
+
+    def test_empty_table_writes_an_empty_array(self):
+        assert dumps(Table({"s": np.empty(0), "q": np.empty((0, 3))})) == "[]\n"
+        assert dumps(Table({})) == "[]\n"
 
 
 class TestRoundTrips:
@@ -220,6 +289,14 @@ class TestCorrespondenceFiles:
     def test_load_json_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json", encoding="utf-8")
+        with pytest.raises(SchemaError):
+            load_json(path)
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_load_json_rejects_non_utf8_and_deep_nesting(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
         with pytest.raises(SchemaError):
             load_json(path)
 
