@@ -7,7 +7,9 @@ with features f = (x_l y_r, -x_r y_l, y_l, -y_r) / sqrt(2), so the objective
 ||F c||^2 over the N x 4 feature matrix F equals ||R c||^2 for the 4 x 4 R
 factor of its QR (not F^T F, which squares the conditioning). A grid over
 vergence and version seeds damped least squares on R c, with its analytic
-Jacobian; (beta, rho) then follow algebraically. The fit needs a
+Jacobian; (beta, rho) then follow algebraically. The grid's 64 x 64
+coefficient vectors depend on no data, so they are a constant built once
+at import, and each fit only multiplies them by R. The fit needs a
 Correspondences set of at least three points. Depths are recovered for
 all points in one array pass, by projecting each observed offset onto its
 epipolar direction and inverting the parallax map, independently in the
@@ -54,7 +56,14 @@ from cyclovision.geometry import (
     transform,
 )
 
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 _SQRT2 = np.sqrt(2.0)
+_EYE2 = _read_only(np.eye(2))
 
 GRID_DELTA_MAX = 1.2
 GRID_EPSILON_MAX = 0.8
@@ -104,40 +113,42 @@ def _r_factor(correspondences: Correspondences) -> np.ndarray:
     return np.linalg.qr(features, mode="r")
 
 
-def _coefficients(beta_l, beta_r) -> np.ndarray:
-    """c(beta_l, beta_r), stacked along a last axis for array arguments."""
-    return np.stack([np.sin(beta_l), np.sin(beta_r), np.cos(beta_r), np.cos(beta_l)], axis=-1)
+def _coefficients(theta: np.ndarray) -> np.ndarray:
+    """c of azimuths theta = (beta_l, beta_r), held along a leading axis."""
+    return np.concatenate([np.sin(theta), np.cos(theta)[::-1]])
 
 
-def _coefficient_jacobian(theta: np.ndarray) -> np.ndarray:
-    """(4, 2) derivative of c with respect to (beta_l, beta_r)."""
-    (sl, sr), (cl, cr) = np.sin(theta), np.cos(theta)
+def _coefficient_jacobian(c: np.ndarray) -> np.ndarray:
+    """(4, 2) derivative of c with respect to (beta_l, beta_r), read off c itself."""
+    sl, sr, cr, cl = c
     return np.array([[cl, 0.0], [0.0, cr], [0.0, -sr], [-sl, 0.0]])
 
 
+_GRID_DELTAS = _read_only(GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE)
+_GRID_EPSILONS = _read_only(np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE))
+# (4, cells) matrix of c; column i * GRID_SIZE + j is cell [delta i, epsilon j]
+_GRID_COEFFICIENTS = _read_only(_coefficients(np.stack([
+    _GRID_EPSILONS + 0.5 * _GRID_DELTAS[:, None],
+    _GRID_EPSILONS - 0.5 * _GRID_DELTAS[:, None],
+]).reshape(2, -1)))
+# Cells per evaluation block: its (4, 1024) float64 temporaries are 32 KiB,
+# far below glibc malloc's 128 KiB mmap and trim thresholds, so each fit
+# reuses heap memory instead of mapping and faulting in fresh pages.
+_GRID_BLOCK = 1024
+
+
 def _grid(r_factor: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    deltas = GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE
-    epsilons = np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE)
-    dd, ee = np.meshgrid(deltas, epsilons, indexing="ij")
-    c = _coefficients(ee + 0.5 * dd, ee - 0.5 * dd)
-    return deltas, epsilons, np.sum(np.square(c @ r_factor.T), axis=-1) / count
+    """Read-only deltas and epsilons, and the mean squared residual mse[delta, epsilon]."""
+    sums = [np.sum(np.square(r_factor @ _GRID_COEFFICIENTS[:, start:start + _GRID_BLOCK]), axis=0)
+            for start in range(0, GRID_SIZE ** 2, _GRID_BLOCK)]
+    mse = np.concatenate(sums) / count
+    return _GRID_DELTAS, _GRID_EPSILONS, mse.reshape(GRID_SIZE, GRID_SIZE)
 
 
 def _grid_seed(r_factor: np.ndarray, count: int) -> EyeAzimuths:
     deltas, epsilons, mse = _grid(r_factor, count)
     i, j = np.unravel_index(np.argmin(mse), mse.shape)
     return EyeAzimuths(float(epsilons[j] + 0.5 * deltas[i]), float(epsilons[j] - 0.5 * deltas[i]))
-
-
-def grid_objective(
-    correspondences: Correspondences,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean squared residual over the (vergence, version) seed grid.
-
-    Returns (deltas, epsilons, mse) with mse indexed [delta, epsilon];
-    vergence spans (0, 1.2] and version [-0.8, 0.8] at 64 x 64 resolution.
-    """
-    return _grid(_r_factor(correspondences), len(correspondences))
 
 
 def grid_init(correspondences: Correspondences) -> EyeAzimuths:
@@ -177,19 +188,21 @@ def estimate_gaze(
         initial = _grid_seed(r_factor, count)
 
     theta = np.array([initial.beta_l, initial.beta_r])
-    r = r_factor @ _coefficients(*theta)
+    c = _coefficients(theta)
+    r = r_factor @ c
     objective = float(r @ r)
     damping = INITIAL_DAMPING
     iterations = 0
     converged = False
 
     while iterations < config.max_iterations and not converged:
-        jac = r_factor @ _coefficient_jacobian(theta)
+        jac = r_factor @ _coefficient_jacobian(c)
         gradient = jac.T @ r
         normal = jac.T @ jac
         while damping < 1e15:
-            step = np.linalg.solve(normal + damping * np.eye(2), -gradient)
-            r_new = r_factor @ _coefficients(*(theta + step))
+            step = np.linalg.solve(normal + damping * _EYE2, -gradient)
+            c_new = _coefficients(theta + step)
+            r_new = r_factor @ c_new
             objective_new = float(r_new @ r_new)
             if objective_new < objective:
                 break
@@ -203,7 +216,7 @@ def estimate_gaze(
             np.linalg.norm(step) < STEP_TOLERANCE
             or objective - objective_new <= OBJECTIVE_TOLERANCE * objective
         )
-        theta, r, objective = theta + step, r_new, objective_new
+        theta, c, r, objective = theta + step, c_new, r_new, objective_new
         damping /= DAMPING_FACTOR
         iterations += 1
 

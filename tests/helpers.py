@@ -1,9 +1,11 @@
-"""Shared test utilities: random gaze sampling and the projection oracle."""
+"""Shared test utilities: random gaze sampling, the projection oracle and the grid objective."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from cyclovision.disparity import Correspondences
+from cyclovision.estimation import _grid, _r_factor
 from cyclovision.gaze import GazeState, eye_poses, project
 from cyclovision.geometry import normalize_point
 
@@ -43,3 +45,15 @@ def table_rows(columns: dict[str, np.ndarray]) -> list[dict]:
         for row, keeps in zip(zip(*(c.tolist() for c in columns.values())),
                               zip(*(p.tolist() for p in present)))
     ]
+
+
+def grid_objective(
+    correspondences: Correspondences,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean squared residual over the (vergence, version) seed grid.
+
+    Returns (deltas, epsilons, mse) with mse indexed [delta, epsilon];
+    vergence spans (0, 1.2] and version [-0.8, 0.8] at 64 x 64 resolution.
+    deltas and epsilons are the estimator's read-only grid constants.
+    """
+    return _grid(_r_factor(correspondences), len(correspondences))

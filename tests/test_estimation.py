@@ -12,13 +12,15 @@ from cyclovision.errors import (
     PointAtInfinityError,
 )
 from cyclovision.estimation import (
+    GRID_DELTA_MAX,
+    GRID_EPSILON_MAX,
+    GRID_SIZE,
     _coefficient_jacobian,
     _coefficients,
     _r_factor,
     estimate_depth_map,
     estimate_gaze,
     grid_init,
-    grid_objective,
     triangulate_midpoint,
 )
 from cyclovision.gaze import (
@@ -31,6 +33,7 @@ from cyclovision.gaze import (
 )
 from cyclovision.geometry import normalize_point
 from cyclovision.simulate import SceneSpec, synthesize_scene
+from helpers import grid_objective
 
 TRUE_GAZE = GazeState(beta=0.2, rho=2.0)
 
@@ -153,7 +156,33 @@ def direct_residuals(records, beta_l, beta_r):
             + np.cos(br) * yl - np.cos(bl) * yr) / np.sqrt(2.0)
 
 
+def per_call_grid(records):
+    """Reference: the grid as every call used to build it, whole and summed on the last axis."""
+    deltas = GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE
+    epsilons = np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE)
+    dd, ee = np.meshgrid(deltas, epsilons, indexing="ij")
+    beta_l, beta_r = ee + 0.5 * dd, ee - 0.5 * dd
+    c = np.stack([np.sin(beta_l), np.sin(beta_r), np.cos(beta_r), np.cos(beta_l)], axis=-1)
+    return deltas, epsilons, np.sum(np.square(c @ _r_factor(records).T), axis=-1) / len(records)
+
+
 class TestCompressedObjective:
+    @pytest.mark.parametrize("count,sigma", [(50, 0.0), (50, 1e-3), (3, 1e-3), (4, 1e-3)])
+    def test_grid_is_bit_identical_to_the_per_call_build(self, count, sigma):
+        records = synthesized_set(TRUE_GAZE, count=count, seed=47, sigma=sigma)[:count]
+        for got, expected in zip(grid_objective(records), per_call_grid(records)):
+            assert np.array_equal(got, expected)
+
+    def test_grid_state_is_read_only(self):
+        records = synthesized_set(TRUE_GAZE, seed=7, sigma=1e-3)
+        before = estimate_gaze(records)
+        deltas, epsilons, mse = grid_objective(records)
+        for constant in (deltas, epsilons):
+            with pytest.raises(ValueError):
+                constant[0] = 0.5
+        mse[...] = 0.0
+        assert estimate_gaze(records) == before
+
     @pytest.mark.parametrize("count,sigma", [(50, 0.0), (50, 1e-3), (3, 1e-3)])
     def test_grid_matches_direct_residuals(self, count, sigma):
         records = synthesized_set(TRUE_GAZE, count=count, seed=47, sigma=sigma)[:count]
@@ -178,8 +207,9 @@ class TestCompressedObjective:
         records = synthesized_set(TRUE_GAZE, seed=61, sigma=1e-3)
         r_factor = _r_factor(records)
         theta = np.array([0.45, 0.02])
-        jac = r_factor @ _coefficient_jacobian(theta)
-        residual = r_factor @ _coefficients(*theta)
+        c = _coefficients(theta)
+        jac = r_factor @ _coefficient_jacobian(c)
+        residual = r_factor @ c
         h = 1e-6
         direct_jac = np.column_stack([
             (direct_residuals(records, *(theta + step))
