@@ -16,6 +16,7 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from cyclovision.epipolar import epipoles, essential_closed_form
 from cyclovision.errors import DegenerateGeometryError, SchemaError
@@ -35,12 +36,11 @@ from cyclovision.geometry import rot_x, transform
 from cyclovision.horopter import forward_arc_limit, midline, vm_point
 from cyclovision.records import (
     SCHEMA_VERSION,
-    ExperimentRecord,
-    Table,
     correspondence_file,
     csv_rows,
     depth_map_file,
     dumps,
+    experiment_file,
     gaze_to_dict,
     load_json,
     parse_correspondence_file,
@@ -88,12 +88,6 @@ def _gaze_from_flags(alpha, beta, rho, point, degrees) -> GazeState:
     if degrees:
         alpha, beta = float(np.radians(alpha)), float(np.radians(beta))
     return GazeState(beta=beta, rho=rho, alpha=alpha)
-
-
-def _depth_errors(depth, records) -> np.ndarray:
-    """Estimated minus true depth, in the rows where both are known."""
-    errors = depth.s - records.s
-    return errors[~np.isnan(errors)]
 
 
 @click.group()
@@ -235,35 +229,21 @@ def reconstruct(corr_file, alpha, beta, rho, point, degrees):
     Uses the gaze flags when given, otherwise the file's gaze header.
     """
     parsed = parse_correspondence_file(load_json(corr_file))
+    source = click.get_current_context().get_parameter_source
+    lone = [f"--{name}" for name in ("alpha", "beta", "degrees")
+            if source(name) is not ParameterSource.DEFAULT]
     if rho is not None or point is not None:
         gaze = _gaze_from_flags(alpha, beta, rho, point, degrees)
+    elif lone:
+        raise click.UsageError(f"{', '.join(lone)} given without --rho or --point")
     elif parsed.gaze is not None:
         gaze = parsed.gaze
     else:
         raise click.UsageError(
             f"{corr_file} has no gaze header; provide --rho/--beta or --point"
         )
-    records = parsed.records
-    depth = estimate_depth_map(records, gaze)
-    failed = np.isnan(depth.s)
-    rows = Table({
-        "error": np.where(failed, "unrecoverable (behind an eye or at infinity)", None),
-        "p_c": depth.p_c,
-        "s_est": depth.s,
-        "z_c_est": gaze.rho + depth.s,
-        "s_true": records.s,
-    })
-
-    stats = None
-    if parsed.has_truth:
-        errors = _depth_errors(depth, records)
-        stats = {
-            "count": len(records),
-            "failed": int(failed.sum()),
-            "rms_error": float(np.sqrt(np.mean(np.square(errors)))) if errors.size else 0.0,
-            "max_abs_error": float(np.max(np.abs(errors))) if errors.size else 0.0,
-        }
-    return dumps(depth_map_file(gaze, rows, stats))
+    depth = estimate_depth_map(parsed.records, gaze)
+    return dumps(depth_map_file(gaze, parsed.records, depth))
 
 
 @_command(_CORR_FILE,
@@ -272,54 +252,18 @@ def reconstruct(corr_file, alpha, beta, rho, point, degrees):
 def estimate(corr_file, max_iterations):
     """Estimate gaze from correspondences, then reconstruct the depth map."""
     parsed = parse_correspondence_file(load_json(corr_file))
-    records, truth_gaze = parsed.records, parsed.gaze
-    alpha = truth_gaze.alpha if truth_gaze is not None else 0.0
-
+    records, truth = parsed.records, parsed.gaze
     started = time.perf_counter()
     fit = estimate_gaze(
         records,
         config=EstimationConfig(max_iterations=max_iterations),
-        alpha=alpha,
+        alpha=truth.alpha if truth is not None else 0.0,
     )
     fitted = time.perf_counter()
     depth = estimate_depth_map(records, fit.gaze)
     finished = time.perf_counter()
-
-    points = Table({
-        "p_c": depth.p_c,
-        "s_est": depth.s,
-        "s_true": records.s,
-        "q_l": records.q_l,
-        "q_r": records.q_r,
-    })
-
-    residual_stats = {"rms_residual": fit.rms_residual}
-    depth_errors = _depth_errors(depth, records)
-    if depth_errors.size:
-        residual_stats["rms_depth_error"] = float(np.sqrt(np.mean(np.square(depth_errors))))
-
-    deltas = None
-    if truth_gaze is not None:
-        true_az = eye_azimuths(truth_gaze)
-        deltas = {
-            "beta_l": fit.azimuths.beta_l - true_az.beta_l,
-            "beta_r": fit.azimuths.beta_r - true_az.beta_r,
-            "beta": fit.gaze.beta - truth_gaze.beta,
-            "rho": fit.gaze.rho - truth_gaze.rho,
-        }
-
-    record = ExperimentRecord(
-        gaze_estimate=fit,
-        gaze_truth=truth_gaze,
-        deltas=deltas,
-        points=points,
-        residual_stats=residual_stats,
-        timings={
-            "estimate_s": fitted - started,
-            "depth_map_s": finished - fitted,
-        },
-    )
-    return dumps(record.to_dict())
+    timings = {"estimate_s": fitted - started, "depth_map_s": finished - fitted}
+    return dumps(experiment_file(fit, records, depth, truth, timings))
 
 
 if __name__ == "__main__":

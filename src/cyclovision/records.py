@@ -29,8 +29,8 @@ import numpy as np
 
 from cyclovision.disparity import Correspondences
 from cyclovision.errors import SchemaError
-from cyclovision.estimation import GazeEstimate
-from cyclovision.gaze import EyeAzimuths, GazeState, vergence_version
+from cyclovision.estimation import DepthMap, GazeEstimate
+from cyclovision.gaze import EyeAzimuths, GazeState, eye_azimuths, vergence_version
 
 SCHEMA_VERSION = "cyclovision/1"
 
@@ -208,7 +208,6 @@ class ParsedCorrespondences:
     records: Correspondences
     sigma: float
     seed: int | None
-    has_truth: bool
 
 
 def _image_points(rows: list, key: str) -> np.ndarray:
@@ -250,20 +249,41 @@ def parse_correspondence_file(data: dict) -> ParsedCorrespondences:
         records=records,
         sigma=sigma,
         seed=data.get("seed"),
-        has_truth=bool(rows) and bool(known.all()),
     )
 
 
-def depth_map_file(gaze: GazeState, rows: Table, stats: dict | None) -> dict:
-    """Depth-map records plus optional error statistics."""
+def _depth_errors(depth: DepthMap, records: Correspondences) -> np.ndarray:
+    """Estimated minus true depth, in the rows where both are known."""
+    errors = depth.s - records.s
+    return errors[~np.isnan(errors)]
+
+
+def _rms(errors: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(np.square(errors))))
+
+
+def depth_map_file(gaze: GazeState, records: Correspondences, depth: DepthMap) -> dict:
+    """Depth-map records at ``gaze``, with error statistics when the file
+    has rows and every true depth is known."""
+    failed = np.isnan(depth.s)
     out = {
         "schema": SCHEMA_VERSION,
         "kind": "depth-map",
         "gaze": gaze_to_dict(gaze),
-        "records": rows,
+        "records": Table({
+            "error": np.where(failed, "unrecoverable (behind an eye or at infinity)", None),
+            "p_c": depth.p_c,
+            "s_est": depth.s,
+            "z_c_est": gaze.rho + depth.s,
+            "s_true": records.s,
+        }),
     }
-    if stats is not None:
-        out["stats"] = stats
+    if len(records) and not np.isnan(records.s).any():
+        stats = out["stats"] = {"count": len(records), "failed": int(failed.sum())}
+        errors = _depth_errors(depth, records)
+        if errors.size:  # left out when no row was recovered
+            stats["rms_error"] = _rms(errors)
+            stats["max_abs_error"] = float(np.max(np.abs(errors)))
     return out
 
 
@@ -336,6 +356,39 @@ class ExperimentRecord:
             residual_stats=data.get("residual_stats", {}),
             timings=data.get("timings", {}),
         )
+
+
+def experiment_file(
+    fit: GazeEstimate,
+    records: Correspondences,
+    depth: DepthMap,
+    truth: GazeState | None,
+    timings: dict,
+) -> dict:
+    """The experiment record of a fit and the depth map at its gaze, with
+    the deltas from ``truth`` when the gaze is known."""
+    residual_stats = {"rms_residual": fit.rms_residual}
+    errors = _depth_errors(depth, records)
+    if errors.size:
+        residual_stats["rms_depth_error"] = _rms(errors)
+    deltas = None
+    if truth is not None:
+        true_az = eye_azimuths(truth)
+        deltas = {
+            "beta_l": fit.azimuths.beta_l - true_az.beta_l,
+            "beta_r": fit.azimuths.beta_r - true_az.beta_r,
+            "beta": fit.gaze.beta - truth.beta,
+            "rho": fit.gaze.rho - truth.rho,
+        }
+    return ExperimentRecord(
+        gaze_estimate=fit,
+        gaze_truth=truth,
+        deltas=deltas,
+        points=Table({"p_c": depth.p_c, "s_est": depth.s, "s_true": records.s,
+                      "q_l": records.q_l, "q_r": records.q_r}),
+        residual_stats=residual_stats,
+        timings=timings,
+    ).to_dict()
 
 
 def csv_rows(header: str, rows: list[list]) -> str:

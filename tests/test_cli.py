@@ -183,6 +183,8 @@ class TestSynthesize:
         (["--region", "-1e308,1e308,-1,1,1,3"], "region"),
         (["--region", "0,1,0,1,1,inf"], "region"),
         (["--rho", "1.7e308"], "rho"),
+        (["--point", "1,2"], "--point"),
+        (["--region", "a,b,c,d,e,f"], "--region"),
     ])
     def test_overflowing_flags_exit_2_naming_the_flag(self, runner, flags, name):
         result = runner.invoke(main, ["synthesize", "--beta", "0.2", "--rho", "2", *flags])
@@ -248,6 +250,33 @@ class TestReconstruct:
         assert any("error" in row and "s_est" not in row for row in report["records"])
         assert dumps(report) == text
 
+    def test_nothing_recovered_omits_error_stats(self, runner, tmp_path):
+        corr = synthesize_file(runner, tmp_path, count=1, seed=1)
+        report = json.loads(run_ok(runner, ["reconstruct", str(corr), "--beta", "-1.5",
+                                            "--rho", "5"]))
+        assert report["stats"] == {"count": 1, "failed": 1}
+
+    @pytest.mark.parametrize("flags", [
+        ["--beta", "0.9"],
+        ["--alpha", "0.1"],
+        ["--degrees"],
+        ["--alpha", "0", "--beta", "10", "--degrees"],
+    ])
+    def test_gaze_flags_without_rho_or_point_exit_2_naming_them(self, runner, tmp_path, flags):
+        corr = synthesize_file(runner, tmp_path, count=20)
+        result = runner.invoke(main, ["reconstruct", str(corr), *flags])
+        assert result.exit_code == 2, result.output
+        assert all(flag in result.output for flag in flags if flag.startswith("--"))
+
+    def test_no_gaze_header_and_no_gaze_flags_exit_2(self, runner, tmp_path):
+        corr = synthesize_file(runner, tmp_path, count=20)
+        data = json.loads(corr.read_text())
+        del data["gaze"]
+        corr.write_text(dumps(data))
+        result = runner.invoke(main, ["reconstruct", str(corr)])
+        assert result.exit_code == 2, result.output
+        assert "no gaze header" in result.output
+
 
 class TestEstimate:
     def test_noiseless_recovery(self, runner, tmp_path):
@@ -275,6 +304,11 @@ class TestEstimate:
         corr = synthesize_file(runner, tmp_path, scene="horopter-samples")
         result = runner.invoke(main, ["estimate", str(corr)])
         assert result.exit_code == 4
+
+    def test_iteration_cap_bounds_the_iterations(self, runner, tmp_path):
+        corr = synthesize_file(runner, tmp_path, sigma=1e-3)
+        report = json.loads(run_ok(runner, ["estimate", str(corr), "--max-iterations", "1"]))
+        assert report["gaze_estimate"]["iterations"] <= 1
 
     def test_missing_file_fails(self, runner, tmp_path):
         result = runner.invoke(main, ["estimate", str(tmp_path / "nope.json")])
@@ -308,6 +342,12 @@ class TestMalformedPoints:
         result = runner.invoke(main, [command, str(corr)])
         assert result.exit_code == 3, result.output
 
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    def test_non_numeric_depth_exits_3(self, runner, tmp_path, command):
+        corr = _corrupted_file(runner, tmp_path, lambda row: row.__setitem__("s", "deep"))
+        result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 3, result.output
+
 
 class TestHeaderFaults:
     @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
@@ -316,6 +356,7 @@ class TestHeaderFaults:
         ("gaze", "rho", 0.5),
         ("gaze", "beta", "left"),
         (None, "sigma", "small"),
+        (None, "records", "none"),
     ])
     def test_malformed_header_exits_3(self, runner, tmp_path, command, section, key, value):
         corr = synthesize_file(runner, tmp_path, count=20)
@@ -339,8 +380,8 @@ class TestHeaderFaults:
 
 class TestUnreadableFiles:
     @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
-    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
-                             ids=["not-utf8", "nested-too-deep"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000, b"[]"],
+                             ids=["not-utf8", "nested-too-deep", "top-level-array"])
     def test_unreadable_file_exits_3(self, runner, tmp_path, command, content):
         corr = tmp_path / "bad.json"
         corr.write_bytes(content)

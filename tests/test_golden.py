@@ -1,0 +1,57 @@
+"""Byte-exact outputs of every command, against the files in ``tests/golden``.
+
+Each case runs one command line in-process and compares its stdout with
+the file of the same name; ``estimate`` is compared up to its wall-clock
+``timings``, the one part that differs between runs. The reconstruct and
+estimate cases read the random-box file of the synthesize case.
+
+When a change means to alter output bytes, regenerate the files with
+``PYTHONPATH=src python tests/test_golden.py`` and say which changed.
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from cyclovision.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUT = str(GOLDEN / "synthesize-random-box.json")
+GAZE = ["--alpha", "0.1", "--beta", "0.2", "--rho", "2"]
+TIMINGS = b'\n  "timings": '
+
+# In dependency order: the synthesize files come before the cases that read them.
+CASES = {
+    **{f"synthesize-{scene}.json": ["synthesize", *GAZE, "--scene", scene, "--count", "20",
+                                    "--sigma", "1e-3", "--seed", "3"]
+       for scene in ("random-box", "fixation-plane-patch", "horopter-samples")},
+    "reconstruct-header-gaze.json": ["reconstruct", INPUT],
+    # at this gaze some rows fall behind an eye and carry the error column
+    "reconstruct-wrong-gaze.json": ["reconstruct", INPUT, "--beta", "1.3", "--rho", "0.9"],
+    "estimate-until-timings.txt": ["estimate", INPUT],
+    "fixate-angles.json": ["fixate", *GAZE],
+    "fixate-point.json": ["fixate", "--point", "0.3,0.2,1.5"],
+    "fixate-degrees.json": ["fixate", "--alpha", "5", "--beta", "10", "--rho", "3",
+                            "--degrees"],
+    "essential.json": ["essential", *GAZE],
+    "horopter.csv": ["horopter", *GAZE, "--samples", "5"],
+}
+
+
+def output(args: list[str]) -> bytes:
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, (args, result.output, result.exception)
+    text = result.stdout_bytes
+    return text[:text.index(TIMINGS)] if args[0] == "estimate" else text
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_output_matches_golden(name):
+    assert output(CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, args in CASES.items():
+        (GOLDEN / name).write_bytes(output(args))

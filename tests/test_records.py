@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclovision.errors import SchemaError
-from cyclovision.estimation import estimate_gaze
+from cyclovision.estimation import estimate_depth_map, estimate_gaze
 from cyclovision.gaze import GazeState
 from cyclovision.records import (
     SCHEMA_VERSION,
@@ -15,6 +15,7 @@ from cyclovision.records import (
     Table,
     correspondence_file,
     csv_rows,
+    depth_map_file,
     dumps,
     float_repr,
     gaze_from_dict,
@@ -187,7 +188,7 @@ class TestCorrespondenceFiles:
     def test_parse_recovers_truth(self):
         parsed = parse_correspondence_file(sample_file_dict(seed=5))
         assert parsed.gaze == GAZE
-        assert parsed.has_truth
+        assert np.isfinite(parsed.records.s).all()
         assert parsed.seed == 5
         data = sample_file_dict(seed=5)
         assert parsed.records.p_c.tolist() == [row["p_c"] for row in data["records"]]
@@ -199,7 +200,6 @@ class TestCorrespondenceFiles:
             row.pop("p_c")
             row.pop("s")
         parsed = parse_correspondence_file(data)
-        assert not parsed.has_truth
         assert len(parsed.records) == len(data["records"])
         assert np.isnan(parsed.records.s).all() and np.isnan(parsed.records.p_c).all()
 
@@ -239,8 +239,8 @@ class TestCorrespondenceFiles:
         data = sample_file_dict()
         del data["records"][4]["s"]
         parsed = parse_correspondence_file(data)
-        assert not parsed.has_truth
         records = parsed.records
+        assert np.isnan(records.s).sum() == 1
         for i, row in enumerate(data["records"]):
             assert records.q_l[i].tolist() == row["q_l"] and records.q_r[i].tolist() == row["q_r"]
             if "s" in row:
@@ -264,7 +264,7 @@ class TestCorrespondenceFiles:
         data["records"] = []
         parsed = parse_correspondence_file(data)
         assert len(parsed.records) == 0 and parsed.records.q_l.shape == (0, 3)
-        assert not parsed.has_truth
+        assert parsed.records.s.shape == (0,)
 
     @pytest.mark.parametrize("gaze", [
         {"beta": 0.2, "rho": float("nan")},
@@ -299,6 +299,23 @@ class TestCorrespondenceFiles:
         path.write_bytes(content)
         with pytest.raises(SchemaError):
             load_json(path)
+
+
+class TestDepthMapFile:
+    @pytest.mark.parametrize("rows,unknown,has_stats", [
+        (20, (), True),
+        (20, (4,), False),
+        (20, range(20), False),
+        (0, (), False),
+    ], ids=["all-known", "one-unknown", "none-known", "no-rows"])
+    def test_stats_exactly_when_every_true_depth_is_known(self, rows, unknown, has_stats):
+        data = sample_file_dict()
+        for i in unknown:
+            del data["records"][i]["s"]
+        data["records"] = data["records"][:rows]
+        records = parse_correspondence_file(data).records
+        written = depth_map_file(GAZE, records, estimate_depth_map(records, GAZE))
+        assert ("stats" in written) == has_stats
 
 
 class TestExperimentRecord:
