@@ -30,7 +30,6 @@ from cyclovision.errors import (
     DegenerateConfigurationError,
     DegenerateGeometryError,
     DegenerateInputError,
-    GeometryError,
     PointAtInfinityError,
     SchemaError,
 )

@@ -251,6 +251,8 @@ def reconstruct(corr_file, alpha, beta, rho, point, degrees):
                        help="Damped least-squares iteration cap."))
 def estimate(corr_file, max_iterations):
     """Estimate gaze from correspondences, then reconstruct the depth map."""
+    if max_iterations < 1:
+        raise click.UsageError("--max-iterations must be at least 1")
     parsed = parse_correspondence_file(load_json(corr_file))
     records, truth = parsed.records, parsed.gaze
     started = time.perf_counter()

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cyclovision.epipolar import epipoles
 from cyclovision.errors import (
     BehindEyeError,
     DegenerateGeometryError,
@@ -115,21 +116,18 @@ def decompose(gaze: GazeState, p_c: HomogPoint2, eye: str) -> ParallaxDecomposit
     """Parallax decomposition of the Cyclopean rays p_c for one eye.
 
     The predicted point is the normalized rho R_eye R^T p_c + e/2, where
-    e/2 is the image of the Cyclopean point in that eye. The epipolar
-    direction is (mu p - e/2) / kappa rather than p - e/(2 mu), because mu
-    vanishes whenever the eye looks straight ahead; the difference of
-    third components cancels, so d always lies in the image plane.
+    e/2, half the eye's epipole, is the image of the Cyclopean point in that
+    eye. The epipolar direction is (mu p - e/2) / kappa rather than
+    p - e/(2 mu), because mu vanishes whenever the eye looks straight
+    ahead; the difference of third components cancels, so d always lies in
+    the image plane.
     """
     if eye not in _EYES:
         raise ValueError(f"eye must be 'left' or 'right', got {eye!r}")
     p_c = normalize_point(p_c)
     az = eye_azimuths(gaze)
-    if eye == "left":
-        beta_eye = az.beta_l
-        e_half = 0.5 * np.array([np.cos(beta_eye), 0.0, np.sin(beta_eye)])
-    else:
-        beta_eye = az.beta_r
-        e_half = 0.5 * np.array([-np.cos(beta_eye), 0.0, -np.sin(beta_eye)])
+    epi = epipoles(az)
+    beta_eye, e_half = (az.beta_l, 0.5 * epi.e_l) if eye == "left" else (az.beta_r, 0.5 * epi.e_r)
     relative = rot_y(beta_eye - gaze.beta)  # R_eye R^T, elevation cancels
     u = gaze.rho * transform(relative, p_c) + e_half
     u = mark_failures(u[..., 2] <= 1e-12, BehindEyeError,

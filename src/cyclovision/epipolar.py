@@ -1,10 +1,10 @@
 """Epipolar geometry of the fixating system.
 
 The Essential matrix is built three ways: as the product of cross-product
-matrices of the epipoles and the midline image line, in closed form from
-the two eye azimuths, and from the relative pose R_r (b x) R_l^T. The
-three agree up to scale; the pose form serves as an independent oracle
-for the other two.
+matrices of the epipoles and the midline image line, in closed form as
+four entries read off the epipoles, and from the relative pose
+R_r (b x) R_l^T. The three agree up to scale; the pose form serves as an
+independent oracle for the other two.
 """
 
 from __future__ import annotations
@@ -50,29 +50,24 @@ def essential_from_horopter(epi: Epipoles, a: HomogLine2) -> EssentialMatrix:
     return cross_matrix(epi.e_r) @ cross_matrix(np.asarray(a, dtype=float)) @ cross_matrix(epi.e_l)
 
 
-def closed_form_entries(beta_l: float, beta_r: float) -> EssentialMatrix:
-    """Closed-form Essential matrix for raw azimuth values.
+def essential_closed_form(az: EyeAzimuths) -> EssentialMatrix:
+    """Closed-form Essential matrix of a fixating system, read off the epipoles.
 
     Exactly four entries are nonzero:
 
-        (1,2) -> -sin(beta_r)   (2,1) -> sin(beta_l)
-        (2,3) -> -cos(beta_l)   (3,2) -> cos(beta_r)
+        (1,2) -> e_r[2] = -sin(beta_r)   (2,1) -> e_l[2] = sin(beta_l)
+        (2,3) -> -e_l[0] = -cos(beta_l)  (3,2) -> -e_r[0] = cos(beta_r)
 
     The Frobenius norm is sqrt(2) and the singular values are {1, 1, 0}
-    for every azimuth pair. No ordering of the azimuths is assumed, so
-    trial values can be evaluated freely.
+    for every fixation.
     """
+    epi = epipoles(az)
     e = np.zeros((3, 3))
-    e[0, 1] = -np.sin(beta_r)
-    e[1, 0] = np.sin(beta_l)
-    e[1, 2] = -np.cos(beta_l)
-    e[2, 1] = np.cos(beta_r)
+    e[0, 1] = epi.e_r[2]
+    e[1, 0] = epi.e_l[2]
+    e[1, 2] = -epi.e_l[0]
+    e[2, 1] = -epi.e_r[0]
     return e
-
-
-def essential_closed_form(az: EyeAzimuths) -> EssentialMatrix:
-    """Closed-form Essential matrix of a fixating system."""
-    return closed_form_entries(az.beta_l, az.beta_r)
 
 
 def essential_traditional(left: EyePose, right: EyePose) -> EssentialMatrix:
@@ -95,11 +90,7 @@ def epipolar_line_right(E: EssentialMatrix, q_l: HomogPoint2) -> HomogLine2:
 
 def epipolar_line_left(E: EssentialMatrix, q_r: HomogPoint2) -> HomogLine2:
     """Left-image line E^T q_r, mirror of ``epipolar_line_right``."""
-    q_r = np.asarray(q_r, dtype=float)
-    u = E.T @ q_r
-    if np.abs(u).max() <= 1e-12 * np.abs(E).max() * np.abs(q_r).max():
-        raise DegenerateGeometryError("epipolar line undefined: point at the epipole")
-    return u
+    return epipolar_line_right(E.T, q_r)
 
 
 def epipolar_residual(E: EssentialMatrix, q_l: HomogPoint2, q_r: HomogPoint2) -> float:

@@ -1,11 +1,7 @@
 """Exception types shared across the package."""
 
 
-class GeometryError(ValueError):
-    """Base class for geometric failure modes."""
-
-
-class DegenerateGeometryError(GeometryError):
+class DegenerateGeometryError(ValueError):
     """A construction degenerates for this configuration."""
 
 

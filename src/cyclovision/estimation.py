@@ -5,11 +5,12 @@ the eye azimuths (beta_l, beta_r). Each normalized epipolar residual
 q_r^T E q_l is linear in c = (sin beta_l, sin beta_r, cos beta_r, cos beta_l),
 with features f = (x_l y_r, -x_r y_l, y_l, -y_r) / sqrt(2), so the objective
 ||F c||^2 over the N x 4 feature matrix F equals ||R c||^2 for the 4 x 4 R
-factor of its QR (not F^T F, which squares the conditioning). A grid over
-vergence and version seeds damped least squares on R c, with its analytic
-Jacobian; (beta, rho) then follow algebraically. The grid's 64 x 64
-coefficient vectors depend on no data, so they are a constant built once
-at import, and each fit only multiplies them by R. The fit needs a
+factor of its QR (not F^T F, which squares the conditioning). A table of
+64 x 64 azimuth pairs, a grid over vergence and version, seeds damped
+least squares on R c, with its analytic Jacobian; (beta, rho) then follow
+algebraically. The table and its coefficient vectors depend on no data, so
+they are constants built once at import, and each fit only multiplies the
+coefficients by R and takes the pair of the least residual. The fit needs a
 Correspondences set of at least three points. Depths are recovered for
 all points in one array pass, by projecting each observed offset onto its
 epipolar direction and inverting the parallax map, independently in the
@@ -124,31 +125,28 @@ def _coefficient_jacobian(c: np.ndarray) -> np.ndarray:
     return np.array([[cl, 0.0], [0.0, cr], [0.0, -sr], [-sl, 0.0]])
 
 
-_GRID_DELTAS = _read_only(GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE)
-_GRID_EPSILONS = _read_only(np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE))
-# (4, cells) matrix of c; column i * GRID_SIZE + j is cell [delta i, epsilon j]
-_GRID_COEFFICIENTS = _read_only(_coefficients(np.stack([
-    _GRID_EPSILONS + 0.5 * _GRID_DELTAS[:, None],
-    _GRID_EPSILONS - 0.5 * _GRID_DELTAS[:, None],
-]).reshape(2, -1)))
+# (beta_l, beta_r) = epsilon +- delta / 2 of the seed grid's cells; cell
+# i * GRID_SIZE + j has vergence delta i in (0, 1.2], version epsilon j in [-0.8, 0.8]
+_GRID_AZIMUTHS = _read_only(
+    np.tile(np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE), GRID_SIZE)
+    + np.outer([0.5, -0.5], np.repeat(GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE,
+                                      GRID_SIZE)))
+_GRID_COEFFICIENTS = _read_only(_coefficients(_GRID_AZIMUTHS))
 # Cells per evaluation block: its (4, 1024) float64 temporaries are 32 KiB,
 # far below glibc malloc's 128 KiB mmap and trim thresholds, so each fit
 # reuses heap memory instead of mapping and faulting in fresh pages.
 _GRID_BLOCK = 1024
 
 
-def _grid(r_factor: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only deltas and epsilons, and the mean squared residual mse[delta, epsilon]."""
+def _grid(r_factor: np.ndarray, count: int) -> np.ndarray:
+    """Mean squared residual of each grid cell, in the order of _GRID_AZIMUTHS."""
     sums = [np.sum(np.square(r_factor @ _GRID_COEFFICIENTS[:, start:start + _GRID_BLOCK]), axis=0)
             for start in range(0, GRID_SIZE ** 2, _GRID_BLOCK)]
-    mse = np.concatenate(sums) / count
-    return _GRID_DELTAS, _GRID_EPSILONS, mse.reshape(GRID_SIZE, GRID_SIZE)
+    return np.concatenate(sums) / count
 
 
 def _grid_seed(r_factor: np.ndarray, count: int) -> EyeAzimuths:
-    deltas, epsilons, mse = _grid(r_factor, count)
-    i, j = np.unravel_index(np.argmin(mse), mse.shape)
-    return EyeAzimuths(float(epsilons[j] + 0.5 * deltas[i]), float(epsilons[j] - 0.5 * deltas[i]))
+    return EyeAzimuths(*_GRID_AZIMUTHS[:, np.argmin(_grid(r_factor, count))].tolist())
 
 
 def grid_init(correspondences: Correspondences) -> EyeAzimuths:

@@ -114,7 +114,8 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
         rays, depths = ray_and_depth(gaze, _scene_candidates(gaze, spec, rng))
 
     records = synthesize_correspondence(gaze, rays, depths)
-    records = records[np.isfinite(records.q_l + records.q_r).all(axis=1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows drops its row
+        records = records[np.isfinite(records.q_l + records.q_r).all(axis=1)]
     if spec.sigma > 0.0:
         noise = rng.normal(0.0, spec.sigma, (len(records), 2, 2))  # per row: left, then right
         records.q_l[:, :2] += noise[:, 0]

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from cyclovision.disparity import Correspondences
-from cyclovision.estimation import _grid, _r_factor
+from cyclovision.estimation import (
+    GRID_DELTA_MAX,
+    GRID_EPSILON_MAX,
+    GRID_SIZE,
+    _grid,
+    _r_factor,
+)
 from cyclovision.gaze import GazeState, eye_poses, project
 from cyclovision.geometry import normalize_point
 
@@ -53,7 +59,11 @@ def grid_objective(
     """Mean squared residual over the (vergence, version) seed grid.
 
     Returns (deltas, epsilons, mse) with mse indexed [delta, epsilon];
-    vergence spans (0, 1.2] and version [-0.8, 0.8] at 64 x 64 resolution.
-    deltas and epsilons are the estimator's read-only grid constants.
+    vergence spans (0, GRID_DELTA_MAX] and version [-GRID_EPSILON_MAX,
+    GRID_EPSILON_MAX] at GRID_SIZE x GRID_SIZE resolution. Cell [i, j] is
+    the estimator's azimuth pair epsilon_j +- delta_i / 2.
     """
-    return _grid(_r_factor(correspondences), len(correspondences))
+    deltas = GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE
+    epsilons = np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE)
+    mse = _grid(_r_factor(correspondences), len(correspondences))
+    return deltas, epsilons, mse.reshape(GRID_SIZE, GRID_SIZE)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cyclovision.cli import main
@@ -310,6 +310,13 @@ class TestEstimate:
         report = json.loads(run_ok(runner, ["estimate", str(corr), "--max-iterations", "1"]))
         assert report["gaze_estimate"]["iterations"] <= 1
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_iteration_cap_below_one_exits_2_naming_the_flag(self, runner, tmp_path, cap):
+        corr = synthesize_file(runner, tmp_path, count=20)
+        result = runner.invoke(main, ["estimate", str(corr), "--max-iterations", cap])
+        assert result.exit_code == 2, result.output
+        assert "--max-iterations" in result.output
+
     def test_missing_file_fails(self, runner, tmp_path):
         result = runner.invoke(main, ["estimate", str(tmp_path / "nope.json")])
         assert result.exit_code != 0
@@ -477,6 +484,8 @@ class TestAnyFiniteFlags:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(gaze=gaze_flags, samples=st.integers(-5, 100), synthesize=synthesize_flags)
+    @example(gaze=["--alpha", "0.0", "--beta", "0.0", "--rho", "0.75"], samples=2,
+             synthesize=["--count", "2", "--sigma", "0.0", "--region", "0,1,0,1,0,1.7e308"])
     def test_exits_with_a_result_or_a_typed_error(self, runner, gaze, samples, synthesize):
         commands = [["fixate"], ["essential"], ["horopter", "--samples", str(samples)]]
         commands += [["synthesize", "--scene", scene, *synthesize] for scene in GENERATORS]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cyclovision.disparity import Correspondences, synthesize_correspondence
-from cyclovision.epipolar import closed_form_entries, epipolar_residual
+from cyclovision.epipolar import epipolar_residual, essential_closed_form
 from cyclovision.errors import (
     DegenerateConfigurationError,
     DegenerateGeometryError,
@@ -15,6 +15,8 @@ from cyclovision.estimation import (
     GRID_DELTA_MAX,
     GRID_EPSILON_MAX,
     GRID_SIZE,
+    _GRID_AZIMUTHS,
+    _GRID_COEFFICIENTS,
     _coefficient_jacobian,
     _coefficients,
     _r_factor,
@@ -40,7 +42,7 @@ TRUE_GAZE = GazeState(beta=0.2, rho=2.0)
 
 def residual_rms(records, az):
     """Reference: RMS of the normalized epipolar residuals q_r^T E q_l, point by point."""
-    e = closed_form_entries(az.beta_l, az.beta_r)
+    e = essential_closed_form(az)
     r = [epipolar_residual(e, q_l, q_r) for q_l, q_r in zip(records.q_l, records.q_r)]
     return float(np.sqrt(np.mean(np.square(r))))
 
@@ -170,16 +172,21 @@ class TestCompressedObjective:
     @pytest.mark.parametrize("count,sigma", [(50, 0.0), (50, 1e-3), (3, 1e-3), (4, 1e-3)])
     def test_grid_is_bit_identical_to_the_per_call_build(self, count, sigma):
         records = synthesized_set(TRUE_GAZE, count=count, seed=47, sigma=sigma)[:count]
-        for got, expected in zip(grid_objective(records), per_call_grid(records)):
-            assert np.array_equal(got, expected)
+        expected = per_call_grid(records)
+        for got, want in zip(grid_objective(records), expected):
+            assert np.array_equal(got, want)
+        deltas, epsilons, mse = expected
+        i, j = np.unravel_index(np.argmin(mse), mse.shape)
+        assert grid_init(records) == EyeAzimuths(epsilons[j] + 0.5 * deltas[i],
+                                                 epsilons[j] - 0.5 * deltas[i])
 
     def test_grid_state_is_read_only(self):
         records = synthesized_set(TRUE_GAZE, seed=7, sigma=1e-3)
         before = estimate_gaze(records)
-        deltas, epsilons, mse = grid_objective(records)
-        for constant in (deltas, epsilons):
+        for constant in (_GRID_AZIMUTHS, _GRID_COEFFICIENTS):
             with pytest.raises(ValueError):
-                constant[0] = 0.5
+                constant[0, 0] = 0.5
+        _, _, mse = grid_objective(records)
         mse[...] = 0.0
         assert estimate_gaze(records) == before
 
