@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cyclovision.epipolar import epipoles
+from cyclovision.epipolar import _epipole
 from cyclovision.errors import (
     BehindEyeError,
     DegenerateGeometryError,
@@ -38,16 +38,16 @@ from cyclovision.errors import (
 from cyclovision.gaze import (
     BASELINE,
     GazeState,
+    _azimuth_terms,
     direction_from_angles,
-    eye_azimuths,
     eye_poses,
-    project,
 )
 from cyclovision.geometry import (
     HomogPoint2,
     inner,
     mark_failures,
     normalize_point,
+    rot_x,
     rot_y,
     transform,
 )
@@ -59,7 +59,9 @@ _EYES = ("left", "right")
 class Correspondences:
     """Left/right images of N scene points, optionally with their truth.
 
-    ``q_l`` and ``q_r`` are (N, 3) with third component 1. ``p_c`` (N, 3)
+    ``q_l`` and ``q_r`` are (N, 3) homogeneous points. Synthesis gives them
+    third component 1; a parsed file keeps whatever nonzero third component
+    it holds, and every consumer normalizes them first. ``p_c`` (N, 3)
     and ``s`` (N,) are the generating Cyclopean ray and plane depth, NaN in
     the rows where they are unknown. Indexing selects rows as numpy does (a
     slice shares memory); a single correspondence has (3,) points and a
@@ -104,8 +106,13 @@ class ParallaxDecomposition:
 
 @np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
 def ray_and_depth(gaze: GazeState, scene: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclopean rays p_c and plane depths s of scene points in front of the Cyclopean eye."""
-    ray = project(eye_poses(gaze).cyclopean, scene)
+    """Cyclopean rays p_c and plane depths s of scene points in front of the Cyclopean eye.
+
+    The rays are the images under the Cyclopean pose of ``eye_poses``, and
+    |beta| = pi/2 is refused as there; the two eyes' poses are not built.
+    """
+    _azimuth_terms(gaze)
+    ray = transform(rot_y(gaze.beta) @ rot_x(-gaze.alpha), np.asarray(scene, dtype=float))
     ray = mark_failures(ray[..., 2] <= 1e-12, BehindEyeError,
                         "point lies behind the Cyclopean eye", ray)
     return ray / ray[..., 2:], ray[..., 2] - gaze.rho
@@ -125,15 +132,16 @@ def decompose(gaze: GazeState, p_c: HomogPoint2, eye: str) -> ParallaxDecomposit
     if eye not in _EYES:
         raise ValueError(f"eye must be 'left' or 'right', got {eye!r}")
     p_c = normalize_point(p_c)
-    az = eye_azimuths(gaze)
-    epi = epipoles(az)
-    beta_eye, e_half = (az.beta_l, 0.5 * epi.e_l) if eye == "left" else (az.beta_r, 0.5 * epi.e_r)
+    sign = 1.0 if eye == "left" else -1.0
+    t, half = _azimuth_terms(gaze)
+    beta_eye = float(np.arctan(t + sign * half))  # this eye's azimuth, as in eye_azimuths
+    e_half = 0.5 * _epipole(beta_eye, sign)
     relative = rot_y(beta_eye - gaze.beta)  # R_eye R^T, elevation cancels
     u = gaze.rho * transform(relative, p_c) + e_half
     u = mark_failures(u[..., 2] <= 1e-12, BehindEyeError,
                       f"predicted point lies behind the {eye} eye", u)
     predicted = u / u[..., 2:]
-    lam = p_c[..., 0] * np.sin(beta_eye - gaze.beta) + np.cos(beta_eye - gaze.beta)
+    lam = p_c[..., 0] * relative[2, 0] + relative[0, 0]  # sin, cos of the eye's turn
     mu = float(e_half[2])
     kappa_vec = mu * predicted - e_half
     kappa = np.sqrt(inner(kappa_vec, kappa_vec))

@@ -24,7 +24,8 @@ perspective effects off the meridian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -106,11 +107,12 @@ def _r_factor(correspondences: Correspondences) -> np.ndarray:
     """R factor, min(N, 4) x 4, of the N x 4 feature matrix F: ||R c|| = ||F c||."""
     if not len(correspondences):
         raise DegenerateConfigurationError("no correspondences")
-    q = normalize_point(np.stack([correspondences.q_l, correspondences.q_r], axis=1))
-    if np.isnan(q).any():
+    q_l, q_r = normalize_point(correspondences.q_l), normalize_point(correspondences.q_r)
+    if np.isnan(q_l).any() or np.isnan(q_r).any():
         raise PointAtInfinityError("cannot normalize an image point at infinity")
-    (xl, xr), (yl, yr) = q[..., 0].T, q[..., 1].T
-    features = np.column_stack([xl * yr, -xr * yl, yl, -yr]) / _SQRT2
+    (xl, yl), (xr, yr) = q_l[:, :2].T, q_r[:, :2].T
+    features = np.column_stack([xl * yr, -xr * yl, yl, -yr])
+    features /= _SQRT2
     return np.linalg.qr(features, mode="r")
 
 
@@ -121,7 +123,7 @@ def _coefficients(theta: np.ndarray) -> np.ndarray:
 
 def _coefficient_jacobian(c: np.ndarray) -> np.ndarray:
     """(4, 2) derivative of c with respect to (beta_l, beta_r), read off c itself."""
-    sl, sr, cr, cl = c
+    sl, sr, cr, cl = c.tolist()
     return np.array([[cl, 0.0], [0.0, cr], [0.0, -sr], [-sl, 0.0]])
 
 
@@ -140,9 +142,12 @@ _GRID_BLOCK = 1024
 
 def _grid(r_factor: np.ndarray, count: int) -> np.ndarray:
     """Mean squared residual of each grid cell, in the order of _GRID_AZIMUTHS."""
-    sums = [np.sum(np.square(r_factor @ _GRID_COEFFICIENTS[:, start:start + _GRID_BLOCK]), axis=0)
-            for start in range(0, GRID_SIZE ** 2, _GRID_BLOCK)]
-    return np.concatenate(sums) / count
+    mse = np.empty(GRID_SIZE ** 2)
+    for start in range(0, GRID_SIZE ** 2, _GRID_BLOCK):
+        block = r_factor @ _GRID_COEFFICIENTS[:, start:start + _GRID_BLOCK]
+        np.add.reduce(np.square(block, out=block), axis=0, out=mse[start:start + _GRID_BLOCK])
+    mse /= count
+    return mse
 
 
 def _grid_seed(r_factor: np.ndarray, count: int) -> EyeAzimuths:
@@ -170,14 +175,18 @@ def estimate_gaze(
     visual plane of the returned gaze; the image data cannot constrain it.
     Noiseless data from a true fixation is recovered to well below 1e-6 rad.
     Raises DegenerateConfigurationError when the data lie on the meridian
-    or the fit ends outside the domain of a fixation.
+    or the fit ends outside the domain of a fixation, and ValueError at
+    once when ``alpha`` is not a finite angle in [-pi/2, pi/2].
     """
+    if not (np.isfinite(alpha) and abs(alpha) <= np.pi / 2):
+        raise ValueError(f"alpha must be finite and lie in [-pi/2, pi/2], got {alpha}")
     count = len(correspondences)
     if count < 3:
         raise DegenerateConfigurationError(f"need at least 3 correspondences, got {count}")
     r_factor = _r_factor(correspondences)
     # ||R e_j|| = ||F e_j||: the y columns' norm is sqrt(sum y^2 / 2)
-    if np.linalg.norm(r_factor[:, 2:]) * _SQRT2 < MERIDIAN_TOLERANCE:
+    y_columns = r_factor[:, 2:].ravel()
+    if math.sqrt(y_columns.dot(y_columns)) * _SQRT2 < MERIDIAN_TOLERANCE:
         raise DegenerateConfigurationError(
             "all points lie on the horizontal meridian, which satisfies the "
             "epipolar constraint for every gaze"
@@ -195,11 +204,12 @@ def estimate_gaze(
 
     while iterations < config.max_iterations and not converged:
         jac = r_factor @ _coefficient_jacobian(c)
-        gradient = jac.T @ r
+        descent = -(jac.T @ r)
         normal = jac.T @ jac
         while damping < 1e15:
-            step = np.linalg.solve(normal + damping * _EYE2, -gradient)
-            c_new = _coefficients(theta + step)
+            step = np.linalg.solve(normal + damping * _EYE2, descent)
+            theta_new = theta + step
+            c_new = _coefficients(theta_new)
             r_new = r_factor @ c_new
             objective_new = float(r_new @ r_new)
             if objective_new < objective:
@@ -211,22 +221,22 @@ def estimate_gaze(
             break
 
         converged = bool(
-            np.linalg.norm(step) < STEP_TOLERANCE
+            math.sqrt(step.dot(step)) < STEP_TOLERANCE
             or objective - objective_new <= OBJECTIVE_TOLERANCE * objective
         )
-        theta, c, r, objective = theta + step, c_new, r_new, objective_new
+        theta, c, r, objective = theta_new, c_new, r_new, objective_new
         damping /= DAMPING_FACTOR
         iterations += 1
 
     try:
-        azimuths = EyeAzimuths(float(theta[0]), float(theta[1]))
-        gaze = gaze_from_azimuths(azimuths)
+        azimuths = EyeAzimuths(*theta.tolist())
+        gaze = gaze_from_azimuths(azimuths, alpha)
     except ValueError as err:
         raise DegenerateConfigurationError(f"fit left the fixation domain: {err}") from err
     return GazeEstimate(
         azimuths=azimuths,
-        gaze=replace(gaze, alpha=alpha),
-        rms_residual=float(np.sqrt(objective / count)),
+        gaze=gaze,
+        rms_residual=math.sqrt(objective / count),
         iterations=iterations,
         converged=converged,
     )

@@ -156,17 +156,24 @@ def helmholtz_from_point(p: Vec3) -> GazeState:
     return GazeState(beta=beta, rho=rho, alpha=alpha)
 
 
+def _azimuth_terms(gaze: GazeState) -> tuple[float, float]:
+    """tan(beta) and sec(beta) / (2 rho), the two terms of each eye's azimuth.
+
+    Raises DegenerateGeometryError at |beta| = pi/2, where both are unbounded.
+    """
+    cb = np.cos(gaze.beta)
+    if cb <= 1e-12:
+        raise DegenerateGeometryError("eye azimuths are unbounded at |beta| = pi/2")
+    return np.tan(gaze.beta), 1.0 / (2.0 * gaze.rho * cb)
+
+
 def eye_azimuths(gaze: GazeState) -> EyeAzimuths:
     """Azimuths of the two eyes fixating the given point.
 
     tan(beta_l) = tan(beta) + sec(beta) / (2 rho) and likewise with a
     minus sign for the right eye.
     """
-    cb = np.cos(gaze.beta)
-    if cb <= 1e-12:
-        raise DegenerateGeometryError("eye azimuths are unbounded at |beta| = pi/2")
-    half = 1.0 / (2.0 * gaze.rho * cb)
-    t = np.tan(gaze.beta)
+    t, half = _azimuth_terms(gaze)
     return EyeAzimuths(float(np.arctan(t + half)), float(np.arctan(t - half)))
 
 

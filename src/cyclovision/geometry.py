@@ -84,11 +84,14 @@ def mark_failures(bad, error: type[Exception], message: str, values):
     """NaN the rows of ``values`` where ``bad`` holds, or raise ``error(message)``.
 
     A single point or ray (0-d ``bad``) raises; a batch marks its failing
-    rows, and every value computed from a marked row reads NaN in turn.
+    rows, and every value computed from a marked row reads NaN in turn. A
+    batch without a failing row returns ``values`` itself.
     """
     if np.ndim(bad) == 0:
         if bad:
             raise error(message)
+        return values
+    if not bad.any():
         return values
     return np.where(bad[..., None] if np.ndim(values) > np.ndim(bad) else bad, np.nan, values)
 
@@ -97,8 +100,12 @@ def normalize_point(p: HomogPoint2) -> HomogPoint2:
     """Scale homogeneous points (..., 3) so that the third component is exactly 1.
 
     A point at infinity raises PointAtInfinityError, or reads NaN in a batch.
+    Points that are already normalized, finite and below 1e12 in magnitude
+    come back as a copy, which is what the division by 1 would give.
     """
     p = np.asarray(p, dtype=float)
+    if (p[..., 2] == 1.0).all() and _DEGENERATE_TOL * np.abs(p).max(initial=0.0) < 1.0:
+        return p.copy()
     p = mark_failures(np.abs(p[..., 2]) <= _DEGENERATE_TOL * np.abs(p).max(axis=-1),
                       PointAtInfinityError, "cannot normalize a point at infinity", p)
     return p / p[..., 2:]

@@ -115,11 +115,13 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
 
     records = synthesize_correspondence(gaze, rays, depths)
     with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows drops its row
-        records = records[np.isfinite(records.q_l + records.q_r).all(axis=1)]
+        kept = np.isfinite(records.q_l + records.q_r).all(axis=1)
+    if not kept.all():
+        records = records[kept]
     if spec.sigma > 0.0:
         noise = rng.normal(0.0, spec.sigma, (len(records), 2, 2))  # per row: left, then right
         records.q_l[:, :2] += noise[:, 0]
         records.q_r[:, :2] += noise[:, 1]
-        if not np.isfinite([records.q_l, records.q_r]).all():
+        if not (np.isfinite(records.q_l).all() and np.isfinite(records.q_r).all()):
             raise ValueError(f"sigma {spec.sigma} makes image coordinates non-finite")
     return SynthesisResult(records=records, skipped=spec.count - len(records))

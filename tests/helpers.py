@@ -1,10 +1,13 @@
-"""Shared test utilities: random gaze sampling, the projection oracle and the grid objective."""
+"""Shared test utilities: random gaze sampling, the projection oracle, the grid
+objective and the reference formulations of the per-call fast paths."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from cyclovision.disparity import Correspondences
+from cyclovision.disparity import Correspondences, ParallaxDecomposition
+from cyclovision.epipolar import epipoles
+from cyclovision.errors import BehindEyeError, DegenerateGeometryError, PointAtInfinityError
 from cyclovision.estimation import (
     GRID_DELTA_MAX,
     GRID_EPSILON_MAX,
@@ -12,8 +15,8 @@ from cyclovision.estimation import (
     _grid,
     _r_factor,
 )
-from cyclovision.gaze import GazeState, eye_poses, project
-from cyclovision.geometry import normalize_point
+from cyclovision.gaze import GazeState, eye_azimuths, eye_poses, project
+from cyclovision.geometry import inner, normalize_point, rot_y, transform
 
 
 def random_gaze(rng, beta=(-0.8, 0.8), rho=(0.8, 50.0), alpha=None) -> GazeState:
@@ -67,3 +70,86 @@ def grid_objective(
     epsilons = np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE)
     mse = _grid(_r_factor(correspondences), len(correspondences))
     return deltas, epsilons, mse.reshape(GRID_SIZE, GRID_SIZE)
+
+
+# --------------------------------------------------------------------------
+# Reference formulations. Each computes what a library function computes,
+# the long way: every row through the failure pass and the division, both
+# eyes' azimuths and epipoles for one eye's decomposition, all three eye
+# poses for the Cyclopean ray. The library's shortcuts must agree with them
+# bit for bit, NaN rows included.
+
+
+def reference_mark_failures(bad, error, message, values):
+    """``mark_failures`` with ``np.where`` on every batch, failing rows or not."""
+    if np.ndim(bad) == 0:
+        if bad:
+            raise error(message)
+        return values
+    return np.where(bad[..., None] if np.ndim(values) > np.ndim(bad) else bad, np.nan, values)
+
+
+def reference_normalize_point(p):
+    """``normalize_point`` as the at-infinity pass and the division, for every point."""
+    p = np.asarray(p, dtype=float)
+    p = reference_mark_failures(np.abs(p[..., 2]) <= 1e-12 * np.abs(p).max(axis=-1),
+                                PointAtInfinityError, "cannot normalize a point at infinity", p)
+    return p / p[..., 2:]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_ray_and_depth(gaze: GazeState, scene):
+    """``ray_and_depth`` through the Cyclopean pose of all three ``eye_poses``."""
+    ray = project(eye_poses(gaze).cyclopean, scene)
+    ray = reference_mark_failures(ray[..., 2] <= 1e-12, BehindEyeError,
+                                  "point lies behind the Cyclopean eye", ray)
+    return ray / ray[..., 2:], ray[..., 2] - gaze.rho
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_decompose(gaze: GazeState, p_c, eye: str) -> ParallaxDecomposition:
+    """``decompose`` from both eyes' azimuths and epipoles, with its own sin and cos for lam."""
+    p_c = reference_normalize_point(p_c)
+    az = eye_azimuths(gaze)
+    epi = epipoles(az)
+    beta_eye, e_half = (az.beta_l, 0.5 * epi.e_l) if eye == "left" else (az.beta_r, 0.5 * epi.e_r)
+    u = gaze.rho * transform(rot_y(beta_eye - gaze.beta), p_c) + e_half
+    u = reference_mark_failures(u[..., 2] <= 1e-12, BehindEyeError,
+                                f"predicted point lies behind the {eye} eye", u)
+    predicted = u / u[..., 2:]
+    lam = p_c[..., 0] * np.sin(beta_eye - gaze.beta) + np.cos(beta_eye - gaze.beta)
+    mu = float(e_half[2])
+    kappa_vec = mu * predicted - e_half
+    kappa = np.sqrt(inner(kappa_vec, kappa_vec))
+    kappa = reference_mark_failures(
+        kappa < 1e-12, DegenerateGeometryError,
+        f"Cyclopean ray predicts the {eye} epipole: epipolar direction undefined", kappa)
+    return ParallaxDecomposition(predicted, kappa_vec / kappa[..., None], kappa, lam, mu, eye)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def reference_synthesize_correspondence(gaze: GazeState, p_c, s) -> Correspondences:
+    """``synthesize_correspondence`` as a per-eye loop over ``reference_decompose``."""
+    s = np.asarray(s, dtype=float)
+    depth = reference_mark_failures(gaze.rho + s <= 0.0, BehindEyeError,
+                                    "Cyclopean depth rho + s is not positive", s)
+    p_c = reference_normalize_point(p_c)
+    images = []
+    for eye in ("left", "right"):
+        dec = reference_decompose(gaze, p_c, eye)
+        denom = dec.lam * (gaze.rho + depth) + dec.mu
+        denom = reference_mark_failures(denom <= 0.0, BehindEyeError,
+                                        f"scene point lies behind the {eye} eye", denom)
+        t = dec.kappa * (depth / gaze.rho) / denom
+        images.append(dec.predicted + t[..., None] * dec.direction)
+    return Correspondences(*images, p_c=p_c, s=s)
+
+
+def reference_r_factor(correspondences: Correspondences) -> np.ndarray:
+    """``_r_factor`` from both images stacked and normalized together."""
+    q = reference_normalize_point(np.stack([correspondences.q_l, correspondences.q_r], axis=1))
+    if np.isnan(q).any():
+        raise PointAtInfinityError("cannot normalize an image point at infinity")
+    (xl, xr), (yl, yr) = q[..., 0].T, q[..., 1].T
+    features = np.column_stack([xl * yr, -xr * yl, yl, -yr]) / np.sqrt(2.0)
+    return np.linalg.qr(features, mode="r")

@@ -1,0 +1,252 @@
+"""The per-call shortcuts agree bit for bit with their reference formulations.
+
+``normalize_point`` skips the at-infinity pass for points already scaled to
+third component 1, ``mark_failures`` returns a batch without failing rows
+as it is, ``ray_and_depth`` builds only the Cyclopean pose, ``decompose``
+derives only its own eye's azimuth and epipole, and ``_r_factor``
+normalizes each image alone. Each must give the same bits as the long way
+in ``helpers``, with NaN rows counted as equal, and fail the same way where
+the long way fails. (``_grid`` is pinned by ``tests/test_estimation.py``.)
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cyclovision import disparity, estimation
+from cyclovision.disparity import (
+    Correspondences,
+    ParallaxDecomposition,
+    decompose,
+    ray_and_depth,
+    synthesize_correspondence,
+)
+from cyclovision.epipolar import epipoles
+from cyclovision.errors import BehindEyeError, DegenerateGeometryError
+from cyclovision.estimation import _r_factor, estimate_depth_map, estimate_gaze
+from cyclovision.gaze import EyeAzimuths, GazeState
+from cyclovision.geometry import mark_failures, normalize_point
+from cyclovision.simulate import SceneSpec, synthesize_scene
+from helpers import (
+    reference_decompose,
+    reference_mark_failures,
+    reference_normalize_point,
+    reference_r_factor,
+    reference_ray_and_depth,
+    reference_synthesize_correspondence,
+)
+
+
+def ulps_from(value: float, count: int) -> float:
+    for _ in range(abs(count)):
+        value = float(np.nextafter(value, math.copysign(math.inf, count)))
+    return value
+
+
+# max|p| on both sides of 1e12, where a normalized point turns into one at infinity
+NEAR_1E12 = [ulps_from(sign * 1e12, k) for sign in (1.0, -1.0) for k in range(-3, 4)]
+EDGES = [0.0, -0.0, 1.0, -1.0, 1e-13, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan,
+         *NEAR_1E12]
+component = st.one_of(st.floats(-10.0, 10.0), st.sampled_from(EDGES),
+                      st.floats(allow_nan=True, allow_infinity=True))
+third = st.one_of(st.just(1.0), component)
+row = st.tuples(component, component, third)
+
+
+@st.composite
+def points(draw, min_rows=0):
+    """A single (3,) point or an (n, 3) batch; half of them already normalized."""
+    if draw(st.booleans()):
+        p = np.array(draw(row), dtype=float)
+    else:
+        p = np.array(draw(st.lists(row, min_size=min_rows, max_size=6)), dtype=float).reshape(-1, 3)
+    if draw(st.booleans()):
+        p[..., 2] = 1.0
+    return p
+
+
+HALF_PI = math.pi / 2
+gazes = st.builds(
+    GazeState,
+    beta=st.one_of(st.floats(-HALF_PI, HALF_PI),
+                   st.sampled_from([HALF_PI, -HALF_PI, HALF_PI - 1e-13, 0.0])),
+    rho=st.one_of(st.floats(0.75, 1e6), st.sampled_from([0.75, 1e12])),
+    alpha=st.floats(-HALF_PI, HALF_PI),
+)
+
+
+def outcome(fn, *args):
+    """The result of ``fn(*args)``, or the type and message of what it raised."""
+    with np.errstate(all="ignore"):
+        try:
+            return fn(*args)
+        except Exception as err:  # the error is the outcome
+            return type(err), str(err)
+
+
+def same_bits(a, b) -> bool:
+    """Equal values and signs of zero, with every NaN equal to every NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b)))
+
+
+def assert_identical(actual, expected):
+    if isinstance(expected, tuple) and expected and isinstance(expected[0], type):
+        assert actual == expected
+    elif isinstance(expected, (Correspondences, ParallaxDecomposition)):
+        assert type(actual) is type(expected)
+        for name, value in vars(expected).items():
+            assert_identical(getattr(actual, name), value)
+    elif isinstance(expected, tuple):
+        assert isinstance(actual, tuple) and len(actual) == len(expected)
+        for a, e in zip(actual, expected):
+            assert_identical(a, e)
+    elif isinstance(expected, str):
+        assert actual == expected
+    else:
+        assert not isinstance(actual, tuple), actual
+        assert same_bits(actual, expected)
+
+
+class TestNormalizePoint:
+    @settings(max_examples=500, deadline=None)
+    @given(points())
+    def test_matches_the_full_pass(self, p):
+        assert_identical(outcome(normalize_point, p), outcome(reference_normalize_point, p))
+
+    @pytest.mark.parametrize("x", NEAR_1E12)
+    def test_normalized_point_near_1e12(self, x):
+        p = np.array([[x, 0.5, 1.0], [0.25, x, 1.0]])
+        assert_identical(outcome(normalize_point, p), outcome(reference_normalize_point, p))
+        assert_identical(outcome(normalize_point, p[0]), outcome(reference_normalize_point, p[0]))
+
+    def test_already_normalized_points_come_back_as_a_copy(self):
+        p = np.array([[0.1, -0.2, 1.0], [3.0, 4.0, 1.0]])
+        result = normalize_point(p)
+        assert same_bits(result, p)
+        assert not np.shares_memory(result, p)
+
+
+class TestMarkFailures:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), component, component, component), max_size=6),
+           st.booleans())
+    def test_matches_np_where(self, rows, per_point):
+        bad = np.array([r[0] for r in rows], dtype=bool)
+        values = np.array([r[1:] for r in rows], dtype=float).reshape(-1, 3)
+        if not per_point:
+            values = values[:, 0]
+        assert_identical(mark_failures(bad, BehindEyeError, "m", values),
+                         reference_mark_failures(bad, BehindEyeError, "m", values))
+
+    def test_batch_without_failures_is_returned_as_is(self):
+        values = np.array([[1.0, 2.0, 3.0]])
+        assert mark_failures(np.array([False]), BehindEyeError, "m", values) is values
+
+    @pytest.mark.parametrize("bad", [True, np.True_])
+    def test_single_failure_raises(self, bad):
+        with pytest.raises(BehindEyeError, match="m"):
+            mark_failures(bad, BehindEyeError, "m", 1.0)
+
+
+class TestPipelineFunctions:
+    @settings(max_examples=300, deadline=None)
+    @given(gazes, points())
+    def test_ray_and_depth_matches_the_three_pose_form(self, gaze, scene):
+        assert_identical(outcome(ray_and_depth, gaze, scene),
+                         outcome(reference_ray_and_depth, gaze, scene))
+
+    @settings(max_examples=300, deadline=None)
+    @given(gazes, points(), st.sampled_from(["left", "right"]))
+    def test_decompose_matches_both_eyes_form(self, gaze, p_c, eye):
+        assert_identical(outcome(decompose, gaze, p_c, eye),
+                         outcome(reference_decompose, gaze, p_c, eye))
+
+    @settings(max_examples=300, deadline=None)
+    @given(gazes, points(min_rows=1), st.lists(component, min_size=6, max_size=6))
+    def test_synthesize_correspondence_matches_the_per_eye_loop(self, gaze, p_c, depths):
+        s = depths[0] if p_c.ndim == 1 else np.array(depths[:len(p_c)])
+        assert_identical(outcome(synthesize_correspondence, gaze, p_c, s),
+                         outcome(reference_synthesize_correspondence, gaze, p_c, s))
+
+    @given(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+    def test_epipoles_are_the_signed_triples(self, beta_l, beta_r):
+        beta_l, beta_r = max(beta_l, beta_r), min(beta_l, beta_r)
+        epi = epipoles(EyeAzimuths(beta_l, beta_r))
+        assert same_bits(epi.e_l, np.array([np.cos(beta_l), 0.0, np.sin(beta_l)]))
+        assert same_bits(epi.e_r, np.array([-np.cos(beta_r), 0.0, -np.sin(beta_r)]))
+
+    @pytest.mark.parametrize("beta", [HALF_PI, -HALF_PI])
+    def test_ray_and_depth_refuses_beta_at_half_pi_as_eye_poses_does(self, beta):
+        with pytest.raises(DegenerateGeometryError, match="unbounded"):
+            ray_and_depth(GazeState(beta=beta, rho=2.0), np.array([0.0, 0.0, 1.0]))
+
+
+class TestFit:
+    @pytest.mark.parametrize("seed", [0, 401, 7])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3])
+    def test_r_factor_matches_the_stacked_form(self, seed, sigma):
+        records = synthesize_scene(GazeState(beta=0.3, rho=3.0),
+                                   SceneSpec(count=50, sigma=sigma, seed=seed)).records
+        assert_identical(_r_factor(records), reference_r_factor(records))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(row, row), min_size=1, max_size=6))
+    def test_r_factor_fails_as_the_stacked_form(self, pairs):
+        records = Correspondences(np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+        assert_identical(outcome(_r_factor, records), outcome(reference_r_factor, records))
+
+
+class CountingDecompose:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return decompose(*args, **kwargs)
+
+
+class TestDecomposeCalls:
+    """Both eyes are decomposed by a call to ``decompose`` each, visible to a wrapper."""
+
+    def test_synthesize_correspondence_calls_decompose_twice(self, monkeypatch):
+        counter = CountingDecompose()
+        monkeypatch.setattr(disparity, "decompose", counter)
+        synthesize_correspondence(GazeState(beta=0.2, rho=2.0),
+                                  np.array([[0.1, 0.0, 1.0], [0.0, 0.2, 1.0]]), np.zeros(2))
+        assert counter.calls == 2
+
+    def test_estimate_depth_map_calls_decompose_twice(self, monkeypatch):
+        gaze = GazeState(beta=0.2, rho=2.0)
+        records = synthesize_scene(gaze, SceneSpec(count=20)).records
+        counter = CountingDecompose()
+        monkeypatch.setattr(estimation, "decompose", counter)
+        estimate_depth_map(records, gaze)
+        assert counter.calls == 2
+
+
+class TestEstimateGazeAlpha:
+    @pytest.mark.parametrize("alpha", [2.0, -2.0, HALF_PI + 1e-9, math.nan, math.inf, -math.inf])
+    def test_bad_alpha_raises_a_value_error_naming_it_before_the_fit(self, alpha, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(estimation, "_r_factor", no_fit)
+        records = Correspondences(np.zeros((5, 3)), np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="alpha") as err:
+            estimate_gaze(records, alpha=alpha)
+        assert not isinstance(err.value, DegenerateGeometryError)
+
+    @pytest.mark.parametrize("alpha", [HALF_PI, -HALF_PI, 0.3])
+    def test_alpha_orients_the_fitted_gaze(self, alpha):
+        gaze = GazeState(beta=0.2, rho=2.0)
+        records = synthesize_scene(gaze, SceneSpec(count=30, seed=3)).records
+        fit = estimate_gaze(records, alpha=alpha)
+        assert fit.gaze.alpha == alpha
+        assert (fit.gaze.beta, fit.gaze.rho) == (estimate_gaze(records).gaze.beta,
+                                                 estimate_gaze(records).gaze.rho)
