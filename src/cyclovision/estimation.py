@@ -261,6 +261,7 @@ def triangulate_midpoint(
     return 0.5 * (near_l + near_r)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
 def estimate_depth_map(correspondences: Correspondences, gaze: GazeState) -> DepthMap:
     """Plane-relative depths of all points for a known (or estimated) gaze.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -287,108 +287,78 @@ def depth_map_file(gaze: GazeState, records: Correspondences, depth: DepthMap) -
     return out
 
 
-def estimate_to_dict(estimate: GazeEstimate) -> dict:
-    vv = vergence_version(estimate.azimuths)
-    return {
-        "beta_l": float(estimate.azimuths.beta_l),
-        "beta_r": float(estimate.azimuths.beta_r),
+def experiment_file(fit: GazeEstimate, records: Correspondences, depth: DepthMap,
+                    truth: GazeState | None, timings: dict) -> dict:
+    """The experiment record of a fit and the depth map at its gaze, with
+    the truth and the deltas from it when the gaze is known."""
+    errors = _depth_errors(depth, records)
+    out: dict = {"schema": SCHEMA_VERSION, "kind": "experiment"}
+    if truth is not None:
+        out["gaze_truth"] = gaze_to_dict(truth)
+    vv = vergence_version(fit.azimuths)
+    out["gaze_estimate"] = {
+        "beta_l": float(fit.azimuths.beta_l),
+        "beta_r": float(fit.azimuths.beta_r),
         "delta": float(vv.delta),
         "epsilon": float(vv.epsilon),
-        "alpha": float(estimate.gaze.alpha),
-        "beta": float(estimate.gaze.beta),
-        "rho": float(estimate.gaze.rho),
-        "rms_residual": float(estimate.rms_residual),
-        "iterations": int(estimate.iterations),
-        "converged": bool(estimate.converged),
+        **gaze_to_dict(fit.gaze),
+        "rms_residual": float(fit.rms_residual),
+        "iterations": int(fit.iterations),
+        "converged": bool(fit.converged),
     }
-
-
-def estimate_from_dict(data: dict) -> GazeEstimate:
-    try:
-        azimuths = EyeAzimuths(float(data["beta_l"]), float(data["beta_r"]))
-        gaze = GazeState(
-            beta=float(data["beta"]), rho=float(data["rho"]), alpha=float(data["alpha"])
-        )
-        return GazeEstimate(
-            azimuths=azimuths,
-            gaze=gaze,
-            rms_residual=float(data["rms_residual"]),
-            iterations=int(data["iterations"]),
-            converged=bool(data["converged"]),
-        )
-    except _MALFORMED as err:
-        raise SchemaError(f"malformed gaze estimate {data!r}: {err}") from err
-
-
-@dataclass(eq=False)
-class ExperimentRecord:
-    """Everything one estimation run produced, serializable losslessly."""
-
-    gaze_estimate: GazeEstimate
-    gaze_truth: GazeState | None = None
-    deltas: dict | None = None           # truth-vs-estimate differences
-    # p_c, s_est, s_true, q_l, q_r: a Table when built, JSON rows when read
-    points: Table | list[dict] = field(default_factory=list)
-    residual_stats: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)       # seconds, by stage
-
-    def to_dict(self) -> dict:
-        out: dict = {"schema": SCHEMA_VERSION, "kind": "experiment"}
-        if self.gaze_truth is not None:
-            out["gaze_truth"] = gaze_to_dict(self.gaze_truth)
-        out["gaze_estimate"] = estimate_to_dict(self.gaze_estimate)
-        if self.deltas is not None:
-            out["deltas"] = self.deltas
-        out["points"] = self.points
-        out["residual_stats"] = self.residual_stats
-        out["timings"] = self.timings
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentRecord":
-        require_schema(data, "experiment")
-        truth = gaze_from_dict(data["gaze_truth"]) if "gaze_truth" in data else None
-        return cls(
-            gaze_estimate=estimate_from_dict(data["gaze_estimate"]),
-            gaze_truth=truth,
-            deltas=data.get("deltas"),
-            points=data.get("points", []),
-            residual_stats=data.get("residual_stats", {}),
-            timings=data.get("timings", {}),
-        )
-
-
-def experiment_file(
-    fit: GazeEstimate,
-    records: Correspondences,
-    depth: DepthMap,
-    truth: GazeState | None,
-    timings: dict,
-) -> dict:
-    """The experiment record of a fit and the depth map at its gaze, with
-    the deltas from ``truth`` when the gaze is known."""
-    residual_stats = {"rms_residual": fit.rms_residual}
-    errors = _depth_errors(depth, records)
-    if errors.size:
-        residual_stats["rms_depth_error"] = _rms(errors)
-    deltas = None
     if truth is not None:
         true_az = eye_azimuths(truth)
-        deltas = {
+        out["deltas"] = {
             "beta_l": fit.azimuths.beta_l - true_az.beta_l,
             "beta_r": fit.azimuths.beta_r - true_az.beta_r,
             "beta": fit.gaze.beta - truth.beta,
             "rho": fit.gaze.rho - truth.rho,
         }
-    return ExperimentRecord(
-        gaze_estimate=fit,
-        gaze_truth=truth,
-        deltas=deltas,
-        points=Table({"p_c": depth.p_c, "s_est": depth.s, "s_true": records.s,
-                      "q_l": records.q_l, "q_r": records.q_r}),
-        residual_stats=residual_stats,
-        timings=timings,
-    ).to_dict()
+    out["points"] = Table({"p_c": depth.p_c, "s_est": depth.s, "s_true": records.s,
+                           "q_l": records.q_l, "q_r": records.q_r})
+    stats = out["residual_stats"] = {"rms_residual": fit.rms_residual}
+    if errors.size:
+        stats["rms_depth_error"] = _rms(errors)
+    out["timings"] = timings
+    return out
+
+
+@dataclass(eq=False)
+class ExperimentRecord:
+    """An experiment file as :meth:`from_dict` reads it back."""
+
+    gaze_estimate: GazeEstimate
+    gaze_truth: GazeState | None
+    deltas: dict | None                  # truth-vs-estimate differences
+    points: list[dict]                   # the file's rows: p_c, s_est, s_true, q_l, q_r
+    residual_stats: dict
+    timings: dict                        # seconds, by stage
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ExperimentRecord":
+        require_schema(data, "experiment")
+        if "gaze_estimate" not in data:
+            raise SchemaError("experiment file has no 'gaze_estimate' block")
+        block = data["gaze_estimate"]
+        try:
+            estimate = GazeEstimate(
+                azimuths=EyeAzimuths(float(block["beta_l"]), float(block["beta_r"])),
+                gaze=GazeState(beta=float(block["beta"]), rho=float(block["rho"]),
+                               alpha=float(block["alpha"])),
+                rms_residual=float(block["rms_residual"]),
+                iterations=int(block["iterations"]),
+                converged=bool(block["converged"]),
+            )
+        except _MALFORMED as err:
+            raise SchemaError(f"malformed gaze estimate {block!r}: {err}") from err
+        return cls(
+            gaze_estimate=estimate,
+            gaze_truth=gaze_from_dict(data["gaze_truth"]) if "gaze_truth" in data else None,
+            deltas=data.get("deltas"),
+            points=data.get("points", []),
+            residual_stats=data.get("residual_stats", {}),
+            timings=data.get("timings", {}),
+        )
 
 
 def csv_rows(header: str, rows: list[list]) -> str:

@@ -29,7 +29,10 @@ CASES = {
     "reconstruct-header-gaze.json": ["reconstruct", INPUT],
     # at this gaze some rows fall behind an eye and carry the error column
     "reconstruct-wrong-gaze.json": ["reconstruct", INPUT, "--beta", "1.3", "--rho", "0.9"],
+    # every row fails at a far gaze, where recover_depth's product overflows
+    "reconstruct-far-gaze.json": ["reconstruct", INPUT, "--rho", "1e300"],
     "estimate-until-timings.txt": ["estimate", INPUT],
+    "estimate-one-iteration-until-timings.txt": ["estimate", INPUT, "--max-iterations", "1"],
     "fixate-angles.json": ["fixate", *GAZE],
     "fixate-point.json": ["fixate", "--point", "0.3,0.2,1.5"],
     "fixate-degrees.json": ["fixate", "--alpha", "5", "--beta", "10", "--rho", "3",

@@ -17,6 +17,7 @@ from cyclovision.records import (
     csv_rows,
     depth_map_file,
     dumps,
+    experiment_file,
     float_repr,
     gaze_from_dict,
     gaze_to_dict,
@@ -319,49 +320,50 @@ class TestDepthMapFile:
 
 
 class TestExperimentRecord:
-    def make_record(self):
+    def make_file(self, truth=GAZE):
         records = synthesize_scene(GAZE, SceneSpec(count=30, seed=11)).records
         fit = estimate_gaze(records)
-        return ExperimentRecord(
-            gaze_estimate=fit,
-            gaze_truth=GAZE,
-            deltas={"beta": fit.gaze.beta - GAZE.beta, "rho": fit.gaze.rho - GAZE.rho},
-            points=[{"q_l": [0.0, 0.1, 1.0], "q_r": [0.2, 0.1, 1.0]}],
-            residual_stats={"rms_residual": fit.rms_residual},
-            timings={"estimate_s": 0.125},
-        )
+        depth = estimate_depth_map(records, fit.gaze)
+        return fit, depth, records, experiment_file(fit, records, depth, truth,
+                                                    {"estimate_s": 0.125})
 
     def test_lossless_round_trip(self):
-        record = self.make_record()
-        data = record.to_dict()
+        fit, depth, records, data = self.make_file()
         assert data["schema"] == SCHEMA_VERSION
         again = ExperimentRecord.from_dict(json.loads(dumps(data)))
-        assert dumps(again.to_dict()) == dumps(data)
-        assert again.gaze_truth == record.gaze_truth
-        assert again.gaze_estimate.azimuths == record.gaze_estimate.azimuths
-        assert again.gaze_estimate.rms_residual == record.gaze_estimate.rms_residual
+        assert again.gaze_estimate == fit
+        assert again.gaze_truth == GAZE
+        assert again.deltas == data["deltas"]
+        assert again.deltas["rho"] == fit.gaze.rho - GAZE.rho
+        assert again.points == table_rows({"p_c": depth.p_c, "s_est": depth.s,
+                                           "s_true": records.s, "q_l": records.q_l,
+                                           "q_r": records.q_r})
+        assert again.residual_stats == data["residual_stats"]
+        assert again.timings == {"estimate_s": 0.125}
 
     @pytest.mark.parametrize("key,value", [
         ("rho", "far"),
         ("rho", math.nan),
         ("beta_r", 1.0),  # beyond beta_l
         ("iterations", "x"),
+        pytest.param(None, None, id="no-block"),
     ])
     def test_malformed_estimate_raises_schema_error(self, key, value):
-        data = self.make_record().to_dict()
-        data["gaze_estimate"][key] = value
+        data = json.loads(dumps(self.make_file()[-1]))
+        if key is None:
+            del data["gaze_estimate"]
+        else:
+            data["gaze_estimate"][key] = value
         with pytest.raises(SchemaError):
             ExperimentRecord.from_dict(data)
 
     def test_truthless_record_omits_sections(self):
-        record = self.make_record()
-        record.gaze_truth = None
-        record.deltas = None
-        data = record.to_dict()
+        data = self.make_file(truth=None)[-1]
         assert "gaze_truth" not in data
         assert "deltas" not in data
-        again = ExperimentRecord.from_dict(data)
+        again = ExperimentRecord.from_dict(json.loads(dumps(data)))
         assert again.gaze_truth is None
+        assert again.deltas is None
 
 
 class TestCsv:
