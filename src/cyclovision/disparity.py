@@ -159,6 +159,7 @@ def decompose(gaze: GazeState, p_c: HomogPoint2, eye: str) -> ParallaxDecomposit
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
 def parallax(dec: ParallaxDecomposition, s, rho: float):
     """Scalar parallax t(s) = kappa (s/rho) / (lam (rho + s) + mu).
 
@@ -171,6 +172,7 @@ def parallax(dec: ParallaxDecomposition, s, rho: float):
     return dec.kappa * (s / rho) / denom
 
 
+@np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
 def recover_depth(dec: ParallaxDecomposition, t, rho: float):
     """Invert the parallax map: s = t rho (lam rho + mu) / (kappa - t lam rho)."""
     denom = dec.kappa - t * dec.lam * rho

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cyclovision.errors import DegenerateGeometryError
 from cyclovision.gaze import (
-    PARALLEL_GAZE_TOL,
     GazeState,
     VergenceVersion,
     ViethMullerCircle,
@@ -64,8 +62,6 @@ def midline(vv: VergenceVersion) -> MidlineHoropter:
     csc(delta/2)/2 * (-sin e, 0, cos e), and the image line (cos e, 0, sin e)
     is fixed by the version angle alone.
     """
-    if vv.delta < PARALLEL_GAZE_TOL:
-        raise DegenerateGeometryError("zero vergence: the midline recedes to infinity")
     circle = vieth_muller(vv)
     se, ce = np.sin(vv.epsilon), np.cos(vv.epsilon)
     reach = 0.5 / np.sin(0.5 * vv.delta)  # distance from either eye to the base

@@ -206,50 +206,38 @@ def correspondence_file(
 class ParsedCorrespondences:
     gaze: GazeState | None
     records: Correspondences
-    sigma: float
-    seed: int | None
 
 
-def _image_points(rows: list, key: str) -> np.ndarray:
-    """(N, 3) points under ``key``, each finite with a nonzero third component."""
-    if not rows:
-        return np.empty((0, 3))
+def _numbers(rows: list, key: str, width: int) -> np.ndarray:
+    """The numbers under ``key`` in every row, as (N, width), or as (N,) for
+    width 0. Each must be finite, and a point (width 3) needs a nonzero
+    third component; anything else raises :class:`SchemaError`."""
+    if not isinstance(rows, list):
+        raise SchemaError(f"expected an array of rows holding {key!r}")
+    shape = (len(rows), width) if width else (len(rows),)
+    what = "3 finite numbers, the third nonzero" if width == 3 else "a finite number"
     try:
-        points = np.array([row[key] for row in rows], dtype=float)
+        values = np.array([row[key] for row in rows], dtype=float) if rows else np.empty(shape)
     except _MALFORMED as err:
-        raise SchemaError(f"every row needs {key!r} as three numbers") from err
-    if points.shape != (len(rows), 3) or not np.isfinite(points).all() or not points[:, 2].all():
-        raise SchemaError(f"every {key!r} must be 3 finite numbers, the third nonzero")
-    return points
+        raise SchemaError(f"every {key!r} must be {what}") from err
+    if (values.shape != shape or not np.isfinite(values).all()
+            or width == 3 and not values[:, 2].all()):
+        raise SchemaError(f"every {key!r} must be {what}")
+    return values
 
 
 def parse_correspondence_file(data: dict) -> ParsedCorrespondences:
     require_schema(data, "correspondences")
     gaze = gaze_from_dict(data["gaze"]) if "gaze" in data else None
+    if "sigma" in data:
+        _numbers([data], "sigma", 0)
     rows = data.get("records")
-    if not isinstance(rows, list):
-        raise SchemaError("correspondence file has no 'records' array")
-    records = Correspondences(_image_points(rows, "q_l"), _image_points(rows, "q_r"))
+    records = Correspondences(_numbers(rows, "q_l", 3), _numbers(rows, "q_r", 3))
     known = np.array([gaze is not None and "p_c" in row and "s" in row for row in rows], dtype=bool)
     truth_rows = [row for row, k in zip(rows, known) if k]
-    try:
-        depths = np.array([row["s"] for row in truth_rows], dtype=float)
-    except _MALFORMED as err:
-        raise SchemaError("every 's' must be a number") from err
-    if depths.shape != (len(truth_rows),) or not np.isfinite(depths).all():
-        raise SchemaError("every 's' must be a finite number")
-    records.p_c[known] = _image_points(truth_rows, "p_c")
-    records.s[known] = depths
-    try:
-        sigma = float(data.get("sigma", 0.0))
-    except _MALFORMED as err:
-        raise SchemaError(f"'sigma' must be a number, got {data.get('sigma')!r}") from err
-    return ParsedCorrespondences(
-        gaze=gaze,
-        records=records,
-        sigma=sigma,
-        seed=data.get("seed"),
-    )
+    records.p_c[known] = _numbers(truth_rows, "p_c", 3)
+    records.s[known] = _numbers(truth_rows, "s", 0)
+    return ParsedCorrespondences(gaze, records)
 
 
 def _depth_errors(depth: DepthMap, records: Correspondences) -> np.ndarray:
@@ -337,25 +325,32 @@ class ExperimentRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentRecord":
         require_schema(data, "experiment")
-        if "gaze_estimate" not in data:
-            raise SchemaError("experiment file has no 'gaze_estimate' block")
-        block = data["gaze_estimate"]
+        block = data.get("gaze_estimate")
+        beta_l, beta_r, beta, rho, alpha, rms_residual = (
+            _numbers([block], key, 0).item()
+            for key in ("beta_l", "beta_r", "beta", "rho", "alpha", "rms_residual"))
+        iterations, converged = block.get("iterations"), block.get("converged")
+        if type(iterations) is not int or type(converged) is not bool:
+            raise SchemaError("'iterations' must be an integer and 'converged' a boolean")
         try:
-            estimate = GazeEstimate(
-                azimuths=EyeAzimuths(float(block["beta_l"]), float(block["beta_r"])),
-                gaze=GazeState(beta=float(block["beta"]), rho=float(block["rho"]),
-                               alpha=float(block["alpha"])),
-                rms_residual=float(block["rms_residual"]),
-                iterations=int(block["iterations"]),
-                converged=bool(block["converged"]),
-            )
-        except _MALFORMED as err:
+            estimate = GazeEstimate(EyeAzimuths(beta_l, beta_r), GazeState(beta, rho, alpha),
+                                    rms_residual, iterations, converged)
+        except ValueError as err:
             raise SchemaError(f"malformed gaze estimate {block!r}: {err}") from err
+        deltas = data.get("deltas")
+        if deltas is not None:
+            deltas = {key: _numbers([deltas], key, 0).item()
+                      for key in ("beta_l", "beta_r", "beta", "rho")}
+        points = data.get("points", [])
+        _numbers(points, "q_l", 3)
+        _numbers(points, "q_r", 3)
+        for key, width in (("p_c", 3), ("s_est", 0), ("s_true", 0)):  # only where a row has it
+            _numbers([row for row in points if key in row], key, width)
         return cls(
             gaze_estimate=estimate,
             gaze_truth=gaze_from_dict(data["gaze_truth"]) if "gaze_truth" in data else None,
-            deltas=data.get("deltas"),
-            points=data.get("points", []),
+            deltas=deltas,
+            points=points,
             residual_stats=data.get("residual_stats", {}),
             timings=data.get("timings", {}),
         )

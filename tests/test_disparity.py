@@ -390,6 +390,17 @@ class TestBatches:
         assert np.isnan(dec.direction[1]).all() and np.isnan(dec.kappa[1])
         assert np.isfinite(dec.direction[0]).all() and np.isfinite(dec.kappa[0])
 
+    @pytest.mark.parametrize("kernel,gaze,values", [
+        (parallax, GazeState(beta=0.2, rho=0.75), [1.7e308, 1.0]),
+        (recover_depth, GazeState(beta=0.2, rho=2.0), [1.7e308, 0.1]),
+    ], ids=["parallax", "recover_depth"])
+    def test_overflowing_row_reads_non_finite_without_a_warning(self, kernel, gaze, values):
+        # the suite turns any RuntimeWarning into an error
+        rays = np.array([[0.1, 0.2, 1.0], [0.0, 0.1, 1.0]])
+        out = kernel(decompose(gaze, rays, "left"), np.array(values), gaze.rho)
+        assert not np.isfinite(out[0])
+        assert out[1] == kernel(decompose(gaze, rays[1], "left"), values[1], gaze.rho)
+
     def test_infinite_depth_and_behind_eye_mark_rows(self):
         dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
         t_at_infinity = dec.kappa / (dec.lam * RUNNING_GAZE.rho)

@@ -187,11 +187,11 @@ class TestRoundTrips:
 
 class TestCorrespondenceFiles:
     def test_parse_recovers_truth(self):
-        parsed = parse_correspondence_file(sample_file_dict(seed=5))
+        data = sample_file_dict(seed=5)
+        parsed = parse_correspondence_file(data)
         assert parsed.gaze == GAZE
         assert np.isfinite(parsed.records.s).all()
-        assert parsed.seed == 5
-        data = sample_file_dict(seed=5)
+        assert data["seed"] == 5
         assert parsed.records.p_c.tolist() == [row["p_c"] for row in data["records"]]
         assert parsed.records.s.tolist() == [row["s"] for row in data["records"]]
 
@@ -229,6 +229,9 @@ class TestCorrespondenceFiles:
         ("p_c", [0.1, 0.2, 1.0, 1.0]),
         ("p_c", [0.1, float("inf"), 1.0]),
         ("s", float("nan")),
+        ("s", [1.0]),
+        ("q_r", [[0.1, 0.2, 1.0]]),
+        ("p_c", [0.1, 0.2, 0.0]),
     ])
     def test_invalid_point_rejected(self, key, value):
         data = sample_file_dict()
@@ -257,7 +260,7 @@ class TestCorrespondenceFiles:
             del data["records"][i]["p_c"]
         parsed = parse_correspondence_file(json.loads(dumps(data)))
         again = correspondence_file(GAZE, parsed.records, data["skipped"], data["generator"],
-                                    parsed.sigma, parsed.seed)
+                                    data["sigma"], data["seed"])
         assert dumps(again) == dumps(data)
 
     def test_empty_file_parses_to_an_empty_set(self):
@@ -346,6 +349,8 @@ class TestExperimentRecord:
         ("rho", math.nan),
         ("beta_r", 1.0),  # beyond beta_l
         ("iterations", "x"),
+        ("converged", "false"),
+        ("iterations", 2.7),
         pytest.param(None, None, id="no-block"),
     ])
     def test_malformed_estimate_raises_schema_error(self, key, value):
@@ -354,6 +359,18 @@ class TestExperimentRecord:
             del data["gaze_estimate"]
         else:
             data["gaze_estimate"][key] = value
+        with pytest.raises(SchemaError):
+            ExperimentRecord.from_dict(data)
+
+    @pytest.mark.parametrize("key,value", [
+        ("points", "abc"),
+        ("points", [{"q_l": [0, 0]}]),
+        ("deltas", [1]),
+        ("deltas", {"rho": "x"}),
+    ])
+    def test_malformed_points_or_deltas_raise_schema_error(self, key, value):
+        data = json.loads(dumps(self.make_file()[-1]))
+        data[key] = value
         with pytest.raises(SchemaError):
             ExperimentRecord.from_dict(data)
 
