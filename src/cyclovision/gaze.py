@@ -26,6 +26,7 @@ the x-rotation maps the tilted visual plane back to y = 0, and with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,7 +61,7 @@ class GazeState:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta) and np.isfinite(self.rho)):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta) and math.isfinite(self.rho)):
             raise ValueError("gaze parameters must be finite")
         if self.rho < MIN_RANGE:
             raise ValueError(
@@ -78,7 +79,7 @@ class EyeAzimuths:
     beta_r: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.beta_l) and np.isfinite(self.beta_r)):
+        if not (math.isfinite(self.beta_l) and math.isfinite(self.beta_r)):
             raise ValueError("azimuths must be finite")
         if abs(self.beta_l) >= _HALF_PI or abs(self.beta_r) >= _HALF_PI:
             raise ValueError("azimuths must lie strictly inside (-pi/2, pi/2)")

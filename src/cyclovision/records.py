@@ -173,10 +173,11 @@ def gaze_to_dict(gaze: GazeState) -> dict:
 
 
 def gaze_from_dict(data: dict) -> GazeState:
+    beta, rho = (_numbers([data], key, 0).item() for key in ("beta", "rho"))
+    alpha = _numbers([data], "alpha", 0).item() if "alpha" in data else 0.0
     try:
-        return GazeState(beta=float(data["beta"]), rho=float(data["rho"]),
-                         alpha=float(data.get("alpha", 0.0)))
-    except _MALFORMED as err:
+        return GazeState(beta=beta, rho=rho, alpha=alpha)
+    except ValueError as err:
         raise SchemaError(f"malformed gaze record {data!r}: {err}") from err
 
 
@@ -210,20 +211,22 @@ class ParsedCorrespondences:
 
 def _numbers(rows: list, key: str, width: int) -> np.ndarray:
     """The numbers under ``key`` in every row, as (N, width), or as (N,) for
-    width 0. Each must be finite, and a point (width 3) needs a nonzero
-    third component; anything else raises :class:`SchemaError`."""
+    width 0. Each must be a finite JSON number, not a string, null or a
+    boolean, and a point (width 3) needs a nonzero third component;
+    anything else raises :class:`SchemaError`. A boolean among numbers is
+    promoted to 0 or 1, as numpy's inferred dtype does."""
     if not isinstance(rows, list):
         raise SchemaError(f"expected an array of rows holding {key!r}")
     shape = (len(rows), width) if width else (len(rows),)
     what = "3 finite numbers, the third nonzero" if width == 3 else "a finite number"
     try:
-        values = np.array([row[key] for row in rows], dtype=float) if rows else np.empty(shape)
+        values = np.array([row[key] for row in rows]) if rows else np.empty(shape)
     except _MALFORMED as err:
         raise SchemaError(f"every {key!r} must be {what}") from err
-    if (values.shape != shape or not np.isfinite(values).all()
-            or width == 3 and not values[:, 2].all()):
+    if (values.dtype.kind not in "fiu" or values.shape != shape
+            or not np.isfinite(values).all() or width == 3 and not values[:, 2].all()):
         raise SchemaError(f"every {key!r} must be {what}")
-    return values
+    return values.astype(float, copy=False)
 
 
 def parse_correspondence_file(data: dict) -> ParsedCorrespondences:

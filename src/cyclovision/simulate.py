@@ -88,9 +88,10 @@ def default_region(gaze: GazeState) -> Region:
 def _scene_candidates(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.generator == "random-box":
         region = spec.region if spec.region is not None else default_region(gaze)
-        lows = np.array([b[0] for b in region])
-        highs = np.array([b[1] for b in region])
-        return rng.uniform(lows, highs, (spec.count, 3))
+        lows, highs = np.array(region, dtype=float).T
+        # rng.uniform's own per-element formula, in the same stream order,
+        # without its broadcasting machinery
+        return lows + (highs - lows) * rng.random((spec.count, 3))
     # horopter-samples: iso-vergence circle points, rotated into the visual plane
     circle = vieth_muller(vergence_version(eye_azimuths(gaze)))
     limit = ARC_MARGIN * forward_arc_limit(circle)

@@ -153,3 +153,15 @@ def reference_r_factor(correspondences: Correspondences) -> np.ndarray:
     (xl, xr), (yl, yr) = q[..., 0].T, q[..., 1].T
     features = np.column_stack([xl * yr, -xr * yl, yl, -yr]) / np.sqrt(2.0)
     return np.linalg.qr(features, mode="r")
+
+
+def reference_coefficients(theta):
+    """``_coefficients`` as sin and reversed cos joined by ``np.concatenate``."""
+    return np.concatenate([np.sin(theta), np.cos(theta)[::-1]])
+
+
+def reference_box(region, count: int, seed: int) -> np.ndarray:
+    """The random box drawn by ``rng.uniform`` between the region's bounds."""
+    lows = np.array([b[0] for b in region])
+    highs = np.array([b[1] for b in region])
+    return np.random.default_rng(seed).uniform(lows, highs, (count, 3))

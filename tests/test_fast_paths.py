@@ -1,22 +1,34 @@
 """The per-call shortcuts agree bit for bit with their reference formulations.
 
-``normalize_point`` skips the at-infinity pass for points already scaled to
-third component 1, ``mark_failures`` returns a batch without failing rows
-as it is, ``ray_and_depth`` builds only the Cyclopean pose, ``decompose``
-derives only its own eye's azimuth and epipole, and ``_r_factor``
-normalizes each image alone. Each must give the same bits as the long way
-in ``helpers``, with NaN rows counted as equal, and fail the same way where
-the long way fails. (``_grid`` is pinned by ``tests/test_estimation.py``.)
+- ``normalize_point`` skips the at-infinity pass for points already scaled
+  to third component 1.
+- ``mark_failures`` returns a batch without failing rows as it is.
+- ``ray_and_depth`` builds only the Cyclopean pose.
+- ``decompose`` derives only its own eye's azimuth and epipole.
+- ``_r_factor`` normalizes each image alone.
+- Each damped step of ``estimate_gaze`` calls ``_lapack_solve``, the LAPACK
+  gufunc behind ``np.linalg.solve``, under one error state per fit, so a
+  singular system gives a NaN step instead of a ``LinAlgError``.
+- ``_coefficients`` writes sin and cos into one array.
+- The random box is drawn as an affine map of ``rng.random``.
+- ``GazeState``, ``EyeAzimuths`` and ``estimate_gaze`` check finiteness
+  with ``math.isfinite``.
+
+Each must give the same bits as the long way in ``helpers`` (or in numpy),
+with NaN rows counted as equal, and fail the same way where the long way
+fails. (``_grid`` is pinned by ``tests/test_estimation.py``.)
 """
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cyclovision import disparity, estimation
+from cyclovision import disparity, estimation, simulate
 from cyclovision.disparity import (
     Correspondences,
     ParallaxDecomposition,
@@ -26,11 +38,21 @@ from cyclovision.disparity import (
 )
 from cyclovision.epipolar import epipoles
 from cyclovision.errors import BehindEyeError, DegenerateGeometryError
-from cyclovision.estimation import _r_factor, estimate_depth_map, estimate_gaze
+from cyclovision.estimation import (
+    _GRID_AZIMUTHS,
+    _GRID_COEFFICIENTS,
+    _coefficients,
+    _lapack_solve,
+    _r_factor,
+    estimate_depth_map,
+    estimate_gaze,
+)
 from cyclovision.gaze import EyeAzimuths, GazeState
 from cyclovision.geometry import mark_failures, normalize_point
-from cyclovision.simulate import SceneSpec, synthesize_scene
+from cyclovision.simulate import SceneSpec, default_region, synthesize_scene
 from helpers import (
+    reference_box,
+    reference_coefficients,
     reference_decompose,
     reference_mark_failures,
     reference_normalize_point,
@@ -231,7 +253,9 @@ class TestDecomposeCalls:
 
 
 class TestEstimateGazeAlpha:
-    @pytest.mark.parametrize("alpha", [2.0, -2.0, HALF_PI + 1e-9, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("alpha", [2.0, -2.0, HALF_PI + 1e-9, math.nan, math.inf, -math.inf,
+                                       pytest.param(np.float64(math.nan), id="float64-nan"),
+                                       pytest.param(np.array(math.inf), id="0d-inf")])
     def test_bad_alpha_raises_a_value_error_naming_it_before_the_fit(self, alpha, monkeypatch):
         def no_fit(*args):
             raise AssertionError("the fit ran")
@@ -242,6 +266,11 @@ class TestEstimateGazeAlpha:
             estimate_gaze(records, alpha=alpha)
         assert not isinstance(err.value, DegenerateGeometryError)
 
+    @pytest.mark.parametrize("alpha", [None, "0.2"])
+    def test_non_number_alpha_raises_a_type_error(self, alpha):
+        with pytest.raises(TypeError):
+            estimate_gaze(Correspondences(np.zeros((5, 3)), np.zeros((5, 3))), alpha=alpha)
+
     @pytest.mark.parametrize("alpha", [HALF_PI, -HALF_PI, 0.3])
     def test_alpha_orients_the_fitted_gaze(self, alpha):
         gaze = GazeState(beta=0.2, rho=2.0)
@@ -250,3 +279,124 @@ class TestEstimateGazeAlpha:
         assert fit.gaze.alpha == alpha
         assert (fit.gaze.beta, fit.gaze.rho) == (estimate_gaze(records).gaze.beta,
                                                  estimate_gaze(records).gaze.rho)
+
+
+class TestDampedStep:
+    def test_the_gufunc_is_the_one_np_linalg_solve_calls(self):
+        from numpy.linalg import _umath_linalg
+
+        assert _lapack_solve is _umath_linalg.solve1
+        sources = Path(estimation.__file__).parent.glob("*.py")
+        assert [f.name for f in sources if "_umath_linalg" in f.read_text()] == ["estimation.py"]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=8, max_size=8),
+           st.floats(-15.0, 15.0), st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
+    def test_matches_np_linalg_solve(self, jac, log_damping, descent):
+        jac = np.array(jac).reshape(4, 2)
+        system = jac.T @ jac + 10.0 ** log_damping * np.eye(2)
+        descent = np.array(descent)
+        expected = outcome(np.linalg.solve, system, descent)
+        with np.errstate(all="ignore"):
+            step = _lapack_solve(system, descent, signature="dd->d")
+        if isinstance(expected, tuple):  # exactly singular after rounding
+            assert expected[0] is np.linalg.LinAlgError
+            assert not np.isfinite(step).all()
+        else:
+            assert same_bits(step, expected)
+
+    def test_singular_system_gives_a_non_finite_step_without_warning_or_error(self):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            step = _lapack_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, -1.0]),
+                                 signature="dd->d")
+        assert step.shape == (2,) and not np.isfinite(step).any()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, -1.0]))
+
+    def test_singular_steps_are_rejected_and_the_fit_returns(self, monkeypatch):
+        def singular(system, descent, signature):
+            return _lapack_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), descent, signature=signature)
+
+        records = synthesize_scene(GazeState(beta=0.2, rho=2.0), SceneSpec(count=30, seed=3)).records
+        seed = EyeAzimuths(0.3, 0.1)
+        monkeypatch.setattr(estimation, "_lapack_solve", singular)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = estimate_gaze(records, initial=seed)
+        assert fit.azimuths == seed
+        assert (fit.iterations, fit.converged) == (0, True)
+
+
+class TestCoefficients:
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
+    def test_matches_the_concatenate_form_on_a_pair(self, theta):
+        theta = np.array(theta)
+        assert same_bits(_coefficients(theta), reference_coefficients(theta))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_the_concatenate_form_on_a_grid(self, seed):
+        theta = np.random.default_rng(seed).uniform(-1.6, 1.6, (2, 4096))
+        assert same_bits(_coefficients(theta), reference_coefficients(theta))
+
+    def test_grid_constant_is_unchanged(self):
+        assert same_bits(_GRID_COEFFICIENTS, reference_coefficients(_GRID_AZIMUTHS))
+
+
+bounds = st.tuples(st.floats(-1e300, 1e300), st.floats(1e-300, 1e300))
+GAZE = GazeState(beta=0.2, rho=2.0)
+NON_FINITE = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.array(math.inf)]
+NOT_NUMBERS = [None, "0.2"]
+
+
+class TestBoxDraw:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**63), st.integers(1, 60), st.lists(bounds, min_size=3, max_size=3))
+    def test_matches_rng_uniform(self, seed, count, box):
+        region = tuple((low, low + width) for low, width in box)
+        assume(all(low < high and math.isfinite(high - low) for low, high in region))
+        spec = SceneSpec(count=count, seed=seed, region=region)
+        drawn = simulate._scene_candidates(GAZE, spec, np.random.default_rng(seed))
+        assert same_bits(drawn, reference_box(region, count, seed))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_default_region_matches_rng_uniform(self, seed):
+        gaze = GazeState(beta=-0.5, rho=40.0)
+        drawn = simulate._scene_candidates(gaze, SceneSpec(seed=seed), np.random.default_rng(seed))
+        assert same_bits(drawn, reference_box(default_region(gaze), 50, seed))
+
+
+class TestScalarChecks:
+    """The checks raise what their ``np.isfinite`` forms raised
+    (``estimate_gaze``'s ``alpha`` is covered by ``TestEstimateGazeAlpha``)."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["beta", "rho", "alpha"])
+    def test_gaze_state_refuses_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="gaze parameters must be finite"):
+            GazeState(**{"beta": 0.2, "rho": 2.0, "alpha": 0.0, field: value})
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("field", ["beta", "rho", "alpha"])
+    def test_gaze_state_refuses_non_numbers(self, field, value):
+        with pytest.raises(TypeError):
+            GazeState(**{"beta": 0.2, "rho": 2.0, "alpha": 0.0, field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["beta_l", "beta_r"])
+    def test_eye_azimuths_refuse_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="azimuths must be finite"):
+            EyeAzimuths(**{"beta_l": 0.3, "beta_r": 0.1, field: value})
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("field", ["beta_l", "beta_r"])
+    def test_eye_azimuths_refuse_non_numbers(self, field, value):
+        with pytest.raises(TypeError):
+            EyeAzimuths(**{"beta_l": 0.3, "beta_r": 0.1, field: value})
+
+    @pytest.mark.parametrize("beta,rho,alpha", [(np.float64(0.2), np.float64(2.0), 0.1),
+                                                (np.array(0.2), np.array(2.0), np.array(0.0))])
+    def test_numpy_scalars_are_accepted(self, beta, rho, alpha):
+        assert GazeState(beta=beta, rho=rho, alpha=alpha).rho == 2.0
+        assert EyeAzimuths(beta, np.float64(0.1)).beta_l == 0.2
+

@@ -4,6 +4,8 @@ Each case runs one command line in-process and compares its stdout with
 the file of the same name; ``estimate`` is compared up to its wall-clock
 ``timings``, the one part that differs between runs. The reconstruct and
 estimate cases read the random-box file of the synthesize case.
+``fits-n50.txt`` pins the library's synthesize -> fit path at N = 50 over a
+beta x rho x sigma grid, one line per problem.
 
 When a change means to alter output bytes, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and say which changed.
@@ -15,6 +17,10 @@ import pytest
 from click.testing import CliRunner
 
 from cyclovision.cli import main
+from cyclovision.errors import DegenerateGeometryError
+from cyclovision.estimation import estimate_gaze
+from cyclovision.gaze import GazeState
+from cyclovision.simulate import SceneSpec, synthesize_scene
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUT = str(GOLDEN / "synthesize-random-box.json")
@@ -49,12 +55,46 @@ def output(args: list[str]) -> bytes:
     return text[:text.index(TIMINGS)] if args[0] == "estimate" else text
 
 
+FITS = "fits-n50.txt"
+FIT_BETAS = (-0.5, 0.0, 0.2, 0.6)
+FIT_RHOS = (1.5, 3.0, 10.0, 40.0)
+FIT_SIGMAS = (0.0, 1e-4, 1e-3, 1e-2)
+FIT_SEEDS = (0, 1, 2, 3)
+
+
+def fit_lines() -> bytes:
+    """One line per 50-point random-box problem: the fitted azimuths, the rms
+    residual, iterations and convergence, or the class of the typed error."""
+    lines = []
+    for beta in FIT_BETAS:
+        for rho in FIT_RHOS:
+            for sigma in FIT_SIGMAS:
+                for seed in FIT_SEEDS:
+                    records = synthesize_scene(GazeState(beta=beta, rho=rho),
+                                               SceneSpec(count=50, sigma=sigma, seed=seed)).records
+                    try:
+                        fit = estimate_gaze(records)
+                    except DegenerateGeometryError as err:
+                        result = type(err).__name__
+                    else:
+                        result = "%.17g %.17g %.17g %d %s" % (
+                            fit.azimuths.beta_l, fit.azimuths.beta_r, fit.rms_residual,
+                            fit.iterations, fit.converged)
+                    lines.append(f"{beta:g} {rho:g} {sigma:g} {seed}: {result}\n")
+    return "".join(lines).encode()
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_output_matches_golden(name):
     assert output(CASES[name]) == (GOLDEN / name).read_bytes()
+
+
+def test_n50_fits_match_golden():
+    assert fit_lines() == (GOLDEN / FITS).read_bytes()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, args in CASES.items():
         (GOLDEN / name).write_bytes(output(args))
+    (GOLDEN / FITS).write_bytes(fit_lines())

@@ -232,10 +232,24 @@ class TestCorrespondenceFiles:
         ("s", [1.0]),
         ("q_r", [[0.1, 0.2, 1.0]]),
         ("p_c", [0.1, 0.2, 0.0]),
+        ("q_l", ["0.1", "0.2", "1"]),
+        ("q_r", [0.1, 0.2, "1"]),
+        ("p_c", [0.1, None, 1.0]),
+        ("s", "0.5"),
+        ("s", None),
     ])
     def test_invalid_point_rejected(self, key, value):
         data = sample_file_dict()
         data["records"][2][key] = value
+        with pytest.raises(SchemaError):
+            parse_correspondence_file(data)
+
+    @pytest.mark.parametrize("rows", [1, 20])
+    def test_boolean_column_rejected(self, rows):
+        data = sample_file_dict()
+        data["records"] = data["records"][:rows]
+        for row in data["records"]:
+            row["s"] = True
         with pytest.raises(SchemaError):
             parse_correspondence_file(data)
 
@@ -277,6 +291,12 @@ class TestCorrespondenceFiles:
         {"beta": 2.0, "rho": 2.0},
         {"beta": 0.2},
         [0.2, 2.0],
+        {"beta": "0.2", "rho": "2"},
+        {"beta": 0.2, "rho": True},
+        {"beta": False, "rho": 2.0},
+        {"beta": 0.2, "rho": 2.0, "alpha": None},
+        {"beta": 0.2, "rho": 2.0, "alpha": "0"},
+        None,
     ])
     def test_malformed_gaze_header_rejected(self, gaze):
         data = sample_file_dict()
@@ -289,6 +309,23 @@ class TestCorrespondenceFiles:
         data["sigma"] = "small"
         with pytest.raises(SchemaError):
             parse_correspondence_file(data)
+
+    @pytest.mark.parametrize("sigma", [True, None, "1e-3", [1e-3]])
+    def test_quoted_null_or_boolean_sigma_rejected(self, sigma):
+        data = sample_file_dict()
+        data["sigma"] = sigma
+        with pytest.raises(SchemaError):
+            parse_correspondence_file(data)
+
+    def test_integer_fields_are_read_as_numbers(self):
+        data = sample_file_dict()
+        data["gaze"] = {"beta": 0, "rho": 2, "alpha": 0}
+        data["sigma"] = 0
+        data["records"][0]["q_l"] = [0, 0, 1]
+        parsed = parse_correspondence_file(data)
+        assert parsed.gaze == GazeState(beta=0.0, rho=2.0)
+        assert parsed.records.q_l[0].tolist() == [0.0, 0.0, 1.0]
+        assert parsed.records.q_l.dtype == float
 
     def test_load_json_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -351,6 +388,9 @@ class TestExperimentRecord:
         ("iterations", "x"),
         ("converged", "false"),
         ("iterations", 2.7),
+        ("rho", "2"),
+        ("rms_residual", True),
+        ("alpha", None),
         pytest.param(None, None, id="no-block"),
     ])
     def test_malformed_estimate_raises_schema_error(self, key, value):
@@ -371,6 +411,19 @@ class TestExperimentRecord:
     def test_malformed_points_or_deltas_raise_schema_error(self, key, value):
         data = json.loads(dumps(self.make_file()[-1]))
         data[key] = value
+        with pytest.raises(SchemaError):
+            ExperimentRecord.from_dict(data)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("deltas", "rho", True),
+        ("deltas", "beta", "0.1"),
+        ("deltas", "beta_l", None),
+        ("gaze_truth", "rho", "2"),
+        ("gaze_truth", "beta", True),
+    ])
+    def test_quoted_null_or_boolean_values_raise_schema_error(self, section, key, value):
+        data = json.loads(dumps(self.make_file()[-1]))
+        data[section][key] = value
         with pytest.raises(SchemaError):
             ExperimentRecord.from_dict(data)
 
