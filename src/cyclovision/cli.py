@@ -33,7 +33,7 @@ from cyclovision.gaze import (
     vieth_muller,
 )
 from cyclovision.geometry import rot_x, transform
-from cyclovision.horopter import forward_arc_limit, midline, vm_point
+from cyclovision.horopter import forward_arc_limit, vm_point
 from cyclovision.records import (
     SCHEMA_VERSION,
     correspondence_file,
@@ -95,13 +95,21 @@ def main():
     """Binocular fixation geometry simulator."""
 
 
+def _failure(message: str, exit_code: int) -> click.ClickException:
+    failure = click.ClickException(message)
+    failure.exit_code = exit_code
+    return failure
+
+
 def _command(*params):
     """Register a subcommand: ``params``, then ``--out``, around a function
     that returns the output text.
 
     The text goes to ``--out`` or stdout. Library errors map to the
     documented exit codes with the library error as ``__cause__``:
-    SchemaError exits 3, DegenerateGeometryError 4, any other ValueError 2.
+    SchemaError (which an unreadable input file also raises) and an
+    OSError from writing ``--out`` exit 3, DegenerateGeometryError 4, any
+    other ValueError 2.
     """
 
     def register(f):
@@ -112,13 +120,14 @@ def _command(*params):
             except ValueError as err:
                 if not isinstance(err, (SchemaError, DegenerateGeometryError)):
                     raise click.UsageError(str(err)) from err
-                failure = click.ClickException(str(err))
-                failure.exit_code = 3 if isinstance(err, SchemaError) else 4
-                raise failure from err
+                raise _failure(str(err), 3 if isinstance(err, SchemaError) else 4) from err
             if out is None:
                 click.echo(text, nl=False)
-            else:
+                return
+            try:
                 out.write_text(text, encoding="utf-8")
+            except OSError as err:
+                raise _failure(f"{out}: cannot be written ({err.strerror or err})", 3) from err
 
         for param in reversed((*params, _OUT_OPTION)):
             run = param(run)
@@ -170,9 +179,7 @@ def horopter(alpha, beta, rho, point, degrees, samples):
     if samples < 2:
         raise click.UsageError("--samples must be at least 2")
     gaze = _gaze_from_flags(alpha, beta, rho, point, degrees)
-    vv = vergence_version(eye_azimuths(gaze))
-    circle = vieth_muller(vv)
-    mid = midline(vv)
+    circle = vieth_muller(vergence_version(eye_azimuths(gaze)))
     tilt = rot_x(gaze.alpha)
 
     # Right half-sweep starts at theta = 0 (the circle's top), then the
@@ -180,7 +187,7 @@ def horopter(alpha, beta, rho, point, degrees, samples):
     sweep = np.linspace(0.0, forward_arc_limit(circle), samples)
     arc = transform(tilt, vm_point(circle, np.concatenate([sweep, -sweep[1:]])))
     heights = np.outer(np.linspace(-1.0, 1.0, samples), [0.0, 1.0, 0.0])
-    axis = transform(tilt, mid.scene_base + heights)
+    axis = transform(tilt, vm_point(circle, 0.0) + heights)
     rows = [["circle", *p] for p in arc.tolist()] + [["midline", *p] for p in axis.tolist()]
     return csv_rows("component,x,y,z", rows)
 

@@ -59,13 +59,15 @@ _EYES = ("left", "right")
 class Correspondences:
     """Left/right images of N scene points, optionally with their truth.
 
-    ``q_l`` and ``q_r`` are (N, 3) homogeneous points. Synthesis gives them
-    third component 1; a parsed file keeps whatever nonzero third component
-    it holds, and every consumer normalizes them first. ``p_c`` (N, 3)
-    and ``s`` (N,) are the generating Cyclopean ray and plane depth, NaN in
-    the rows where they are unknown. Indexing selects rows as numpy does (a
-    slice shares memory); a single correspondence has (3,) points and a
-    scalar depth.
+    ``q_l`` and ``q_r`` are (N, 3) homogeneous points of one shape, or (3,)
+    for a single correspondence; any other shapes raise ``ValueError``.
+    Synthesis gives them third component 1; a parsed file keeps whatever
+    nonzero third component it holds, and every consumer normalizes them
+    first. The truth is ``p_c`` (N, 3) and ``s`` (N,), the generating
+    Cyclopean ray and plane depth, given together or not at all (half a
+    truth raises ``ValueError``); it is NaN in the rows where it is unknown.
+    Indexing selects rows as numpy does (a slice shares memory); a single
+    correspondence has (3,) points and a scalar depth.
     """
 
     q_l: np.ndarray
@@ -74,9 +76,15 @@ class Correspondences:
     s: np.ndarray | None = None
 
     def __post_init__(self):
+        shape = self.q_l.shape
+        if shape != self.q_r.shape or shape[-1:] != (3,) or len(shape) > 2:
+            raise ValueError(f"q_l and q_r must share one shape, (3,) or (N, 3), "
+                             f"got {shape} and {self.q_r.shape}")
+        if (self.p_c is None) != (self.s is None):
+            raise ValueError("the truth p_c and s must be given together or not at all")
         if self.s is None:
-            self.p_c = np.full(self.q_l.shape, np.nan)
-            self.s = np.full(self.q_l.shape[:-1], np.nan)
+            self.p_c = np.full(shape, np.nan)
+            self.s = np.full(shape[:-1], np.nan)
 
     def __len__(self) -> int:
         return len(self.s)
@@ -93,7 +101,7 @@ class ParallaxDecomposition:
     plane; ``direction`` the unit epipolar direction with exactly zero
     third component; ``kappa`` its normalizing length. ``lam`` and ``mu``
     relate eye depths to Cyclopean depths affinely: z_eye = lam z_c + mu.
-    All but ``mu`` and ``eye`` have the leading shape of the rays.
+    All but ``mu``, ``eye`` and ``rho``, the gaze's range, have the rays' leading shape.
     """
 
     predicted: HomogPoint2
@@ -101,6 +109,7 @@ class ParallaxDecomposition:
     kappa: np.ndarray
     lam: np.ndarray
     mu: float
+    rho: float
     eye: str
 
 
@@ -155,32 +164,33 @@ def decompose(gaze: GazeState, p_c: HomogPoint2, eye: str) -> ParallaxDecomposit
         kappa=kappa,
         lam=lam,
         mu=mu,
+        rho=gaze.rho,
         eye=eye,
     )
 
 
 @np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
-def parallax(dec: ParallaxDecomposition, s, rho: float):
+def parallax(dec: ParallaxDecomposition, s):
     """Scalar parallax t(s) = kappa (s/rho) / (lam (rho + s) + mu).
 
     The denominator is the scene point's depth along this eye's axis and
     must be positive.
     """
-    denom = dec.lam * (rho + s) + dec.mu
+    denom = dec.lam * (dec.rho + s) + dec.mu
     denom = mark_failures(denom <= 0.0, BehindEyeError,
                           f"scene point lies behind the {dec.eye} eye", denom)
-    return dec.kappa * (s / rho) / denom
+    return dec.kappa * (s / dec.rho) / denom
 
 
 @np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
-def recover_depth(dec: ParallaxDecomposition, t, rho: float):
+def recover_depth(dec: ParallaxDecomposition, t):
     """Invert the parallax map: s = t rho (lam rho + mu) / (kappa - t lam rho)."""
-    denom = dec.kappa - t * dec.lam * rho
+    denom = dec.kappa - t * dec.lam * dec.rho
     denom = mark_failures(
-        np.abs(denom) <= 1e-15 * (dec.kappa + np.abs(t * dec.lam * rho)),
+        np.abs(denom) <= 1e-15 * (dec.kappa + np.abs(t * dec.lam * dec.rho)),
         PointAtInfinityError, "parallax corresponds to a point at infinite depth", denom,
     )
-    return t * rho * (dec.lam * rho + dec.mu) / denom
+    return t * dec.rho * (dec.lam * dec.rho + dec.mu) / denom
 
 
 def project_parallax_scalar(dec: ParallaxDecomposition, q_observed: HomogPoint2):
@@ -213,7 +223,7 @@ def synthesize_correspondence(gaze: GazeState, p_c: HomogPoint2, s) -> Correspon
     images = []
     for eye in _EYES:
         dec = decompose(gaze, p_c, eye)
-        images.append(dec.predicted + parallax(dec, depth, gaze.rho)[..., None] * dec.direction)
+        images.append(dec.predicted + parallax(dec, depth)[..., None] * dec.direction)
     return Correspondences(*images, p_c=p_c, s=s)
 
 

@@ -22,4 +22,4 @@ class DegenerateConfigurationError(DegenerateGeometryError):
 
 
 class SchemaError(ValueError):
-    """A record file does not match the expected schema."""
+    """A record file cannot be read or does not match the expected schema."""

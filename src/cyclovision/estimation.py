@@ -164,13 +164,22 @@ def _grid_seed(r_factor: np.ndarray, count: int) -> EyeAzimuths:
     return EyeAzimuths(*_GRID_AZIMUTHS[:, np.argmin(_grid(r_factor, count))].tolist())
 
 
+def _count(correspondences: Correspondences) -> int:
+    """Number of correspondences in a set; a single one, of (3,) points, is no set."""
+    if correspondences.q_l.ndim == 1:
+        raise DegenerateConfigurationError("need a set of correspondences, got a single one")
+    return len(correspondences)
+
+
 def grid_init(correspondences: Correspondences) -> EyeAzimuths:
     """Azimuth seed at the minimum of the coarse grid objective.
 
-    Total on any nonempty input; with fewer than three points the seed is
-    returned but its quality is unguaranteed.
+    Total on any nonempty set; with fewer than three points the seed is
+    returned but its quality is unguaranteed. A single correspondence
+    raises DegenerateConfigurationError.
     """
-    return _grid_seed(_r_factor(correspondences), len(correspondences))
+    count = _count(correspondences)
+    return _grid_seed(_r_factor(correspondences), count)
 
 
 def estimate_gaze(
@@ -184,13 +193,14 @@ def estimate_gaze(
     ``initial`` defaults to the grid seed. ``alpha`` only orients the
     visual plane of the returned gaze; the image data cannot constrain it.
     Noiseless data from a true fixation is recovered to well below 1e-6 rad.
-    Raises DegenerateConfigurationError when the data lie on the meridian
-    or the fit ends outside the domain of a fixation, and ValueError at
-    once when ``alpha`` is not a finite angle in [-pi/2, pi/2].
+    Raises DegenerateConfigurationError for a single correspondence or
+    fewer than three, when the data lie on the meridian or when the fit
+    ends outside the domain of a fixation, and ValueError at once when
+    ``alpha`` is not a finite angle in [-pi/2, pi/2].
     """
     if not (math.isfinite(alpha) and abs(alpha) <= math.pi / 2):
         raise ValueError(f"alpha must be finite and lie in [-pi/2, pi/2], got {alpha}")
-    count = len(correspondences)
+    count = _count(correspondences)
     if count < 3:
         raise DegenerateConfigurationError(f"need at least 3 correspondences, got {count}")
     r_factor = _r_factor(correspondences)
@@ -287,7 +297,7 @@ def estimate_depth_map(correspondences: Correspondences, gaze: GazeState) -> Dep
     scene = triangulate_midpoint(poses, correspondences.q_l, correspondences.q_r)
     p_c, _ = ray_and_depth(gaze, scene)
     left, right = (
-        recover_depth(dec, project_parallax_scalar(dec, observed)[0], gaze.rho)
+        recover_depth(dec, project_parallax_scalar(dec, observed)[0])
         for dec, observed in ((decompose(gaze, p_c, "left"), correspondences.q_l),
                               (decompose(gaze, p_c, "right"), correspondences.q_r))
     )

@@ -149,6 +149,8 @@ def load_json(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise SchemaError(f"{path}: not UTF-8 text ({err})") from err
+    except OSError as err:
+        raise SchemaError(f"{path}: cannot be read ({err.strerror or err})") from err
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as err:  # nested too deep to parse
@@ -314,6 +316,15 @@ def experiment_file(fit: GazeEstimate, records: Correspondences, depth: DepthMap
     return out
 
 
+def _number_object(data: dict, key: str) -> dict:
+    """``data[key]``, empty when absent: an object whose every value is a
+    finite number, as :func:`_numbers` reads it, or :class:`SchemaError`."""
+    block = data.get(key, {})
+    if not isinstance(block, dict):
+        raise SchemaError(f"{key!r} must be an object of numbers")
+    return {name: _numbers([block], name, 0).item() for name in block}
+
+
 @dataclass(eq=False)
 class ExperimentRecord:
     """An experiment file as :meth:`from_dict` reads it back."""
@@ -354,8 +365,8 @@ class ExperimentRecord:
             gaze_truth=gaze_from_dict(data["gaze_truth"]) if "gaze_truth" in data else None,
             deltas=deltas,
             points=points,
-            residual_stats=data.get("residual_stats", {}),
-            timings=data.get("timings", {}),
+            residual_stats=_number_object(data, "residual_stats"),
+            timings=_number_object(data, "timings"),
         )
 
 

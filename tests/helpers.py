@@ -124,7 +124,7 @@ def reference_decompose(gaze: GazeState, p_c, eye: str) -> ParallaxDecomposition
     kappa = reference_mark_failures(
         kappa < 1e-12, DegenerateGeometryError,
         f"Cyclopean ray predicts the {eye} epipole: epipolar direction undefined", kappa)
-    return ParallaxDecomposition(predicted, kappa_vec / kappa[..., None], kappa, lam, mu, eye)
+    return ParallaxDecomposition(predicted, kappa_vec / kappa[..., None], kappa, lam, mu, gaze.rho, eye)
 
 
 @np.errstate(over="ignore", invalid="ignore")

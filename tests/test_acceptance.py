@@ -161,7 +161,7 @@ def test_criterion_06_parallax_oracle():
     # hand-computed case, exact to 1e-12
     gaze = GazeState(beta=0.0, rho=1.0)
     dec = decompose(gaze, np.array([0.0, 0.0, 1.0]), "left")
-    t = parallax(dec, 0.5, gaze.rho)
+    t = parallax(dec, 0.5)
     assert abs(t - 1.0 / 7.0) < 1e-12
     corr = synthesize_correspondence(gaze, np.array([0.0, 0.0, 1.0]), 0.5)
     assert np.abs(corr.q_l - np.array([-1.0 / 7.0, 0.0, 1.0])).max() < 1e-12
@@ -186,10 +186,10 @@ def test_criterion_07_depth_round_trip():
         ray, s = random_ray_and_depth(rng, gaze)
         eye = "left" if rng.uniform() < 0.5 else "right"
         dec = decompose(gaze, ray, eye)
-        t = parallax(dec, s, gaze.rho)
-        recovered = recover_depth(dec, t, gaze.rho)
+        t = parallax(dec, s)
+        recovered = recover_depth(dec, t)
         assert abs(recovered - s) < 1e-9 * max(1.0, abs(s))
-        assert parallax(dec, 0.0, gaze.rho) == 0.0
+        assert parallax(dec, 0.0) == 0.0
 
 
 @criterion(8, "plane homography and plane plus parallax")
@@ -207,7 +207,7 @@ def test_criterion_08_homography():
         mapped = normalize_point(h @ dec_l.predicted)
         assert np.abs(mapped - dec_r.predicted).max() < 1e-9
         # plane-plus-parallax composition equals the direct projection
-        composed = mapped + parallax(dec_r, s, gaze.rho) * dec_r.direction
+        composed = mapped + parallax(dec_r, s) * dec_r.direction
         scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ ray)
         expected = normalize_point(project(poses.right, scene))
         assert np.abs(composed - expected).max() < 1e-9
@@ -274,7 +274,7 @@ def test_criterion_11_parallax_projectivity():
         if np.min(np.diff(depths)) < 0.05 * gaze.rho:
             continue
         checked += 1
-        values = [parallax(dec, float(s), gaze.rho) for s in depths]
+        values = [parallax(dec, float(s)) for s in depths]
         expected = cross_ratio(*depths)
         got = cross_ratio(*values)
         assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))

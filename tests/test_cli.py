@@ -403,6 +403,24 @@ class TestUnreadableFiles:
         result = runner.invoke(main, [command, str(corr)])
         assert result.exit_code == 3, (result.output, result.exception)
 
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    def test_read_failure_exits_3_naming_the_file(self, runner, tmp_path, monkeypatch, command):
+        corr = synthesize_file(runner, tmp_path, count=20)
+
+        def refuse(self, *args, **kwargs):
+            raise OSError("device not ready")
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+        result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert result.output == f"Error: {corr}: cannot be read (device not ready)\n"
+
+    def test_unwritable_out_exits_3_naming_the_path(self, runner, tmp_path):
+        out = tmp_path / "missing" / "fixation.json"
+        result = runner.invoke(main, ["fixate", "--rho", "2", "--out", str(out)])
+        assert result.exit_code == 3, (result.output, result.exception)
+        assert result.output == f"Error: {out}: cannot be written (No such file or directory)\n"
+
 
 class TestTooFewPoints:
     def test_two_row_file_exits_4(self, runner, tmp_path):

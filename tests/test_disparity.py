@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -120,28 +122,37 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(RUNNING_GAZE, RUNNING_RAY, "cyclopean")
 
+    def test_carries_the_range_of_its_gaze(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 20.0))
+            rays = np.column_stack([rng.uniform(-0.3, 0.3, (4, 2)), np.ones(4)])
+            for eye in ("left", "right"):
+                assert decompose(gaze, rays, eye).rho == gaze.rho
+                assert decompose(gaze, rays[0], eye).rho == gaze.rho
+
 
 class TestParallax:
     def test_zero_at_plane(self):
         dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
-        assert parallax(dec, 0.0, RUNNING_GAZE.rho) == 0.0
+        assert parallax(dec, 0.0) == 0.0
 
     def test_running_example_is_one_seventh(self):
         dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
-        t = parallax(dec, 0.5, RUNNING_GAZE.rho)
+        t = parallax(dec, 0.5)
         assert t == pytest.approx(1.0 / 7.0, abs=1e-15)
 
     def test_strictly_monotone_in_depth(self):
         gaze = GazeState(beta=0.2, rho=2.0)
         dec = decompose(gaze, np.array([0.15, -0.1, 1.0]), "left")
         depths = np.linspace(-0.5, 3.0, 40)
-        values = [parallax(dec, float(s), gaze.rho) for s in depths]
+        values = [parallax(dec, float(s)) for s in depths]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_point_behind_eye_rejected(self):
         dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
         with pytest.raises(BehindEyeError):
-            parallax(dec, -2.0, RUNNING_GAZE.rho)
+            parallax(dec, -2.0)
 
     def test_cross_ratio_is_preserved(self):
         # s -> t is a 1-d projective map, so cross-ratios carry over
@@ -154,7 +165,7 @@ class TestParallax:
             depths = np.sort(rng.uniform(-0.3 * gaze.rho, 1.5 * gaze.rho, 4))
             if np.min(np.diff(depths)) < 0.05 * gaze.rho:
                 continue
-            values = [parallax(dec, float(s), gaze.rho) for s in depths]
+            values = [parallax(dec, float(s)) for s in depths]
             expected = cross_ratio(*depths)
             got = cross_ratio(*values)
             assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
@@ -163,7 +174,7 @@ class TestParallax:
         gaze = GazeState(beta=0.25, rho=1.6)
         dec = decompose(gaze, np.array([0.2, 0.3, 1.0]), "right")
         depths = np.array([-0.4, 0.0, 0.8, 1.9])
-        values = np.array([parallax(dec, float(s), gaze.rho) for s in depths])
+        values = np.array([parallax(dec, float(s)) for s in depths])
         # fit t = (a s + b) / (c s + 1) through the first three samples
         lhs = np.array([[s, 1.0, -t * s] for s, t in zip(depths[:3], values[:3])])
         a, b, c = np.linalg.solve(lhs, values[:3])
@@ -237,11 +248,11 @@ class TestSynthesize:
 class TestRecoverDepth:
     def test_zero_parallax_is_zero_depth(self):
         dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
-        assert recover_depth(dec, 0.0, RUNNING_GAZE.rho) == 0.0
+        assert recover_depth(dec, 0.0) == 0.0
 
     def test_running_example(self):
         dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
-        assert recover_depth(dec, 1.0 / 7.0, RUNNING_GAZE.rho) == pytest.approx(
+        assert recover_depth(dec, 1.0 / 7.0) == pytest.approx(
             0.5, abs=1e-12
         )
 
@@ -252,8 +263,8 @@ class TestRecoverDepth:
             ray, s = random_ray_and_depth(rng, gaze)
             eye = "left" if rng.uniform() < 0.5 else "right"
             dec = decompose(gaze, ray, eye)
-            t = parallax(dec, s, gaze.rho)
-            assert recover_depth(dec, t, gaze.rho) == pytest.approx(
+            t = parallax(dec, s)
+            assert recover_depth(dec, t) == pytest.approx(
                 s, rel=1e-9, abs=1e-9
             )
 
@@ -261,7 +272,7 @@ class TestRecoverDepth:
         dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
         t_at_infinity = dec.kappa / (dec.lam * RUNNING_GAZE.rho)
         with pytest.raises(PointAtInfinityError):
-            recover_depth(dec, t_at_infinity, RUNNING_GAZE.rho)
+            recover_depth(dec, t_at_infinity)
 
 
 class TestProjectParallaxScalar:
@@ -289,7 +300,7 @@ class TestProjectParallaxScalar:
                 dec = decompose(gaze, ray, eye)
                 t, perpendicular = project_parallax_scalar(dec, observed)
                 assert perpendicular < 1e-12
-                assert t == pytest.approx(parallax(dec, s, gaze.rho), abs=1e-12)
+                assert t == pytest.approx(parallax(dec, s), abs=1e-12)
 
     def test_noisy_offset_splits_into_parallel_and_perpendicular(self):
         dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
@@ -330,7 +341,7 @@ class TestPlaneHomography:
             dec_l = decompose(gaze, ray, "left")
             dec_r = decompose(gaze, ray, "right")
             composed = normalize_point(h @ dec_l.predicted) + parallax(
-                dec_r, s, gaze.rho
+                dec_r, s
             ) * dec_r.direction
             poses = eye_poses(gaze)
             scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ ray)
@@ -351,17 +362,17 @@ class TestBatches:
         for eye, images in (("left", batch.q_l), ("right", batch.q_r)):
             dec = decompose(gaze, rays, eye)
             t, perpendicular = project_parallax_scalar(dec, images)
-            recovered = recover_depth(dec, t, gaze.rho)
+            recovered = recover_depth(dec, t)
             for i, ray in enumerate(rays):
                 single = synthesize_correspondence(gaze, ray, depths[i])
                 assert np.array_equal(single.q_l if eye == "left" else single.q_r, images[i])
                 one = decompose(gaze, ray, eye)
                 assert np.array_equal(one.direction, dec.direction[i])
                 assert (one.kappa, one.lam) == (dec.kappa[i], dec.lam[i])
-                assert parallax(one, depths[i], gaze.rho) == parallax(dec, depths, gaze.rho)[i]
+                assert parallax(one, depths[i]) == parallax(dec, depths)[i]
                 one_t, one_perpendicular = project_parallax_scalar(one, images[i])
                 assert (one_t, one_perpendicular) == (t[i], perpendicular[i])
-                assert recover_depth(one, one_t, gaze.rho) == recovered[i]
+                assert recover_depth(one, one_t) == recovered[i]
 
     def test_depth_behind_the_cyclopean_eye_marks_its_row(self):
         depths = np.array([0.5, -1.5, 0.0])
@@ -397,14 +408,33 @@ class TestBatches:
     def test_overflowing_row_reads_non_finite_without_a_warning(self, kernel, gaze, values):
         # the suite turns any RuntimeWarning into an error
         rays = np.array([[0.1, 0.2, 1.0], [0.0, 0.1, 1.0]])
-        out = kernel(decompose(gaze, rays, "left"), np.array(values), gaze.rho)
+        out = kernel(decompose(gaze, rays, "left"), np.array(values))
         assert not np.isfinite(out[0])
-        assert out[1] == kernel(decompose(gaze, rays[1], "left"), values[1], gaze.rho)
+        assert out[1] == kernel(decompose(gaze, rays[1], "left"), values[1])
 
     def test_infinite_depth_and_behind_eye_mark_rows(self):
         dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
         t_at_infinity = dec.kappa / (dec.lam * RUNNING_GAZE.rho)
-        depths = recover_depth(dec, np.array([1.0 / 7.0, t_at_infinity]), RUNNING_GAZE.rho)
+        depths = recover_depth(dec, np.array([1.0 / 7.0, t_at_infinity]))
         assert depths[0] == pytest.approx(0.5, abs=1e-12) and np.isnan(depths[1])
-        values = parallax(dec, np.array([0.5, -2.0]), RUNNING_GAZE.rho)
+        values = parallax(dec, np.array([0.5, -2.0]))
         assert values[0] == pytest.approx(1.0 / 7.0, abs=1e-15) and np.isnan(values[1])
+
+
+class TestCorrespondences:
+    @pytest.mark.parametrize("shapes", [
+        ((5, 3), (4, 3)),
+        ((5, 2), (5, 2)),
+        ((3,), (1, 3)),
+        ((2, 5, 3), (2, 5, 3)),
+    ], ids=["lengths-differ", "two-component", "single-and-set", "three-axes"])
+    def test_points_of_other_shapes_rejected(self, shapes):
+        q_l, q_r = (np.ones(shape) for shape in shapes)
+        with pytest.raises(ValueError, match=re.escape(f"got {shapes[0]} and {shapes[1]}")):
+            Correspondences(q_l, q_r)
+
+    @pytest.mark.parametrize("truth", [{"p_c": np.ones((5, 3))}, {"s": np.zeros(5)}],
+                             ids=["p_c-alone", "s-alone"])
+    def test_half_a_truth_rejected(self, truth):
+        with pytest.raises(ValueError, match="together"):
+            Correspondences(np.ones((5, 3)), np.ones((5, 3)), **truth)

@@ -84,6 +84,11 @@ class TestEstimateGaze:
         with pytest.raises(DegenerateConfigurationError):
             estimate_gaze(records)
 
+    @pytest.mark.parametrize("fit", [estimate_gaze, grid_init])
+    def test_single_correspondence_rejected(self, fit):
+        with pytest.raises(DegenerateConfigurationError, match="single"):
+            fit(synthesized_set(TRUE_GAZE)[0])
+
     def test_resynthesis_consistency(self):
         # re-synthesizing with the fitted gaze reproduces the images
         records = synthesized_set(TRUE_GAZE, seed=9)
@@ -273,8 +278,7 @@ def point_depth(gaze, q_l, q_r):
         recovered = []
         for eye, observed in (("left", q_l), ("right", q_r)):
             dec = decompose(gaze, ray / ray[2], eye)
-            recovered.append(recover_depth(dec, project_parallax_scalar(dec, observed)[0],
-                                           gaze.rho))
+            recovered.append(recover_depth(dec, project_parallax_scalar(dec, observed)[0]))
     except DegenerateGeometryError:
         return np.nan
     s = 0.5 * (recovered[0] + recovered[1])
@@ -304,7 +308,7 @@ class TestDepthMap:
         for eye, observed in (("left", records.q_l), ("right", records.q_r)):
             dec = decompose(TRUE_GAZE, records.p_c, eye)
             t, _ = project_parallax_scalar(dec, observed)
-            per_eye.append(recover_depth(dec, t, TRUE_GAZE.rho))
+            per_eye.append(recover_depth(dec, t))
         assert_allclose(per_eye[0], per_eye[1], rtol=0.0, atol=1e-10)
         assert_allclose(per_eye[0], records.s, rtol=0.0, atol=1e-10)
 

@@ -407,6 +407,10 @@ class TestExperimentRecord:
         ("points", [{"q_l": [0, 0]}]),
         ("deltas", [1]),
         ("deltas", {"rho": "x"}),
+        ("timings", "abc"),
+        ("timings", {"estimate_s": "x"}),
+        ("residual_stats", [1]),
+        ("residual_stats", {"rms_residual": None}),
     ])
     def test_malformed_points_or_deltas_raise_schema_error(self, key, value):
         data = json.loads(dumps(self.make_file()[-1]))
