@@ -254,7 +254,8 @@ def reconstruct(corr_file, alpha, beta, rho, point, degrees):
 
 
 @_command(_CORR_FILE,
-          click.option("--max-iterations", type=int, default=100, show_default=True,
+          click.option("--max-iterations", type=int, default=EstimationConfig.max_iterations,
+                       show_default=True,
                        help="Damped least-squares iteration cap."))
 def estimate(corr_file, max_iterations):
     """Estimate gaze from correspondences, then reconstruct the depth map."""

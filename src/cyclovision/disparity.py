@@ -38,7 +38,7 @@ from cyclovision.errors import (
 from cyclovision.gaze import (
     BASELINE,
     GazeState,
-    _azimuth_terms,
+    _eye_azimuth,
     direction_from_angles,
     eye_poses,
 )
@@ -65,7 +65,8 @@ class Correspondences:
     nonzero third component it holds, and every consumer normalizes them
     first. The truth is ``p_c`` (N, 3) and ``s`` (N,), the generating
     Cyclopean ray and plane depth, given together or not at all (half a
-    truth raises ``ValueError``); it is NaN in the rows where it is unknown.
+    truth, or one whose shapes do not match the points', raises
+    ``ValueError``); it is NaN in the rows where it is unknown.
     Indexing selects rows as numpy does (a slice shares memory); a single
     correspondence has (3,) points and a scalar depth.
     """
@@ -85,6 +86,9 @@ class Correspondences:
         if self.s is None:
             self.p_c = np.full(shape, np.nan)
             self.s = np.full(shape[:-1], np.nan)
+        elif self.p_c.shape != shape or self.s.shape != shape[:-1]:
+            raise ValueError(f"the truth p_c and s must have shapes {shape} and {shape[:-1]}, "
+                             f"got {self.p_c.shape} and {self.s.shape}")
 
     def __len__(self) -> int:
         return len(self.s)
@@ -120,7 +124,7 @@ def ray_and_depth(gaze: GazeState, scene: np.ndarray) -> tuple[np.ndarray, np.nd
     The rays are the images under the Cyclopean pose of ``eye_poses``, and
     |beta| = pi/2 is refused as there; the two eyes' poses are not built.
     """
-    _azimuth_terms(gaze)
+    _eye_azimuth(gaze, 1.0)
     ray = transform(rot_y(gaze.beta) @ rot_x(-gaze.alpha), np.asarray(scene, dtype=float))
     ray = mark_failures(ray[..., 2] <= 1e-12, BehindEyeError,
                         "point lies behind the Cyclopean eye", ray)
@@ -142,8 +146,7 @@ def decompose(gaze: GazeState, p_c: HomogPoint2, eye: str) -> ParallaxDecomposit
         raise ValueError(f"eye must be 'left' or 'right', got {eye!r}")
     p_c = normalize_point(p_c)
     sign = 1.0 if eye == "left" else -1.0
-    t, half = _azimuth_terms(gaze)
-    beta_eye = float(np.arctan(t + sign * half))  # this eye's azimuth, as in eye_azimuths
+    beta_eye = _eye_azimuth(gaze, sign)
     e_half = 0.5 * _epipole(beta_eye, sign)
     relative = rot_y(beta_eye - gaze.beta)  # R_eye R^T, elevation cancels
     u = gaze.rho * transform(relative, p_c) + e_half
@@ -214,9 +217,12 @@ def synthesize_correspondence(gaze: GazeState, p_c: HomogPoint2, s) -> Correspon
 
     Both points equal the direct pinhole projections of z_c R^T p_c; the
     parallax route is used so that tests can check that identity against
-    the projection oracle. The truth of the result is (p_c, s).
+    the projection oracle. The truth of the result is (p_c, s); a scalar s
+    is the depth of every ray.
     """
     s = np.asarray(s, dtype=float)
+    if s.ndim == 0:
+        s = np.full(np.shape(p_c)[:-1], s)
     depth = mark_failures(gaze.rho + s <= 0.0, BehindEyeError,
                           "Cyclopean depth rho + s is not positive", s)
     p_c = normalize_point(p_c)

@@ -157,15 +157,15 @@ def helmholtz_from_point(p: Vec3) -> GazeState:
     return GazeState(beta=beta, rho=rho, alpha=alpha)
 
 
-def _azimuth_terms(gaze: GazeState) -> tuple[float, float]:
-    """tan(beta) and sec(beta) / (2 rho), the two terms of each eye's azimuth.
+def _eye_azimuth(gaze: GazeState, sign: float) -> float:
+    """Azimuth of the left (sign = +1.0) or right (sign = -1.0) eye.
 
-    Raises DegenerateGeometryError at |beta| = pi/2, where both are unbounded.
+    Raises DegenerateGeometryError at |beta| = pi/2, where it is unbounded.
     """
     cb = np.cos(gaze.beta)
     if cb <= 1e-12:
         raise DegenerateGeometryError("eye azimuths are unbounded at |beta| = pi/2")
-    return np.tan(gaze.beta), 1.0 / (2.0 * gaze.rho * cb)
+    return float(np.arctan(np.tan(gaze.beta) + sign * (1.0 / (2.0 * gaze.rho * cb))))
 
 
 def eye_azimuths(gaze: GazeState) -> EyeAzimuths:
@@ -174,8 +174,7 @@ def eye_azimuths(gaze: GazeState) -> EyeAzimuths:
     tan(beta_l) = tan(beta) + sec(beta) / (2 rho) and likewise with a
     minus sign for the right eye.
     """
-    t, half = _azimuth_terms(gaze)
-    return EyeAzimuths(float(np.arctan(t + half)), float(np.arctan(t - half)))
+    return EyeAzimuths(_eye_azimuth(gaze, 1.0), _eye_azimuth(gaze, -1.0))
 
 
 def vergence_version(az: EyeAzimuths) -> VergenceVersion:

@@ -30,18 +30,23 @@ def cross_matrix(w: Vec3) -> np.ndarray:
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
+def _guarded_cross(a: np.ndarray, b: np.ndarray, message: str) -> np.ndarray:
+    """cross(a, b), or DegenerateInputError(message) when a and b coincide up to scale."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    c = np.cross(a, b)
+    if np.abs(c).max() <= _DEGENERATE_TOL * np.abs(a).max() * np.abs(b).max():
+        raise DegenerateInputError(message)
+    return c
+
+
 def join(p: HomogPoint2, q: HomogPoint2) -> HomogLine2:
     """Line through two distinct image points.
 
     Raises DegenerateInputError if the points coincide up to scale, so a
     zero triple never leaks into downstream incidence tests.
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    n = np.cross(p, q)
-    if np.abs(n).max() <= _DEGENERATE_TOL * np.abs(p).max() * np.abs(q).max():
-        raise DegenerateInputError("join of coincident points is undefined")
-    return n
+    return _guarded_cross(p, q, "join of coincident points is undefined")
 
 
 def meet(m: HomogLine2, n: HomogLine2) -> HomogPoint2:
@@ -50,12 +55,7 @@ def meet(m: HomogLine2, n: HomogLine2) -> HomogPoint2:
     Parallel distinct lines meet at a point at infinity (third component
     zero); identical lines raise DegenerateInputError.
     """
-    m = np.asarray(m, dtype=float)
-    n = np.asarray(n, dtype=float)
-    q = np.cross(m, n)
-    if np.abs(q).max() <= _DEGENERATE_TOL * np.abs(m).max() * np.abs(n).max():
-        raise DegenerateInputError("meet of coincident lines is undefined")
-    return q
+    return _guarded_cross(m, n, "meet of coincident lines is undefined")
 
 
 def rot_y(angle: float) -> Rot3:

@@ -234,8 +234,8 @@ def _numbers(rows: list, key: str, width: int) -> np.ndarray:
 def parse_correspondence_file(data: dict) -> ParsedCorrespondences:
     require_schema(data, "correspondences")
     gaze = gaze_from_dict(data["gaze"]) if "gaze" in data else None
-    if "sigma" in data:
-        _numbers([data], "sigma", 0)
+    if "sigma" in data and _numbers([data], "sigma", 0).item() < 0.0:
+        raise SchemaError(f"'sigma' must be nonnegative, got {data['sigma']!r}")
     rows = data.get("records")
     records = Correspondences(_numbers(rows, "q_l", 3), _numbers(rows, "q_r", 3))
     known = np.array([gaze is not None and "p_c" in row and "s" in row for row in rows], dtype=bool)
@@ -340,15 +340,15 @@ class ExperimentRecord:
     def from_dict(cls, data: dict) -> "ExperimentRecord":
         require_schema(data, "experiment")
         block = data.get("gaze_estimate")
-        beta_l, beta_r, beta, rho, alpha, rms_residual = (
-            _numbers([block], key, 0).item()
-            for key in ("beta_l", "beta_r", "beta", "rho", "alpha", "rms_residual"))
+        beta_l, beta_r, rms_residual = (_numbers([block], key, 0).item()
+                                        for key in ("beta_l", "beta_r", "rms_residual"))
+        gaze = gaze_from_dict(block)
         iterations, converged = block.get("iterations"), block.get("converged")
         if type(iterations) is not int or type(converged) is not bool:
             raise SchemaError("'iterations' must be an integer and 'converged' a boolean")
         try:
-            estimate = GazeEstimate(EyeAzimuths(beta_l, beta_r), GazeState(beta, rho, alpha),
-                                    rms_residual, iterations, converged)
+            estimate = GazeEstimate(EyeAzimuths(beta_l, beta_r), gaze, rms_residual,
+                                    iterations, converged)
         except ValueError as err:
             raise SchemaError(f"malformed gaze estimate {block!r}: {err}") from err
         deltas = data.get("deltas")

@@ -62,6 +62,8 @@ class SceneSpec:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if not math.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite, got {self.sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.region is not None:
             for low, high in self.region:
                 if not low < high:

@@ -185,6 +185,7 @@ class TestSynthesize:
         (["--rho", "1.7e308"], "rho"),
         (["--point", "1,2"], "--point"),
         (["--region", "a,b,c,d,e,f"], "--region"),
+        (["--seed", "-1"], "seed"),
     ])
     def test_overflowing_flags_exit_2_naming_the_flag(self, runner, flags, name):
         result = runner.invoke(main, ["synthesize", "--beta", "0.2", "--rho", "2", *flags])

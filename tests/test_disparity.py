@@ -22,7 +22,7 @@ from cyclovision.gaze import (
     fixation_point,
     project,
 )
-from cyclovision.estimation import estimate_depth_map
+from cyclovision.estimation import estimate_depth_map, estimate_gaze
 from cyclovision.geometry import normalize_point
 
 from helpers import project_both, random_gaze
@@ -374,6 +374,18 @@ class TestBatches:
                 assert (one_t, one_perpendicular) == (t[i], perpendicular[i])
                 assert recover_depth(one, one_t) == recovered[i]
 
+    def test_scalar_depth_is_the_depth_of_every_ray(self):
+        gaze = GazeState(beta=0.2, rho=2.0)
+        rays = np.column_stack([np.random.default_rng(5).uniform(-0.3, 0.3, (20, 2)),
+                                np.ones(20)])
+        records = synthesize_correspondence(gaze, rays, 0.0)
+        broadcast = synthesize_correspondence(gaze, rays, np.zeros(20))
+        assert len(records) == 20 and len(records[:3]) == 3
+        for name in ("q_l", "q_r", "p_c", "s"):
+            assert np.array_equal(getattr(records, name), getattr(broadcast, name))
+        assert estimate_gaze(records).gaze.rho == pytest.approx(2.0)
+        assert synthesize_correspondence(gaze, rays[0], 0.0).s.shape == ()
+
     def test_depth_behind_the_cyclopean_eye_marks_its_row(self):
         depths = np.array([0.5, -1.5, 0.0])
         batch = synthesize_correspondence(RUNNING_GAZE, np.tile(RUNNING_RAY, (3, 1)), depths)
@@ -438,3 +450,13 @@ class TestCorrespondences:
     def test_half_a_truth_rejected(self, truth):
         with pytest.raises(ValueError, match="together"):
             Correspondences(np.ones((5, 3)), np.ones((5, 3)), **truth)
+
+    @pytest.mark.parametrize("p_c,s", [
+        ((4, 3), (5,)),
+        ((5, 3), (7,)),
+        ((5, 3), ()),
+        ((5,), (5,)),
+    ], ids=["rays-short", "depths-long", "scalar-depth", "flat-rays"])
+    def test_truth_of_other_shapes_rejected(self, p_c, s):
+        with pytest.raises(ValueError, match=re.escape(f"got {p_c} and {s}")):
+            Correspondences(np.ones((5, 3)), np.ones((5, 3)), p_c=np.ones(p_c), s=np.ones(s))

@@ -317,6 +317,13 @@ class TestCorrespondenceFiles:
         with pytest.raises(SchemaError):
             parse_correspondence_file(data)
 
+    @pytest.mark.parametrize("sigma", [-1, -1e-3])
+    def test_negative_sigma_rejected(self, sigma):
+        data = sample_file_dict()
+        data["sigma"] = sigma
+        with pytest.raises(SchemaError, match="'sigma' must be nonnegative"):
+            parse_correspondence_file(data)
+
     def test_integer_fields_are_read_as_numbers(self):
         data = sample_file_dict()
         data["gaze"] = {"beta": 0, "rho": 2, "alpha": 0}
@@ -400,6 +407,15 @@ class TestExperimentRecord:
         else:
             data["gaze_estimate"][key] = value
         with pytest.raises(SchemaError):
+            ExperimentRecord.from_dict(data)
+
+    def test_estimate_gaze_is_read_as_a_gaze_header(self):
+        fit, _, _, data = self.make_file()
+        data = json.loads(dumps(data))
+        del data["gaze_estimate"]["alpha"]
+        assert ExperimentRecord.from_dict(data).gaze_estimate == fit
+        data["gaze_estimate"]["rho"] = 0.5
+        with pytest.raises(SchemaError, match="malformed gaze record"):
             ExperimentRecord.from_dict(data)
 
     @pytest.mark.parametrize("key,value", [
