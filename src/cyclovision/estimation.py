@@ -5,16 +5,17 @@ the eye azimuths (beta_l, beta_r). Each normalized epipolar residual
 q_r^T E q_l is linear in c = (sin beta_l, sin beta_r, cos beta_r, cos beta_l),
 with features f = (x_l y_r, -x_r y_l, y_l, -y_r) / sqrt(2), so the objective
 ||F c||^2 over the N x 4 feature matrix F equals ||R c||^2 for the 4 x 4 R
-factor of its QR (not F^T F, which squares the conditioning). A table of
-64 x 64 azimuth pairs, a grid over vergence and version, seeds damped
-least squares on R c, with its analytic Jacobian; (beta, rho) then follow
-algebraically. The table and its coefficient vectors depend on no data, so
-they are constants built once at import, and each fit only multiplies the
-coefficients by R and takes the pair of the least residual. The fit needs a
-Correspondences set of at least three points. Depths are recovered for
-all points in one array pass, by projecting each observed offset onto its
-epipolar direction and inverting the parallax map, independently in the
-two eyes; a point that cannot be recovered reads NaN in the depth map.
+factor of its QR (not F^T F, which squares the conditioning). A constant
+table of 64 x 64 azimuth pairs, a grid over vergence and version, seeds
+the fit: each fit multiplies the table's coefficient vectors by R and takes
+the pair of the least residual. Damped least squares then refines the pair
+on Python floats, over R's 10 nonzero entries: the residual, the analytic
+Jacobian and each damped 2 x 2 step, solved in closed form with no LAPACK
+call; (beta, rho) follow algebraically. The fit needs a Correspondences set
+of at least three points. Depths are recovered for all points in one array
+pass, by projecting each observed offset onto its epipolar direction and
+inverting the parallax map, independently in the two eyes; a point that
+cannot be recovered reads NaN in the depth map.
 
 Data lying entirely on the horizontal image meridian satisfies the
 epipolar constraint for every azimuth pair, so such sets are rejected
@@ -29,13 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-# The LAPACK gufunc that np.linalg.solve dispatches to for a 1-D right-hand
-# side. Each damped 2 x 2 step calls it directly: the same call gives the
-# same bits, without solve's Python wrapper (1.5 us against 7 us a call on
-# a 2-vCPU Xeon). It lives in numpy's private module, so this is its only
-# import.
-from numpy.linalg._umath_linalg import solve1 as _lapack_solve
 
 from cyclovision.disparity import (
     Correspondences,
@@ -72,7 +66,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 _SQRT2 = np.sqrt(2.0)
-_EYE2 = _read_only(np.eye(2))
 
 GRID_DELTA_MAX = 1.2
 GRID_EPSILON_MAX = 0.8
@@ -131,10 +124,32 @@ def _coefficients(theta: np.ndarray) -> np.ndarray:
     return c
 
 
-def _coefficient_jacobian(c: np.ndarray) -> np.ndarray:
-    """(4, 2) derivative of c with respect to (beta_l, beta_r), read off c itself."""
-    sl, sr, cr, cl = c.tolist()
-    return np.array([[cl, 0.0], [0.0, cr], [0.0, -sr], [-sl, 0.0]])
+def _linearize(upper: tuple, beta_l: float, beta_r: float) -> tuple:
+    """||R c||^2 at (beta_l, beta_r) for R's upper triangle, row by row, and the normal
+    equations of J = R dc/dtheta: (a, b, d) of J^T J = [[a, b], [b, d]] and J^T R c."""
+    r00, r01, r02, r03, r11, r12, r13, r22, r23, r33 = upper
+    sl, sr, cr, cl = math.sin(beta_l), math.sin(beta_r), math.cos(beta_r), math.cos(beta_l)
+    r0, r1, r2, r3 = (r00 * sl + r01 * sr + r02 * cr + r03 * cl,
+                      r11 * sr + r12 * cr + r13 * cl, r22 * cr + r23 * cl, r33 * cl)
+    # J's columns, from dc/dbeta_l = (cl, 0, 0, -sl) and dc/dbeta_r = (0, cr, -sr, 0)
+    l0, l1, l2, l3 = r00 * cl - r03 * sl, -r13 * sl, -r23 * sl, -r33 * sl
+    j0, j1, j2 = r01 * cr - r02 * sr, r11 * cr - r12 * sr, -r22 * sr
+    return r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3, (
+        l0 * l0 + l1 * l1 + l2 * l2 + l3 * l3, l0 * j0 + l1 * j1 + l2 * j2,
+        j0 * j0 + j1 * j1 + j2 * j2, l0 * r0 + l1 * r1 + l2 * r2 + l3 * r3,
+        j0 * r0 + j1 * r1 + j2 * r2)
+
+
+def _damped_step(a: float, b: float, d: float, g_l: float, g_r: float, damping: float) -> tuple:
+    """s of [[a + damping, b], [b, d + damping]] s = -(g_l, g_r), by symmetric elimination
+    (backward stable, unlike Cramer's rule); NaN unless the system is positive definite."""
+    a += damping
+    ratio = b / a if a > 0.0 else math.nan
+    pivot = d + damping - ratio * b
+    if not pivot > 0.0:
+        return math.nan, math.nan
+    step_r = (ratio * g_l - g_r) / pivot
+    return (-g_l - b * step_r) / a, step_r
 
 
 # (beta_l, beta_r) = epsilon +- delta / 2 of the seed grid's cells; cell
@@ -214,55 +229,40 @@ def estimate_gaze(
     if initial is None:
         initial = _grid_seed(r_factor, count)
 
-    theta = np.array([initial.beta_l, initial.beta_r])
-    c = _coefficients(theta)
-    r = r_factor @ c
-    objective = float(r @ r)
-    damping = INITIAL_DAMPING
-    iterations = 0
-    converged = False
+    rows = r_factor.tolist() + [[0.0] * 4]  # a 3 x 4 factor (N = 3) reads a zero fourth row
+    upper = (*rows[0], *rows[1][1:], *rows[2][2:], rows[3][3])
+    theta_l, theta_r = float(initial.beta_l), float(initial.beta_r)
+    objective, normal = _linearize(upper, theta_l, theta_r)
+    damping, iterations, converged = INITIAL_DAMPING, 0, False
 
-    # A singular damped system gives a NaN step, whose objective is not below
-    # the current one, so it is rejected like any other failed step.
-    with np.errstate(all="ignore"):
-        while iterations < config.max_iterations and not converged:
-            jac = r_factor @ _coefficient_jacobian(c)
-            descent = -(jac.T @ r)
-            normal = jac.T @ jac
-            while damping < 1e15:
-                step = _lapack_solve(normal + damping * _EYE2, descent, signature="dd->d")
-                theta_new = theta + step
-                c_new = _coefficients(theta_new)
-                r_new = r_factor @ c_new
-                objective_new = float(r_new @ r_new)
+    while iterations < config.max_iterations and not converged:
+        while damping < 1e15:
+            # A system that is not positive definite gives a NaN step, and an
+            # overflow an infinite one: each is rejected like a failed step.
+            step_l, step_r = _damped_step(*normal, damping)
+            new_l, new_r = theta_l + step_l, theta_r + step_r
+            if math.isfinite(new_l) and math.isfinite(new_r):
+                objective_new, normal_new = _linearize(upper, new_l, new_r)
                 if objective_new < objective:
                     break
-                damping *= DAMPING_FACTOR
-            else:
-                # No step decreases the objective: numerical minimum.
-                converged = True
-                break
-
-            converged = bool(
-                math.sqrt(step.dot(step)) < STEP_TOLERANCE
-                or objective - objective_new <= OBJECTIVE_TOLERANCE * objective
-            )
-            theta, c, r, objective = theta_new, c_new, r_new, objective_new
-            damping /= DAMPING_FACTOR
-            iterations += 1
+            damping *= DAMPING_FACTOR
+        else:
+            # No step decreases the objective: numerical minimum.
+            converged = True
+            break
+        converged = (math.hypot(step_l, step_r) < STEP_TOLERANCE
+                     or objective - objective_new <= OBJECTIVE_TOLERANCE * objective)
+        theta_l, theta_r, objective, normal = new_l, new_r, objective_new, normal_new
+        damping /= DAMPING_FACTOR
+        iterations += 1
 
     try:
-        azimuths = EyeAzimuths(*theta.tolist())
+        azimuths = EyeAzimuths(theta_l, theta_r)
         gaze = gaze_from_azimuths(azimuths, alpha)
     except ValueError as err:
         raise DegenerateConfigurationError(f"fit left the fixation domain: {err}") from err
-    return GazeEstimate(
-        azimuths=azimuths,
-        gaze=gaze,
-        rms_residual=math.sqrt(objective / count),
-        iterations=iterations,
-        converged=converged,
-    )
+    return GazeEstimate(azimuths, gaze, rms_residual=math.sqrt(objective / count),
+                        iterations=iterations, converged=converged)
 
 
 def triangulate_midpoint(

@@ -236,6 +236,11 @@ def parse_correspondence_file(data: dict) -> ParsedCorrespondences:
     gaze = gaze_from_dict(data["gaze"]) if "gaze" in data else None
     if "sigma" in data and _numbers([data], "sigma", 0).item() < 0.0:
         raise SchemaError(f"'sigma' must be nonnegative, got {data['sigma']!r}")
+    for key in ("seed", "skipped"):
+        if key in data and not (type(data[key]) is int and data[key] >= 0):
+            raise SchemaError(f"{key!r} must be a nonnegative integer, got {data[key]!r}")
+    if "generator" in data and type(data["generator"]) is not str:
+        raise SchemaError(f"'generator' must be a string, got {data['generator']!r}")
     rows = data.get("records")
     records = Correspondences(_numbers(rows, "q_l", 3), _numbers(rows, "q_r", 3))
     known = np.array([gaze is not None and "p_c" in row and "s" in row for row in rows], dtype=bool)

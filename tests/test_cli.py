@@ -373,6 +373,9 @@ class TestHeaderFaults:
         ("gaze", "beta", "left"),
         (None, "sigma", "small"),
         (None, "records", "none"),
+        (None, "seed", -5),
+        (None, "skipped", "x"),
+        (None, "generator", 3),
     ])
     def test_malformed_header_exits_3(self, runner, tmp_path, command, section, key, value):
         corr = synthesize_file(runner, tmp_path, count=20)

@@ -1,3 +1,7 @@
+import math
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +21,7 @@ from cyclovision.estimation import (
     GRID_SIZE,
     _GRID_AZIMUTHS,
     _GRID_COEFFICIENTS,
-    _coefficient_jacobian,
-    _coefficients,
+    _linearize,
     _r_factor,
     estimate_depth_map,
     estimate_gaze,
@@ -45,6 +48,12 @@ def residual_rms(records, az):
     e = essential_closed_form(az)
     r = [epipolar_residual(e, q_l, q_r) for q_l, q_r in zip(records.q_l, records.q_r)]
     return float(np.sqrt(np.mean(np.square(r))))
+
+
+HALF_PI = math.pi / 2
+# image coordinates of either sign, with magnitudes from 1e-12 to 1e11
+coordinate = st.builds(lambda sign, exponent: sign * 10.0 ** exponent,
+                       st.sampled_from([1.0, -1.0]), st.floats(-12.0, 11.0))
 
 
 def synthesized_set(gaze, count=50, seed=0, sigma=0.0):
@@ -152,6 +161,25 @@ class TestEstimateGaze:
                   fit.rms_residual)
         assert np.isfinite(values).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([3, 4, 5, 50]), st.data(),
+           st.one_of(st.none(), st.tuples(*[st.one_of(
+               st.floats(-1e300, 1e300), st.sampled_from([1e300, -1e300, HALF_PI, -HALF_PI]))] * 2)))
+    def test_fit_is_total_across_scales_and_starts(self, count, data, start):
+        rows = data.draw(st.lists(st.tuples(*[coordinate] * 4), min_size=count, max_size=count))
+        xl, yl, xr, yr = np.array(rows).T
+        ones = np.ones(count)
+        records = Correspondences(np.column_stack([xl, yl, ones]), np.column_stack([xr, yr, ones]))
+        # EyeAzimuths refuses a start outside (-pi/2, pi/2); the loop takes any finite one
+        initial = None if start is None else SimpleNamespace(beta_l=start[0], beta_r=start[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                fit = estimate_gaze(records, initial=initial)
+            except DegenerateGeometryError:
+                return
+        assert math.isfinite(fit.azimuths.beta_l) and math.isfinite(fit.azimuths.beta_r)
+
 
 def direct_residuals(records, beta_l, beta_r):
     """Per-point normalized epipolar residuals, broadcast over azimuth arrays."""
@@ -215,13 +243,27 @@ class TestCompressedObjective:
         fit = estimate_gaze(records)
         assert fit.rms_residual == pytest.approx(residual_rms(records, fit.azimuths), rel=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([3, 50]), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+    def test_scalar_normal_equations_match_the_matrix_form(self, count, beta_l, beta_r):
+        r_factor = _r_factor(synthesized_set(TRUE_GAZE, seed=67, sigma=1e-3)[:count])
+        rows = np.vstack([r_factor, np.zeros((4 - len(r_factor), 4))])
+        objective, (a, b, d, g_l, g_r) = _linearize(rows[np.triu_indices(4)].tolist(),
+                                                    beta_l, beta_r)
+        sl, sr, cr, cl = np.sin(beta_l), np.sin(beta_r), np.cos(beta_r), np.cos(beta_l)
+        residual = r_factor @ [sl, sr, cr, cl]
+        jac = r_factor @ [[cl, 0.0], [0.0, cr], [0.0, -sr], [-sl, 0.0]]
+        # sums in another order: agreement to a few ulps of ||R||^2
+        scale = np.sum(np.square(r_factor))
+        assert abs(objective - residual @ residual) <= 1e-14 * scale
+        assert np.abs(np.array([[a, b], [b, d]]) - jac.T @ jac).max() <= 1e-14 * scale
+        assert np.abs(np.array([g_l, g_r]) - jac.T @ residual).max() <= 1e-14 * scale
+
     def test_analytic_jacobian_matches_central_differences(self):
         records = synthesized_set(TRUE_GAZE, seed=61, sigma=1e-3)
         r_factor = _r_factor(records)
         theta = np.array([0.45, 0.02])
-        c = _coefficients(theta)
-        jac = r_factor @ _coefficient_jacobian(c)
-        residual = r_factor @ c
+        objective, (a, b, d, g_l, g_r) = _linearize(r_factor[np.triu_indices(4)].tolist(), *theta)
         h = 1e-6
         direct_jac = np.column_stack([
             (direct_residuals(records, *(theta + step))
@@ -229,9 +271,10 @@ class TestCompressedObjective:
             for step in h * np.eye(2)
         ])
         direct = direct_residuals(records, *theta)
-        # R = Q^T F with orthonormal Q: the normal equations agree
-        assert_allclose(jac.T @ jac, direct_jac.T @ direct_jac, rtol=1e-8)
-        assert_allclose(jac.T @ residual, direct_jac.T @ direct, rtol=1e-8)
+        # R = Q^T F with orthonormal Q: the objective and normal equations agree
+        assert objective == pytest.approx(direct @ direct, rel=1e-12)
+        assert_allclose([[a, b], [b, d]], direct_jac.T @ direct_jac, rtol=1e-8)
+        assert_allclose([g_l, g_r], direct_jac.T @ direct, rtol=1e-8)
 
 
 class TestGridInit:

@@ -324,6 +324,25 @@ class TestCorrespondenceFiles:
         with pytest.raises(SchemaError, match="'sigma' must be nonnegative"):
             parse_correspondence_file(data)
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", -5), ("seed", 1.0), ("seed", True), ("seed", "3"), ("seed", None),
+        ("skipped", "x"), ("skipped", -1), ("skipped", 0.5), ("skipped", False),
+        ("generator", 3), ("generator", None), ("generator", ["random-box"]),
+    ])
+    def test_malformed_seed_skipped_or_generator_rejected(self, key, value):
+        data = sample_file_dict()
+        data[key] = value
+        with pytest.raises(SchemaError, match=repr(key)):
+            parse_correspondence_file(data)
+
+    def test_absent_seed_skipped_and_generator_parse(self):
+        data = sample_file_dict()
+        for key in ("seed", "skipped", "generator"):
+            del data[key]
+        parsed, whole = parse_correspondence_file(data), parse_correspondence_file(sample_file_dict())
+        assert parsed.gaze == whole.gaze
+        assert np.array_equal(parsed.records.q_l, whole.records.q_l)
+
     def test_integer_fields_are_read_as_numbers(self):
         data = sample_file_dict()
         data["gaze"] = {"beta": 0, "rho": 2, "alpha": 0}
