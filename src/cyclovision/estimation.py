@@ -116,14 +116,6 @@ def _r_factor(correspondences: Correspondences) -> np.ndarray:
     return np.linalg.qr(features, mode="r")
 
 
-def _coefficients(theta: np.ndarray) -> np.ndarray:
-    """c of azimuths theta = (beta_l, beta_r), held along a leading axis."""
-    c = np.empty((4,) + theta.shape[1:])
-    np.sin(theta, out=c[:2])
-    np.cos(theta[::-1], out=c[2:])
-    return c
-
-
 def _linearize(upper: tuple, beta_l: float, beta_r: float) -> tuple:
     """||R c||^2 at (beta_l, beta_r) for R's upper triangle, row by row, and the normal
     equations of J = R dc/dtheta: (a, b, d) of J^T J = [[a, b], [b, d]] and J^T R c."""
@@ -158,7 +150,9 @@ _GRID_AZIMUTHS = _read_only(
     np.tile(np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE), GRID_SIZE)
     + np.outer([0.5, -0.5], np.repeat(GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE,
                                       GRID_SIZE)))
-_GRID_COEFFICIENTS = _read_only(_coefficients(_GRID_AZIMUTHS))
+# c = (sin beta_l, sin beta_r, cos beta_r, cos beta_l) of each cell
+_GRID_COEFFICIENTS = _read_only(
+    np.concatenate([np.sin(_GRID_AZIMUTHS), np.cos(_GRID_AZIMUTHS)[::-1]]))
 # Cells per evaluation block: its (4, 1024) float64 temporaries are 32 KiB,
 # far below glibc malloc's 128 KiB mmap and trim thresholds, so each fit
 # reuses heap memory instead of mapping and faulting in fresh pages.

@@ -211,12 +211,24 @@ class ParsedCorrespondences:
     records: Correspondences
 
 
+def _holds_a_boolean(rows: list, key: str, values: np.ndarray) -> bool:
+    """Whether a boolean sits among the numbers under ``key``. numpy's inferred
+    dtype promotes one to exactly 0 or 1, so only a component that holds such
+    a value is scanned, by exact type."""
+    suspect = (values == 0.0) | (values == 1.0)
+    if values.ndim == 1:
+        return suspect.any() and bool in set(map(type, (row[key] for row in rows)))
+    return any(bool in set(map(type, (row[key][j] for row in rows)))
+               for j in np.flatnonzero(suspect.any(axis=0)).tolist())
+
+
 def _numbers(rows: list, key: str, width: int) -> np.ndarray:
     """The numbers under ``key`` in every row, as (N, width), or as (N,) for
     width 0. Each must be a finite JSON number, not a string, null or a
     boolean, and a point (width 3) needs a nonzero third component;
-    anything else raises :class:`SchemaError`. A boolean among numbers is
-    promoted to 0 or 1, as numpy's inferred dtype does."""
+    anything else raises :class:`SchemaError`. A boolean among numbers,
+    which numpy's inferred dtype would promote to 0 or 1, is refused by an
+    exact type scan."""
     if not isinstance(rows, list):
         raise SchemaError(f"expected an array of rows holding {key!r}")
     shape = (len(rows), width) if width else (len(rows),)
@@ -226,7 +238,8 @@ def _numbers(rows: list, key: str, width: int) -> np.ndarray:
     except _MALFORMED as err:
         raise SchemaError(f"every {key!r} must be {what}") from err
     if (values.dtype.kind not in "fiu" or values.shape != shape
-            or not np.isfinite(values).all() or width == 3 and not values[:, 2].all()):
+            or not np.isfinite(values).all() or width == 3 and not values[:, 2].all()
+            or _holds_a_boolean(rows, key, values)):
         raise SchemaError(f"every {key!r} must be {what}")
     return values.astype(float, copy=False)
 

@@ -7,6 +7,7 @@ Correspondences set whose truth is each point's clean (p_c, s).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,6 +57,10 @@ class SceneSpec:
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}, expected one of {GENERATORS}")
+        for name in ("count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.count <= 0:
             raise ValueError(f"count must be positive, got {self.count}")
         if self.sigma < 0.0:

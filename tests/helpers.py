@@ -155,11 +155,6 @@ def reference_r_factor(correspondences: Correspondences) -> np.ndarray:
     return np.linalg.qr(features, mode="r")
 
 
-def reference_coefficients(theta):
-    """``_coefficients`` as sin and reversed cos joined by ``np.concatenate``."""
-    return np.concatenate([np.sin(theta), np.cos(theta)[::-1]])
-
-
 def reference_box(region, count: int, seed: int) -> np.ndarray:
     """The random box drawn by ``rng.uniform`` between the region's bounds."""
     lows = np.array([b[0] for b in region])

@@ -364,6 +364,15 @@ class TestMalformedPoints:
         result = runner.invoke(main, [command, str(corr)])
         assert result.exit_code == 3, result.output
 
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    @pytest.mark.parametrize("edit", [lambda row: row.__setitem__("s", True),
+                                      lambda row: row["q_l"].__setitem__(2, True)],
+                             ids=["s", "q_l"])
+    def test_boolean_among_numbers_exits_3(self, runner, tmp_path, command, edit):
+        corr = _corrupted_file(runner, tmp_path, edit)
+        result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 3, result.output
+
 
 class TestHeaderFaults:
     @pytest.mark.parametrize("command", ["estimate", "reconstruct"])

@@ -396,3 +396,25 @@ class TestDepthMap:
         assert np.array_equal(depth.p_c[~failed], clean.p_c[~failed])
         with pytest.raises(PointAtInfinityError):
             triangulate_midpoint(poses, broken.q_l[3], broken.q_r[3])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_elevation_changes_no_depth(self, seed):
+        # The images are unchanged by a rotation about the baseline, so they
+        # cannot constrain alpha: gazes that differ only in alpha give the
+        # same failed rows and the same depths, up to rounding.
+        records = synthesized_set(TRUE_GAZE, count=200, seed=seed, sigma=1e-3)
+        poses = eye_poses(TRUE_GAZE)
+        far = np.array([0.1, 0.05, 1.0])          # images of a point at infinity
+        records.q_l[3] = normalize_point(poses.left.rotation @ far)
+        records.q_r[3] = normalize_point(poses.right.rotation @ far)
+        records.q_l[8] = [-0.9, 0.0, 1.0]         # rays that meet behind the eyes
+        records.q_r[8] = [0.9, 0.0, 1.0]
+        level = estimate_depth_map(records, TRUE_GAZE)
+        failed = np.isnan(level.s)
+        assert failed[[3, 8]].all() and not failed.all()
+        for alpha in (-HALF_PI, -0.3, 0.6, HALF_PI):
+            depth = estimate_depth_map(records, GazeState(TRUE_GAZE.beta, TRUE_GAZE.rho, alpha))
+            assert np.array_equal(np.isnan(depth.s), failed)
+            # relative to each point's range rho + s, as s itself crosses 0
+            change = np.abs(depth.s[~failed] - level.s[~failed])
+            assert (change <= 1e-12 * (TRUE_GAZE.rho + level.s[~failed])).all()

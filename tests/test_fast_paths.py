@@ -10,7 +10,6 @@
   2 x 2 solve on Python floats, whose backward error is pinned instead of
   its bits; a system that is not positive definite gives a NaN step, which
   the fit rejects, instead of an exception.
-- ``_coefficients`` writes sin and cos into one array.
 - The random box is drawn as an affine map of ``rng.random``.
 - ``GazeState``, ``EyeAzimuths`` and ``estimate_gaze`` check finiteness
   with ``math.isfinite``.
@@ -39,9 +38,6 @@ from cyclovision.disparity import (
 from cyclovision.epipolar import epipoles
 from cyclovision.errors import BehindEyeError, DegenerateGeometryError
 from cyclovision.estimation import (
-    _GRID_AZIMUTHS,
-    _GRID_COEFFICIENTS,
-    _coefficients,
     _damped_step,
     _r_factor,
     estimate_depth_map,
@@ -52,7 +48,6 @@ from cyclovision.geometry import mark_failures, normalize_point
 from cyclovision.simulate import SceneSpec, default_region, synthesize_scene
 from helpers import (
     reference_box,
-    reference_coefficients,
     reference_decompose,
     reference_mark_failures,
     reference_normalize_point,
@@ -334,21 +329,6 @@ class TestDampedStep:
             fit = estimate_gaze(records, initial=seed)
         assert fit.azimuths == seed
         assert (fit.iterations, fit.converged) == (0, True)
-
-
-class TestCoefficients:
-    @given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
-    def test_matches_the_concatenate_form_on_a_pair(self, theta):
-        theta = np.array(theta)
-        assert same_bits(_coefficients(theta), reference_coefficients(theta))
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_the_concatenate_form_on_a_grid(self, seed):
-        theta = np.random.default_rng(seed).uniform(-1.6, 1.6, (2, 4096))
-        assert same_bits(_coefficients(theta), reference_coefficients(theta))
-
-    def test_grid_constant_is_unchanged(self):
-        assert same_bits(_GRID_COEFFICIENTS, reference_coefficients(_GRID_AZIMUTHS))
 
 
 bounds = st.tuples(st.floats(-1e300, 1e300), st.floats(1e-300, 1e300))

@@ -237,6 +237,11 @@ class TestCorrespondenceFiles:
         ("p_c", [0.1, None, 1.0]),
         ("s", "0.5"),
         ("s", None),
+        ("s", True),
+        ("s", False),
+        ("q_l", [0.1, 0.2, True]),
+        ("q_r", [0.1, True, 1.0]),
+        ("p_c", [False, 0.2, 1.0]),
     ])
     def test_invalid_point_rejected(self, key, value):
         data = sample_file_dict()
@@ -250,6 +255,16 @@ class TestCorrespondenceFiles:
         data["records"] = data["records"][:rows]
         for row in data["records"]:
             row["s"] = True
+        with pytest.raises(SchemaError):
+            parse_correspondence_file(data)
+
+    @pytest.mark.parametrize("key,number,boolean", [("s", 1, True),
+                                                    ("q_l", [0, 1, 1], [0, True, 1])])
+    def test_boolean_among_integers_rejected(self, key, number, boolean):
+        data = sample_file_dict()
+        for row in data["records"]:
+            row[key] = number
+        data["records"][2][key] = boolean
         with pytest.raises(SchemaError):
             parse_correspondence_file(data)
 

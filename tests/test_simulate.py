@@ -19,6 +19,18 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             SceneSpec(sigma=-1.0)
 
+    @pytest.mark.parametrize("field", ["count", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, True, False, np.float64(3.0), np.bool_(True),
+                                       "3", None])
+    def test_rejects_a_count_or_seed_that_is_not_an_integer(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            SceneSpec(**{field: value})
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), np.int32(3)])
+    def test_accepts_python_and_numpy_integers(self, value):
+        assert SceneSpec(count=value, seed=value) == SceneSpec(count=3, seed=3)
+        assert len(synthesize_scene(GAZE, SceneSpec(count=value, seed=value)).records) == 3
+
     def test_rejects_inverted_region(self):
         with pytest.raises(ValueError):
             SceneSpec(region=((1.0, -1.0), (-1.0, 1.0), (0.5, 2.0)))
