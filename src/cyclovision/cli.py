@@ -172,12 +172,10 @@ def fixate(alpha, beta, rho, point, degrees):
 
 
 @_command(*_GAZE_OPTIONS,
-          click.option("--samples", type=int, default=64, show_default=True,
-                       help="Points per polyline (at least 2)."))
+          click.option("--samples", type=click.IntRange(min=2), default=64,
+                       show_default=True, help="Points per polyline."))
 def horopter(alpha, beta, rho, point, degrees, samples):
     """Sample the iso-vergence circle and midline as CSV (component,x,y,z)."""
-    if samples < 2:
-        raise click.UsageError("--samples must be at least 2")
     gaze = _gaze_from_flags(alpha, beta, rho, point, degrees)
     circle = vieth_muller(vergence_version(eye_azimuths(gaze)))
     tilt = rot_x(gaze.alpha)
@@ -254,13 +252,11 @@ def reconstruct(corr_file, alpha, beta, rho, point, degrees):
 
 
 @_command(_CORR_FILE,
-          click.option("--max-iterations", type=int, default=EstimationConfig.max_iterations,
-                       show_default=True,
+          click.option("--max-iterations", type=click.IntRange(min=1),
+                       default=EstimationConfig.max_iterations, show_default=True,
                        help="Damped least-squares iteration cap."))
 def estimate(corr_file, max_iterations):
     """Estimate gaze from correspondences, then reconstruct the depth map."""
-    if max_iterations < 1:
-        raise click.UsageError("--max-iterations must be at least 1")
     parsed = parse_correspondence_file(load_json(corr_file))
     records, truth = parsed.records, parsed.gaze
     started = time.perf_counter()

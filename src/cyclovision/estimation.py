@@ -105,8 +105,6 @@ class DepthMap(NamedTuple):
 
 def _r_factor(correspondences: Correspondences) -> np.ndarray:
     """R factor, min(N, 4) x 4, of the N x 4 feature matrix F: ||R c|| = ||F c||."""
-    if not len(correspondences):
-        raise DegenerateConfigurationError("no correspondences")
     q_l, q_r = normalize_point(correspondences.q_l), normalize_point(correspondences.q_r)
     if np.isnan(q_l).any() or np.isnan(q_r).any():
         raise PointAtInfinityError("cannot normalize an image point at infinity")
@@ -173,22 +171,31 @@ def _grid_seed(r_factor: np.ndarray, count: int) -> EyeAzimuths:
     return EyeAzimuths(*_GRID_AZIMUTHS[:, np.argmin(_grid(r_factor, count))].tolist())
 
 
-def _count(correspondences: Correspondences) -> int:
-    """Number of correspondences in a set; a single one, of (3,) points, is no set."""
+def _fit_input(correspondences: Correspondences) -> tuple[np.ndarray, int]:
+    """(R factor, size) of a set that determines a gaze. Refuses, in this order, a
+    single correspondence, fewer than 3, a point at infinity and meridian-only data."""
     if correspondences.q_l.ndim == 1:
         raise DegenerateConfigurationError("need a set of correspondences, got a single one")
-    return len(correspondences)
+    count = len(correspondences)
+    if count < 3:
+        raise DegenerateConfigurationError(f"need at least 3 correspondences, got {count}")
+    r_factor = _r_factor(correspondences)
+    # ||R e_j|| = ||F e_j||: the y columns' norm is sqrt(sum y^2 / 2)
+    y_columns = r_factor[:, 2:].ravel()
+    if math.sqrt(y_columns.dot(y_columns)) * _SQRT2 < MERIDIAN_TOLERANCE:
+        raise DegenerateConfigurationError(
+            "all points lie on the horizontal meridian, which satisfies the "
+            "epipolar constraint for every gaze"
+        )
+    return r_factor, count
 
 
 def grid_init(correspondences: Correspondences) -> EyeAzimuths:
     """Azimuth seed at the minimum of the coarse grid objective.
 
-    Total on any nonempty set; with fewer than three points the seed is
-    returned but its quality is unguaranteed. A single correspondence
-    raises DegenerateConfigurationError.
+    Refuses the sets that estimate_gaze refuses, with the same errors.
     """
-    count = _count(correspondences)
-    return _grid_seed(_r_factor(correspondences), count)
+    return _grid_seed(*_fit_input(correspondences))
 
 
 def estimate_gaze(
@@ -204,22 +211,13 @@ def estimate_gaze(
     Noiseless data from a true fixation is recovered to well below 1e-6 rad.
     Raises DegenerateConfigurationError for a single correspondence or
     fewer than three, when the data lie on the meridian or when the fit
-    ends outside the domain of a fixation, and ValueError at once when
-    ``alpha`` is not a finite angle in [-pi/2, pi/2].
+    ends outside the domain of a fixation, PointAtInfinityError for an
+    image point at infinity, and ValueError at once when ``alpha`` is not
+    a finite angle in [-pi/2, pi/2].
     """
     if not (math.isfinite(alpha) and abs(alpha) <= math.pi / 2):
         raise ValueError(f"alpha must be finite and lie in [-pi/2, pi/2], got {alpha}")
-    count = _count(correspondences)
-    if count < 3:
-        raise DegenerateConfigurationError(f"need at least 3 correspondences, got {count}")
-    r_factor = _r_factor(correspondences)
-    # ||R e_j|| = ||F e_j||: the y columns' norm is sqrt(sum y^2 / 2)
-    y_columns = r_factor[:, 2:].ravel()
-    if math.sqrt(y_columns.dot(y_columns)) * _SQRT2 < MERIDIAN_TOLERANCE:
-        raise DegenerateConfigurationError(
-            "all points lie on the horizontal meridian, which satisfies the "
-            "epipolar constraint for every gaze"
-        )
+    r_factor, count = _fit_input(correspondences)
     if initial is None:
         initial = _grid_seed(r_factor, count)
 

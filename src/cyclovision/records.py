@@ -244,6 +244,16 @@ def _numbers(rows: list, key: str, width: int) -> np.ndarray:
     return values.astype(float, copy=False)
 
 
+def _held_numbers(rows: list, key: str, width: int) -> np.ndarray:
+    """:func:`_numbers` over the rows that hold ``key``, NaN in the others."""
+    held = [key in row for row in rows]
+    if all(held):
+        return _numbers(rows, key, width)
+    values = np.full((len(rows), width) if width else len(rows), np.nan)
+    values[held] = _numbers([row for row, h in zip(rows, held) if h], key, width)
+    return values
+
+
 def parse_correspondence_file(data: dict) -> ParsedCorrespondences:
     require_schema(data, "correspondences")
     gaze = gaze_from_dict(data["gaze"]) if "gaze" in data else None
@@ -255,12 +265,12 @@ def parse_correspondence_file(data: dict) -> ParsedCorrespondences:
     if "generator" in data and type(data["generator"]) is not str:
         raise SchemaError(f"'generator' must be a string, got {data['generator']!r}")
     rows = data.get("records")
-    records = Correspondences(_numbers(rows, "q_l", 3), _numbers(rows, "q_r", 3))
-    known = np.array([gaze is not None and "p_c" in row and "s" in row for row in rows], dtype=bool)
-    truth_rows = [row for row, k in zip(rows, known) if k]
-    records.p_c[known] = _numbers(truth_rows, "p_c", 3)
-    records.s[known] = _numbers(truth_rows, "s", 0)
-    return ParsedCorrespondences(gaze, records)
+    q_l, q_r = _numbers(rows, "q_l", 3), _numbers(rows, "q_r", 3)
+    p_c, s = _held_numbers(rows, "p_c", 3), _held_numbers(rows, "s", 0)
+    # a row's truth counts where it holds both p_c and s and the gaze is known
+    unknown = np.isnan(p_c[:, 0]) | np.isnan(s) | (gaze is None)
+    p_c[unknown], s[unknown] = np.nan, np.nan
+    return ParsedCorrespondences(gaze, Correspondences(q_l, q_r, p_c, s))
 
 
 def _depth_errors(depth: DepthMap, records: Correspondences) -> np.ndarray:
@@ -376,8 +386,8 @@ class ExperimentRecord:
         points = data.get("points", [])
         _numbers(points, "q_l", 3)
         _numbers(points, "q_r", 3)
-        for key, width in (("p_c", 3), ("s_est", 0), ("s_true", 0)):  # only where a row has it
-            _numbers([row for row in points if key in row], key, width)
+        for key, width in (("p_c", 3), ("s_est", 0), ("s_true", 0)):
+            _held_numbers(points, key, width)
         return cls(
             gaze_estimate=estimate,
             gaze_truth=gaze_from_dict(data["gaze_truth"]) if "gaze_truth" in data else None,

@@ -57,10 +57,22 @@ class SceneSpec:
     def __post_init__(self):
         if self.generator not in GENERATORS:
             raise ValueError(f"unknown generator {self.generator!r}, expected one of {GENERATORS}")
+        pairs = []
+        if self.region is not None:
+            try:
+                pairs = [(low, high) for low, high in self.region]
+            except (TypeError, ValueError):  # not an iterable of pairs
+                pass
+            if len(pairs) != 3:
+                raise ValueError(f"region must be three (low, high) pairs, got {self.region!r}")
         for name in ("count", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        bounds = [bound for pair in pairs for bound in pair]
+        for name, value in [("sigma", self.sigma)] + [("region bound", b) for b in bounds]:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if self.count <= 0:
             raise ValueError(f"count must be positive, got {self.count}")
         if self.sigma < 0.0:

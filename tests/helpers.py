@@ -160,3 +160,25 @@ def reference_box(region, count: int, seed: int) -> np.ndarray:
     lows = np.array([b[0] for b in region])
     highs = np.array([b[1] for b in region])
     return np.random.default_rng(seed).uniform(lows, highs, (count, 3))
+
+
+#: (key, value, key removed from the row, whether the gaze header is removed):
+#: a malformed truth field in a row, or a file, where it counts for nothing
+TRUTH_PROBES = {
+    "p_c-without-s": ("p_c", "garbage", "s", False),
+    "s-string-without-p_c": ("s", "x", "p_c", False),
+    "s-boolean-without-p_c": ("s", True, "p_c", False),
+    "p_c-without-gaze": ("p_c", [1, 2], None, True),
+}
+
+
+def break_truth(data: dict, probe: str) -> dict:
+    """A correspondence file's dict with the TRUTH_PROBES edit ``probe`` in row 3."""
+    key, value, removed, headless = TRUTH_PROBES[probe]
+    row = data["records"][3]
+    row[key] = value
+    if removed is not None:
+        del row[removed]
+    if headless:
+        del data["gaze"]
+    return data

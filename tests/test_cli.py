@@ -16,7 +16,7 @@ from cyclovision.gaze import GazeState, eye_azimuths
 from cyclovision.records import ExperimentRecord, dumps
 from cyclovision.simulate import GENERATORS
 
-from helpers import random_gaze
+from helpers import TRUTH_PROBES, break_truth, random_gaze
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -113,6 +113,7 @@ class TestHoropter:
     def test_too_few_samples_exits_2(self, runner):
         result = runner.invoke(main, ["horopter", "--rho", "1", "--samples", "1"])
         assert result.exit_code == 2
+        assert "Invalid value for '--samples'" in result.output
 
 
 class TestEssential:
@@ -371,6 +372,15 @@ class TestMalformedPoints:
     def test_boolean_among_numbers_exits_3(self, runner, tmp_path, command, edit):
         corr = _corrupted_file(runner, tmp_path, edit)
         result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 3, result.output
+
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    @pytest.mark.parametrize("probe", TRUTH_PROBES)
+    def test_malformed_truth_exits_3(self, runner, tmp_path, command, probe):
+        corr = synthesize_file(runner, tmp_path, count=20)
+        corr.write_text(json.dumps(break_truth(json.loads(corr.read_text()), probe)))
+        gaze = ["--rho", "2"] if command == "reconstruct" else []  # the header may be gone
+        result = runner.invoke(main, [command, str(corr), *gaze])
         assert result.exit_code == 3, result.output
 
 

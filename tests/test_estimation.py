@@ -63,6 +63,12 @@ def synthesized_set(gaze, count=50, seed=0, sigma=0.0):
     return records
 
 
+def with_a_point_at_infinity(records):
+    q_l = records.q_l.copy()
+    q_l[2] = [0.3, 0.1, 0.0]
+    return Correspondences(q_l, records.q_r)
+
+
 class TestEstimateGaze:
     def test_noiseless_recovery_from_offset_seed(self):
         records = synthesized_set(TRUE_GAZE)
@@ -82,21 +88,40 @@ class TestEstimateGaze:
         assert abs(fit.azimuths.beta_r - true_az.beta_r) < 1e-6
         assert abs(fit.gaze.rho - TRUE_GAZE.rho) < 1e-5
 
-    def test_meridian_only_data_rejected(self):
+    @pytest.mark.parametrize("fit", [estimate_gaze, grid_init])
+    def test_meridian_only_data_rejected(self, fit):
         spec = SceneSpec(generator="horopter-samples", count=30, seed=1)
         records = synthesize_scene(TRUE_GAZE, spec).records
-        with pytest.raises(DegenerateConfigurationError):
-            estimate_gaze(records)
+        with pytest.raises(DegenerateConfigurationError, match="meridian"):
+            fit(records)
 
-    def test_too_few_points_rejected(self):
+    @pytest.mark.parametrize("fit", [estimate_gaze, grid_init])
+    def test_too_few_points_rejected(self, fit):
         records = synthesized_set(TRUE_GAZE)[:2]
-        with pytest.raises(DegenerateConfigurationError):
-            estimate_gaze(records)
+        with pytest.raises(DegenerateConfigurationError, match="at least 3"):
+            fit(records)
 
     @pytest.mark.parametrize("fit", [estimate_gaze, grid_init])
     def test_single_correspondence_rejected(self, fit):
         with pytest.raises(DegenerateConfigurationError, match="single"):
             fit(synthesized_set(TRUE_GAZE)[0])
+
+    @pytest.mark.parametrize("records", [
+        pytest.param(synthesized_set(TRUE_GAZE)[0], id="single"),
+        pytest.param(Correspondences(np.empty((0, 3)), np.empty((0, 3))), id="empty"),
+        pytest.param(synthesized_set(TRUE_GAZE)[:2], id="two-rows"),
+        pytest.param(synthesize_scene(TRUE_GAZE, SceneSpec(generator="horopter-samples",
+                                                           count=30, seed=1)).records,
+                     id="meridian"),
+        pytest.param(with_a_point_at_infinity(synthesized_set(TRUE_GAZE)), id="at-infinity"),
+    ])
+    def test_grid_seed_refuses_what_the_fit_refuses(self, records):
+        refusals = []
+        for fit in (estimate_gaze, grid_init):
+            with pytest.raises((DegenerateConfigurationError, PointAtInfinityError)) as err:
+                fit(records)
+            refusals.append((type(err.value), str(err.value)))
+        assert refusals[0] == refusals[1]
 
     def test_resynthesis_consistency(self):
         # re-synthesizing with the fitted gaze reproduces the images
@@ -287,11 +312,6 @@ class TestGridInit:
         # (0.9273, 0); truth falls between nodes, hence the half-cell slack
         assert abs(vv.delta - 0.9272952180016122) < 1.5 * (1.2 / 64)
         assert abs(vv.epsilon) < 1.5 * (1.6 / 63)
-
-    def test_two_point_input_returns_a_seed(self):
-        records = synthesized_set(TRUE_GAZE)[:2]
-        seed = grid_init(records)
-        assert np.isfinite(seed.beta_l) and np.isfinite(seed.beta_r)
 
     def test_true_cell_beats_distant_cells(self):
         records = synthesized_set(TRUE_GAZE, seed=29)

@@ -27,7 +27,7 @@ from cyclovision.records import (
 )
 from cyclovision.simulate import SceneSpec, synthesize_scene
 
-from helpers import table_rows
+from helpers import TRUTH_PROBES, break_truth, table_rows
 
 GAZE = GazeState(beta=0.2, rho=2.0)
 
@@ -248,6 +248,11 @@ class TestCorrespondenceFiles:
         data["records"][2][key] = value
         with pytest.raises(SchemaError):
             parse_correspondence_file(data)
+
+    @pytest.mark.parametrize("probe", TRUTH_PROBES)
+    def test_truth_is_checked_in_every_row_that_holds_it(self, probe):
+        with pytest.raises(SchemaError):
+            parse_correspondence_file(break_truth(sample_file_dict(), probe))
 
     @pytest.mark.parametrize("rows", [1, 20])
     def test_boolean_column_rejected(self, rows):

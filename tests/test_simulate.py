@@ -31,6 +31,28 @@ class TestSceneSpec:
         assert SceneSpec(count=value, seed=value) == SceneSpec(count=3, seed=3)
         assert len(synthesize_scene(GAZE, SceneSpec(count=value, seed=value)).records) == 3
 
+    @pytest.mark.parametrize("field,value", [
+        ("sigma", True), ("sigma", np.bool_(True)), ("sigma", "0.1"), ("sigma", None),
+        ("region bound", ((0.0, 1.0), (False, 1.0), (1.0, 2.0))),
+        ("region bound", ((0.0, 1.0), (0.0, 1.0), (1.0, "2"))),
+    ])
+    def test_rejects_a_sigma_or_region_bound_that_is_not_a_real_number(self, field, value):
+        name = "sigma" if field == "sigma" else "region"
+        with pytest.raises(TypeError, match=f"^{field} must be a real number"):
+            SceneSpec(**{name: value})
+
+    @pytest.mark.parametrize("region", [((0, 1), (0, 1)), ((0, 1), (0, 1), (0, 1), (0, 1)),
+                                        ((0, 1), (0, 1), (0, 1, 2)), ((0, 1), (0, 1), 5), 5, ()])
+    def test_rejects_a_region_that_is_not_three_pairs(self, region):
+        with pytest.raises(ValueError, match="^region must be three"):
+            SceneSpec(region=region)
+
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), 0, np.int64(0)])
+    def test_accepts_python_and_numpy_real_sigmas_and_bounds(self, value):
+        region = ((value, 1.0), (-1.0, 1.0), (1.0, 2.0))
+        assert SceneSpec(sigma=value, region=region) == SceneSpec(sigma=float(value),
+                                                                  region=region)
+
     def test_rejects_inverted_region(self):
         with pytest.raises(ValueError):
             SceneSpec(region=((1.0, -1.0), (-1.0, 1.0), (0.5, 2.0)))
