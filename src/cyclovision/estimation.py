@@ -13,9 +13,9 @@ on Python floats, over R's 10 nonzero entries: the residual, the analytic
 Jacobian and each damped 2 x 2 step, solved in closed form with no LAPACK
 call; (beta, rho) follow algebraically. The fit needs a Correspondences set
 of at least three points. Depths are recovered for all points in one array
-pass, by projecting each observed offset onto its epipolar direction and
-inverting the parallax map, independently in the two eyes; a point that
-cannot be recovered reads NaN in the depth map.
+pass: each point is triangulated, and its Cyclopean ray and plane depth
+are those of the triangulated point; a point that cannot be recovered
+reads NaN in the depth map.
 
 Data lying entirely on the horizontal image meridian satisfies the
 epipolar constraint for every azimuth pair, so such sets are rejected
@@ -26,18 +26,13 @@ perspective effects off the meridian.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from cyclovision.disparity import (
-    Correspondences,
-    decompose,
-    project_parallax_scalar,
-    ray_and_depth,
-    recover_depth,
-)
+from cyclovision.disparity import Correspondences, ray_and_depth
 from cyclovision.errors import (
     BehindEyeError,
     DegenerateConfigurationError,
@@ -47,6 +42,7 @@ from cyclovision.gaze import (
     BinocularPoses,
     EyeAzimuths,
     GazeState,
+    _finite_numbers,
     eye_poses,
     gaze_from_azimuths,
 )
@@ -80,9 +76,16 @@ MERIDIAN_TOLERANCE = 1e-9       # data is degenerate when sqrt(sum of all y^2) i
 
 @dataclass(frozen=True)
 class EstimationConfig:
-    """Iteration cap of the damped least-squares fit."""
+    """Iteration cap of the damped least-squares fit, an integer of at least 1."""
 
     max_iterations: int = 100
+
+    def __post_init__(self):
+        cap = self.max_iterations
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
+            raise TypeError(f"max_iterations must be an integer, got {cap!r}")
+        if cap < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {cap}")
 
 
 @dataclass(frozen=True)
@@ -212,11 +215,12 @@ def estimate_gaze(
     Raises DegenerateConfigurationError for a single correspondence or
     fewer than three, when the data lie on the meridian or when the fit
     ends outside the domain of a fixation, PointAtInfinityError for an
-    image point at infinity, and ValueError at once when ``alpha`` is not
-    a finite angle in [-pi/2, pi/2].
+    image point at infinity, and at once ValueError when ``alpha`` is not
+    a finite angle in [-pi/2, pi/2] and TypeError when it is a boolean.
     """
-    if not (math.isfinite(alpha) and abs(alpha) <= math.pi / 2):
-        raise ValueError(f"alpha must be finite and lie in [-pi/2, pi/2], got {alpha}")
+    _finite_numbers("alpha", alpha=alpha)
+    if abs(alpha) > math.pi / 2:
+        raise ValueError(f"alpha must lie in [-pi/2, pi/2], got {alpha}")
     r_factor, count = _fit_input(correspondences)
     if initial is None:
         initial = _grid_seed(r_factor, count)
@@ -280,19 +284,12 @@ def triangulate_midpoint(
 def estimate_depth_map(correspondences: Correspondences, gaze: GazeState) -> DepthMap:
     """Plane-relative depths of all points for a known (or estimated) gaze.
 
-    Each point is triangulated to fix its Cyclopean direction, the
-    parallax scalar is extracted in the two eyes independently, and the
-    two recovered depths are averaged. Rows read NaN where the point is
-    behind an eye or at infinity; such failures are not fatal.
+    Each point is triangulated, and its Cyclopean ray and fixation-plane
+    depth are those of the triangulated point. Rows read NaN where the
+    rays are parallel or the point is not in front of the Cyclopean eye;
+    such failures are not fatal.
     """
-    poses = eye_poses(gaze)
-    scene = triangulate_midpoint(poses, correspondences.q_l, correspondences.q_r)
-    p_c, _ = ray_and_depth(gaze, scene)
-    left, right = (
-        recover_depth(dec, project_parallax_scalar(dec, observed)[0])
-        for dec, observed in ((decompose(gaze, p_c, "left"), correspondences.q_l),
-                              (decompose(gaze, p_c, "right"), correspondences.q_r))
-    )
-    s = 0.5 * (left + right)
+    scene = triangulate_midpoint(eye_poses(gaze), correspondences.q_l, correspondences.q_r)
+    p_c, s = ray_and_depth(gaze, scene)
     s = mark_failures(gaze.rho + s <= 0.0, BehindEyeError, "point lies behind the eyes", s)
     return DepthMap(p_c=np.where(np.isnan(s)[..., None], np.nan, p_c), s=s)

@@ -52,6 +52,17 @@ CYCLOPEAN_CENTRE = np.array([0.0, 0.0, 0.0])
 BASELINE = RIGHT_CENTRE - LEFT_CENTRE
 
 
+def _finite_numbers(what: str, **values) -> None:
+    """TypeError naming a value that is a bool, np.bool_ or boolean array, which
+    arithmetic would read as 0 or 1; ValueError "``what`` must be finite" unless
+    every value is finite."""
+    for name, value in values.items():
+        if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+            raise TypeError(f"{name} must be a number, got {value!r}")
+    if not all(map(math.isfinite, values.values())):
+        raise ValueError(f"{what} must be finite")
+
+
 @dataclass(frozen=True)
 class GazeState:
     """Helmholtz coordinates of the fixation point: azimuth, range, elevation."""
@@ -61,8 +72,7 @@ class GazeState:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta) and math.isfinite(self.rho)):
-            raise ValueError("gaze parameters must be finite")
+        _finite_numbers("gaze parameters", beta=self.beta, rho=self.rho, alpha=self.alpha)
         if self.rho < MIN_RANGE:
             raise ValueError(
                 f"rho must be at least {MIN_RANGE} baseline units, got {self.rho}"
@@ -79,8 +89,7 @@ class EyeAzimuths:
     beta_r: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.beta_l) and math.isfinite(self.beta_r)):
-            raise ValueError("azimuths must be finite")
+        _finite_numbers("azimuths", beta_l=self.beta_l, beta_r=self.beta_r)
         if abs(self.beta_l) >= _HALF_PI or abs(self.beta_r) >= _HALF_PI:
             raise ValueError("azimuths must lie strictly inside (-pi/2, pi/2)")
         if self.beta_r > self.beta_l:

@@ -174,6 +174,13 @@ def gaze_to_dict(gaze: GazeState) -> dict:
     return {"alpha": float(gaze.alpha), "beta": float(gaze.beta), "rho": float(gaze.rho)}
 
 
+def _object(data: dict, key: str) -> dict:
+    """``data[key]``, which must be a JSON object, or :class:`SchemaError` naming it."""
+    if not isinstance(data.get(key), dict):
+        raise SchemaError(f"{key!r} must be an object")
+    return data[key]
+
+
 def gaze_from_dict(data: dict) -> GazeState:
     beta, rho = (_numbers([data], key, 0).item() for key in ("beta", "rho"))
     alpha = _numbers([data], "alpha", 0).item() if "alpha" in data else 0.0
@@ -256,7 +263,7 @@ def _held_numbers(rows: list, key: str, width: int) -> np.ndarray:
 
 def parse_correspondence_file(data: dict) -> ParsedCorrespondences:
     require_schema(data, "correspondences")
-    gaze = gaze_from_dict(data["gaze"]) if "gaze" in data else None
+    gaze = gaze_from_dict(_object(data, "gaze")) if "gaze" in data else None
     if "sigma" in data and _numbers([data], "sigma", 0).item() < 0.0:
         raise SchemaError(f"'sigma' must be nonnegative, got {data['sigma']!r}")
     for key in ("seed", "skipped"):
@@ -347,9 +354,7 @@ def experiment_file(fit: GazeEstimate, records: Correspondences, depth: DepthMap
 def _number_object(data: dict, key: str) -> dict:
     """``data[key]``, empty when absent: an object whose every value is a
     finite number, as :func:`_numbers` reads it, or :class:`SchemaError`."""
-    block = data.get(key, {})
-    if not isinstance(block, dict):
-        raise SchemaError(f"{key!r} must be an object of numbers")
+    block = _object(data, key) if key in data else {}
     return {name: _numbers([block], name, 0).item() for name in block}
 
 
@@ -367,7 +372,7 @@ class ExperimentRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentRecord":
         require_schema(data, "experiment")
-        block = data.get("gaze_estimate")
+        block = _object(data, "gaze_estimate")
         beta_l, beta_r, rms_residual = (_numbers([block], key, 0).item()
                                         for key in ("beta_l", "beta_r", "rms_residual"))
         gaze = gaze_from_dict(block)
@@ -379,7 +384,7 @@ class ExperimentRecord:
                                     iterations, converged)
         except ValueError as err:
             raise SchemaError(f"malformed gaze estimate {block!r}: {err}") from err
-        deltas = data.get("deltas")
+        deltas = _object(data, "deltas") if "deltas" in data else None
         if deltas is not None:
             deltas = {key: _numbers([deltas], key, 0).item()
                       for key in ("beta_l", "beta_r", "beta", "rho")}
@@ -390,7 +395,8 @@ class ExperimentRecord:
             _held_numbers(points, key, width)
         return cls(
             gaze_estimate=estimate,
-            gaze_truth=gaze_from_dict(data["gaze_truth"]) if "gaze_truth" in data else None,
+            gaze_truth=(gaze_from_dict(_object(data, "gaze_truth"))
+                        if "gaze_truth" in data else None),
             deltas=deltas,
             points=points,
             residual_stats=_number_object(data, "residual_stats"),

@@ -261,7 +261,7 @@ class TestReconstruct:
     def test_far_header_gaze_fails_every_row_without_a_warning(self, runner, tmp_path):
         corr = synthesize_file(runner, tmp_path, count=20)
         data = json.loads(corr.read_text())
-        data["gaze"]["rho"] = 1e300  # recover_depth's product overflows
+        data["gaze"]["rho"] = 1e300  # rho + s cancels to 0 in each row in front of the eye
         corr.write_text(dumps(data))
         report = json.loads(run_ok(runner, ["reconstruct", str(corr)]))
         count = len(data["records"])
@@ -404,6 +404,17 @@ class TestHeaderFaults:
         result = runner.invoke(main, [command, str(corr)])
         assert result.exit_code == 3, result.output
 
+
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    def test_gaze_header_that_is_not_an_object_exits_3_naming_it(self, runner, tmp_path,
+                                                                 command):
+        corr = synthesize_file(runner, tmp_path, count=20)
+        data = json.loads(corr.read_text())
+        data["gaze"] = [1, 2]
+        corr.write_text(json.dumps(data))
+        result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 3, result.output
+        assert "'gaze' must be an object" in result.output
 
     @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
     def test_gaze_along_the_baseline_exits_4(self, runner, tmp_path, command):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cyclovision.disparity import Correspondences, synthesize_correspondence
+from cyclovision.disparity import Correspondences, ray_and_depth, synthesize_correspondence
 from cyclovision.epipolar import epipolar_residual, essential_closed_form
 from cyclovision.errors import (
     DegenerateConfigurationError,
@@ -16,6 +16,7 @@ from cyclovision.errors import (
     PointAtInfinityError,
 )
 from cyclovision.estimation import (
+    EstimationConfig,
     GRID_DELTA_MAX,
     GRID_EPSILON_MAX,
     GRID_SIZE,
@@ -33,7 +34,6 @@ from cyclovision.gaze import (
     GazeState,
     eye_azimuths,
     eye_poses,
-    project,
     vergence_version,
 )
 from cyclovision.geometry import normalize_point
@@ -226,6 +226,23 @@ def per_call_grid(records):
     return deltas, epsilons, np.sum(np.square(c @ _r_factor(records).T), axis=-1) / len(records)
 
 
+class TestEstimationConfig:
+    @pytest.mark.parametrize("cap", [1.5, True, np.bool_(True), "5", None])
+    def test_a_cap_that_is_not_an_integer_raises_a_type_error(self, cap):
+        with pytest.raises(TypeError, match="max_iterations must be an integer"):
+            EstimationConfig(max_iterations=cap)
+
+    @pytest.mark.parametrize("cap", [0, -3, np.int64(0)])
+    def test_a_cap_below_one_raises_a_value_error(self, cap):
+        with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+            EstimationConfig(max_iterations=cap)
+
+    @pytest.mark.parametrize("cap", [1, 100, np.int64(7)])
+    def test_a_positive_integer_cap_is_kept(self, cap):
+        assert EstimationConfig(max_iterations=cap).max_iterations == cap
+        assert EstimationConfig().max_iterations == 100
+
+
 class TestCompressedObjective:
     @pytest.mark.parametrize("count,sigma", [(50, 0.0), (50, 1e-3), (3, 1e-3), (4, 1e-3)])
     def test_grid_is_bit_identical_to_the_per_call_build(self, count, sigma):
@@ -331,20 +348,10 @@ class TestGridInit:
 
 def point_depth(gaze, q_l, q_r):
     """Reference: one point's depth through the single-ray calls, NaN where one raises."""
-    from cyclovision.disparity import decompose, project_parallax_scalar, recover_depth
-
-    poses = eye_poses(gaze)
     try:
-        ray = project(poses.cyclopean, triangulate_midpoint(poses, q_l, q_r))
-        if ray[2] <= 1e-12:
-            return np.nan
-        recovered = []
-        for eye, observed in (("left", q_l), ("right", q_r)):
-            dec = decompose(gaze, ray / ray[2], eye)
-            recovered.append(recover_depth(dec, project_parallax_scalar(dec, observed)[0]))
+        _, s = ray_and_depth(gaze, triangulate_midpoint(eye_poses(gaze), q_l, q_r))
     except DegenerateGeometryError:
         return np.nan
-    s = 0.5 * (recovered[0] + recovered[1])
     return s if gaze.rho + s > 0.0 else np.nan
 
 
@@ -396,6 +403,14 @@ class TestDepthMap:
                               for q_l, q_r in zip(records.q_l, records.q_r)])
         assert 0 < np.isnan(reference).sum() < len(records)
         assert np.array_equal(depth.s, reference, equal_nan=True)
+
+    def test_far_noisy_depths_have_a_bounded_tail(self):
+        # Inverting the parallax map in each eye read errors of 2e5 here,
+        # near the map's pole; the triangulated point's own depth stays near rho.
+        gaze = GazeState(beta=0.0, rho=40.0, alpha=0.2)
+        records = synthesize_scene(gaze, SceneSpec(count=2000, sigma=1e-2, seed=11)).records
+        depth = estimate_depth_map(records, gaze)
+        assert np.nanmax(np.abs(depth.s - records.s)) < 50 * gaze.rho
 
     def test_failed_points_read_nan_and_leave_the_rest_alone(self):
         records = synthesized_set(TRUE_GAZE, seed=47)[:10]

@@ -40,7 +40,6 @@ from cyclovision.errors import BehindEyeError, DegenerateGeometryError
 from cyclovision.estimation import (
     _damped_step,
     _r_factor,
-    estimate_depth_map,
     estimate_gaze,
 )
 from cyclovision.gaze import EyeAzimuths, GazeState
@@ -238,14 +237,6 @@ class TestDecomposeCalls:
                                   np.array([[0.1, 0.0, 1.0], [0.0, 0.2, 1.0]]), np.zeros(2))
         assert counter.calls == 2
 
-    def test_estimate_depth_map_calls_decompose_twice(self, monkeypatch):
-        gaze = GazeState(beta=0.2, rho=2.0)
-        records = synthesize_scene(gaze, SceneSpec(count=20)).records
-        counter = CountingDecompose()
-        monkeypatch.setattr(estimation, "decompose", counter)
-        estimate_depth_map(records, gaze)
-        assert counter.calls == 2
-
 
 class TestEstimateGazeAlpha:
     @pytest.mark.parametrize("alpha", [2.0, -2.0, HALF_PI + 1e-9, math.nan, math.inf, -math.inf,
@@ -260,6 +251,15 @@ class TestEstimateGazeAlpha:
         with pytest.raises(ValueError, match="alpha") as err:
             estimate_gaze(records, alpha=alpha)
         assert not isinstance(err.value, DegenerateGeometryError)
+
+    @pytest.mark.parametrize("alpha", [True, False, np.bool_(False), np.array(True)])
+    def test_boolean_alpha_raises_a_type_error_naming_it_before_the_fit(self, alpha, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(estimation, "_r_factor", no_fit)
+        with pytest.raises(TypeError, match="alpha must be a number"):
+            estimate_gaze(Correspondences(np.zeros((5, 3)), np.zeros((5, 3))), alpha=alpha)
 
     @pytest.mark.parametrize("alpha", [None, "0.2"])
     def test_non_number_alpha_raises_a_type_error(self, alpha):

@@ -33,6 +33,23 @@ HALF_ATAN = math.atan(0.5)
 
 angles = st.floats(-1.4, 1.4)
 ranges = st.floats(0.8, 1e4)
+BOOLEANS = [True, False, np.bool_(True), np.array(False)]
+
+
+class TestBooleansRefused:
+    """A boolean is not a number here, though arithmetic reads it as 0 or 1."""
+
+    @pytest.mark.parametrize("value", BOOLEANS)
+    @pytest.mark.parametrize("field", ["beta", "rho", "alpha"])
+    def test_gaze_state_names_the_field(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be a number"):
+            GazeState(**{"beta": 0.2, "rho": 2.0, "alpha": 0.0, field: value})
+
+    @pytest.mark.parametrize("value", BOOLEANS)
+    @pytest.mark.parametrize("field", ["beta_l", "beta_r"])
+    def test_eye_azimuths_name_the_field(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be a number"):
+            EyeAzimuths(**{"beta_l": 1.0, "beta_r": 0.0, field: value})
 
 
 class TestGazeState:

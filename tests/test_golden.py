@@ -33,9 +33,9 @@ CASES = {
                                     "--sigma", "1e-3", "--seed", "3"]
        for scene in ("random-box", "fixation-plane-patch", "horopter-samples")},
     "reconstruct-header-gaze.json": ["reconstruct", INPUT],
-    # at this gaze some rows fall behind an eye and carry the error column
+    # a wrong gaze, under which the depths err by up to 0.9
     "reconstruct-wrong-gaze.json": ["reconstruct", INPUT, "--beta", "1.3", "--rho", "0.9"],
-    # every row fails at a far gaze, where recover_depth's product overflows
+    # every row fails at a far gaze, where rho + s cancels to 0 in each row in front of the eye
     "reconstruct-far-gaze.json": ["reconstruct", INPUT, "--rho", "1e300"],
     "estimate-until-timings.txt": ["estimate", INPUT],
     "estimate-one-iteration-until-timings.txt": ["estimate", INPUT, "--max-iterations", "1"],

@@ -324,6 +324,13 @@ class TestCorrespondenceFiles:
         with pytest.raises(SchemaError):
             parse_correspondence_file(data)
 
+    @pytest.mark.parametrize("gaze", [[1, 2], None, "up", 2.0])
+    def test_gaze_header_that_is_not_an_object_is_named(self, gaze):
+        data = sample_file_dict()
+        data["gaze"] = gaze
+        with pytest.raises(SchemaError, match="'gaze' must be an object"):
+            parse_correspondence_file(data)
+
     def test_non_numeric_sigma_rejected(self):
         data = sample_file_dict()
         data["sigma"] = "small"
@@ -484,6 +491,14 @@ class TestExperimentRecord:
         data = json.loads(dumps(self.make_file()[-1]))
         data[section][key] = value
         with pytest.raises(SchemaError):
+            ExperimentRecord.from_dict(data)
+
+    @pytest.mark.parametrize("key", ["gaze_estimate", "gaze_truth", "deltas",
+                                     "residual_stats", "timings"])
+    def test_block_that_is_not_an_object_is_named(self, key):
+        data = json.loads(dumps(self.make_file()[-1]))
+        data[key] = [1, 2]
+        with pytest.raises(SchemaError, match=f"'{key}' must be an object"):
             ExperimentRecord.from_dict(data)
 
     def test_truthless_record_omits_sections(self):
