@@ -44,6 +44,7 @@ from cyclovision.records import (
     gaze_to_dict,
     load_json,
     parse_correspondence_file,
+    text_pieces,
 )
 from cyclovision.simulate import GENERATORS, SceneSpec, synthesize_scene
 
@@ -103,9 +104,11 @@ def _failure(message: str, exit_code: int) -> click.ClickException:
 
 def _command(*params):
     """Register a subcommand: ``params``, then ``--out``, around a function
-    that returns the output text.
+    that returns the output text or a record to write as JSON.
 
-    The text goes to ``--out`` or stdout. Library errors map to the
+    The output goes to ``--out`` or stdout, a record piece by piece
+    (``records.text_pieces``), which checks it whole first: a refused record
+    writes nothing and leaves ``--out`` unopened. Library errors map to the
     documented exit codes with the library error as ``__cause__``:
     SchemaError (which an unreadable input file also raises) and an
     OSError from writing ``--out`` exit 3, DegenerateGeometryError 4, any
@@ -116,16 +119,19 @@ def _command(*params):
         @functools.wraps(f)
         def run(out, **kwargs):
             try:
-                text = f(**kwargs)
+                result = f(**kwargs)
+                pieces = (result,) if isinstance(result, str) else text_pieces(result)
             except ValueError as err:
                 if not isinstance(err, (SchemaError, DegenerateGeometryError)):
                     raise click.UsageError(str(err)) from err
                 raise _failure(str(err), 3 if isinstance(err, SchemaError) else 4) from err
             if out is None:
-                click.echo(text, nl=False)
+                for piece in pieces:
+                    click.echo(piece, nl=False)
                 return
             try:
-                out.write_text(text, encoding="utf-8")
+                with out.open("w", encoding="utf-8") as fp:
+                    fp.writelines(pieces)
             except OSError as err:
                 raise _failure(f"{out}: cannot be written ({err.strerror or err})", 3) from err
 
@@ -224,7 +230,7 @@ def synthesize(alpha, beta, rho, point, degrees, scene, count, sigma, seed, regi
         bounds = ((x0, x1), (y0, y1), (z0, z1))
     spec = SceneSpec(generator=scene, count=count, sigma=sigma, seed=seed, region=bounds)
     result = synthesize_scene(gaze, spec)
-    return dumps(correspondence_file(gaze, result.records, result.skipped, scene, sigma, seed))
+    return correspondence_file(gaze, result.records, result.skipped, scene, sigma, seed)
 
 
 @_command(_CORR_FILE, *_GAZE_OPTIONS)
@@ -248,7 +254,7 @@ def reconstruct(corr_file, alpha, beta, rho, point, degrees):
             f"{corr_file} has no gaze header; provide --rho/--beta or --point"
         )
     depth = estimate_depth_map(parsed.records, gaze)
-    return dumps(depth_map_file(gaze, parsed.records, depth))
+    return depth_map_file(gaze, parsed.records, depth)
 
 
 @_command(_CORR_FILE,
@@ -269,7 +275,7 @@ def estimate(corr_file, max_iterations):
     depth = estimate_depth_map(records, fit.gaze)
     finished = time.perf_counter()
     timings = {"estimate_s": fitted - started, "depth_map_s": finished - fitted}
-    return dumps(experiment_file(fit, records, depth, truth, timings))
+    return experiment_file(fit, records, depth, truth, timings)
 
 
 if __name__ == "__main__":

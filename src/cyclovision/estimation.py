@@ -264,7 +264,12 @@ def estimate_gaze(
 def triangulate_midpoint(
     poses: BinocularPoses, q_l: HomogPoint2, q_r: HomogPoint2
 ) -> Vec3:
-    """Midpoints of the closest points of the back-projected ray pairs."""
+    """Midpoints of the closest points of the back-projected ray pairs.
+
+    A pair fails where its rays are parallel, or where the closest point on
+    either ray lies at or behind that eye: PointAtInfinityError or
+    BehindEyeError for a single pair, NaN rows in a batch.
+    """
     d1 = transform(poses.left.rotation.T, normalize_point(q_l))
     d2 = transform(poses.right.rotation.T, normalize_point(q_r))
     w0 = poses.left.centre - poses.right.centre
@@ -275,6 +280,8 @@ def triangulate_midpoint(
     rhs1, rhs2 = -inner(d1, w0), -inner(d2, w0)
     u = (-c * rhs1 + b * rhs2) / det
     v = (-b * rhs1 + a * rhs2) / det
+    u = mark_failures(u <= 0.0, BehindEyeError, "point lies behind the left eye", u)
+    v = mark_failures(v <= 0.0, BehindEyeError, "point lies behind the right eye", v)
     near_l = poses.left.centre + u[..., None] * d1
     near_r = poses.right.centre + v[..., None] * d2
     return 0.5 * (near_l + near_r)
@@ -286,8 +293,8 @@ def estimate_depth_map(correspondences: Correspondences, gaze: GazeState) -> Dep
 
     Each point is triangulated, and its Cyclopean ray and fixation-plane
     depth are those of the triangulated point. Rows read NaN where the
-    rays are parallel or the point is not in front of the Cyclopean eye;
-    such failures are not fatal.
+    rays are parallel, or the point is not in front of both eyes and the
+    Cyclopean eye; such failures are not fatal.
     """
     scene = triangulate_midpoint(eye_poses(gaze), correspondences.q_l, correspondences.q_r)
     p_c, s = ray_and_depth(gaze, scene)

@@ -16,12 +16,18 @@ get as dicts: the rows that keep the same keys share one ``%``-template
 with ``%.17g`` in each float slot (``'%.17g' % x == format(x, '.17g')``,
 so :func:`float_repr` stays the one formatting rule), and each such group
 is rendered by one ``template % row`` per row of its stacked float columns.
+
+:func:`text_pieces` gives the same text as an iterator of pieces, each
+table in blocks of a fixed number of rows, so :func:`write_json` and the
+CLI never hold a record's whole text. Everything that can refuse a record
+is checked before the first piece.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +42,13 @@ SCHEMA_VERSION = "cyclovision/1"
 
 #: what a malformed value raises on conversion to float
 _MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
+
+#: rows of a :class:`Table` formatted as one piece of text: about 0.37 MB at
+#: the 11 floats of an experiment record's row
+_BLOCK_ROWS = 1024
+#: where a table's rows go in the text around them; json.dumps escapes every
+#: control character, so a NUL never occurs in the text itself
+_TABLE = "\0"
 
 
 def float_repr(x: float) -> str:
@@ -67,13 +80,18 @@ def _block(items: list[str], brackets: str, indent: str) -> str:
     return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
 
-def _table_text(columns: dict[str, np.ndarray], indent: str) -> str:
-    """JSON text of a :class:`Table`'s rows nested at ``indent``."""
+def _table_blocks(columns: dict[str, np.ndarray], indent: str):
+    """JSON text of a :class:`Table`'s rows nested at ``indent``, as an
+    iterator that gives it out in blocks of :data:`_BLOCK_ROWS` rows.
+
+    Every cell is checked here, before the first block is made: a row with a
+    non-finite value raises as the same row written as a dict would.
+    """
     rows_at = indent + "  "
     cells_at = rows_at + "  "
     n = len(next(iter(columns.values()), ()))
     if n == 0:
-        return "[]"
+        return iter(("[]",))
     # Per column: a code for each row, and for each code the cell text
     # (float slots as %.17g), or None where the row leaves the key out.
     codes, cells = [], []
@@ -82,7 +100,7 @@ def _table_text(columns: dict[str, np.ndarray], indent: str) -> str:
         if c.dtype == object:
             distinct: dict = {}
             codes.append([distinct.setdefault(v, len(distinct)) for v in c.tolist()])
-            cells.append([None if v is None else _encode(v, cells_at).replace("%", "%%")
+            cells.append([None if v is None else _encode(v, cells_at, []).replace("%", "%%")
                           for v in distinct])
             continue
         inner = tuple(range(1, c.ndim))
@@ -95,53 +113,94 @@ def _table_text(columns: dict[str, np.ndarray], indent: str) -> str:
     if bad.any():  # the first row with a non-finite value, written cell by cell, raises there
         row = int(np.argmax(bad))
         _encode({name: c[row:row + 1].tolist()[0] for (name, c), text, code
-                 in zip(columns.items(), cells, codes[:, row]) if text[code] is not None}, indent)
-
-    # Rows with equal codes share one template; the stable sort keeps each
-    # group in row order.
+                 in zip(columns.items(), cells, codes[:, row]) if text[code] is not None},
+                indent, [])
     names = [json.dumps(name).replace("%", "%%") for name in columns]
-    order = np.lexsort(codes)
-    grouped = codes[:, order]
-    changes = np.flatnonzero((grouped[:, 1:] != grouped[:, :-1]).any(axis=0)) + 1
-    out = [""] * n
-    for rows in np.split(order, changes):
-        kept = [(f"{name}: {text[code]}", c) for name, text, code, c
-                in zip(names, cells, codes[:, rows[0]], columns.values()) if text[code] is not None]
-        template = _block([item for item, _ in kept], "{}", rows_at)
-        floats = [c[rows] for _, c in kept if c.dtype != object]
-        if floats:
-            texts = [template % tuple(v) for v in np.column_stack(floats).tolist()]
-        else:
-            texts = [template % ()] * len(rows)
-        for i, text in zip(rows.tolist(), texts):
-            out[i] = text
-    return _block(out, "[]", indent)
+    return _row_blocks(list(columns.values()), codes, names, cells, indent)
 
 
-def _encode(value, indent: str) -> str:
-    """JSON text of ``value`` nested at ``indent``, laid out as ``indent=2``."""
+def _row_blocks(columns: list[np.ndarray], codes: np.ndarray, names: list[str],
+                cells: list[list], indent: str):
+    """The checked rows' text, one block of :data:`_BLOCK_ROWS` rows at a time."""
+    rows_at = indent + "  "
+    for start in range(0, codes.shape[1], _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        block = codes[:, start:stop]
+        # Rows with equal codes share one template; the stable sort keeps each
+        # group in row order. A row's text depends on that row alone, so
+        # grouping within each block gives the bytes of grouping all rows.
+        order = np.lexsort(block)
+        grouped = block[:, order]
+        changes = np.flatnonzero((grouped[:, 1:] != grouped[:, :-1]).any(axis=0)) + 1
+        out = [""] * block.shape[1]
+        for rows in np.split(order, changes):
+            kept = [(f"{name}: {text[code]}", c) for name, text, code, c
+                    in zip(names, cells, block[:, rows[0]], columns) if text[code] is not None]
+            template = _block([item for item, _ in kept], "{}", rows_at)
+            floats = [c[start:stop][rows] for _, c in kept if c.dtype != object]
+            if floats:
+                texts = [template % tuple(v) for v in np.column_stack(floats).tolist()]
+            else:
+                texts = [template % ()] * len(rows)
+            for i, text in zip(rows.tolist(), texts):
+                out[i] = text
+        yield ("[\n" if start == 0 else ",\n") + rows_at + f",\n{rows_at}".join(out)
+    yield f"\n{indent}]"
+
+
+def _encode(value, indent: str, tables: list) -> str:
+    """JSON text of ``value`` nested at ``indent``, laid out as ``indent=2``.
+
+    A table is written as :data:`_TABLE`, and the iterator of its text is
+    appended to ``tables``.
+    """
     if isinstance(value, float):
         return float_repr(value)
     if isinstance(value, Table):
-        return _table_text(value.columns, indent)
+        tables.append(_table_blocks(value.columns, indent))
+        return _TABLE
     inner = indent + "  "
     if isinstance(value, dict):
         if not all(isinstance(key, str) for key in value):
             raise TypeError(f"JSON object keys must be str, got {list(value)!r}")
-        return _block([f"{json.dumps(key)}: {_encode(item, inner)}" for key, item in value.items()],
-                      "{}", indent)
+        return _block([f"{json.dumps(key)}: {_encode(item, inner, tables)}"
+                       for key, item in value.items()], "{}", indent)
     if isinstance(value, (list, tuple)):
-        return _block([_encode(item, inner) for item in value], "[]", indent)
+        return _block([_encode(item, inner, tables) for item in value], "[]", indent)
     return json.dumps(value)
+
+
+def text_pieces(obj) -> Iterator[str]:
+    """The text of :func:`dumps` as an iterator of pieces.
+
+    Everything is checked before this returns: the str keys, each float
+    outside a table and every table's cells. Only the finite table rows are
+    formatted as the pieces are taken, each table in blocks of
+    :data:`_BLOCK_ROWS` rows.
+    """
+    tables: list = []
+    text = _encode(obj, "", tables) + "\n"
+    return _interleave(text.split(_TABLE), tables)
+
+
+def _interleave(texts: list[str], tables: list) -> Iterator[str]:
+    yield texts[0]
+    for blocks, text in zip(tables, texts[1:]):
+        yield from blocks
+        yield text
 
 
 def dumps(obj) -> str:
     """Serialize a record dictionary to canonical JSON text."""
-    return _encode(obj, "") + "\n"
+    return "".join(text_pieces(obj))
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(dumps(obj), encoding="utf-8")
+    """Write ``dumps(obj)`` to ``path`` piece by piece. A record that cannot be
+    written raises before the file is opened, so the file is left as it was."""
+    pieces = text_pieces(obj)
+    with Path(path).open("w", encoding="utf-8") as fp:
+        fp.writelines(pieces)
 
 
 def load_json(path: str | Path) -> dict:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from cyclovision.cli import main
 from cyclovision.gaze import GazeState, eye_azimuths
-from cyclovision.records import ExperimentRecord, dumps
+from cyclovision.records import _BLOCK_ROWS, ExperimentRecord, dumps
 from cyclovision.simulate import GENERATORS
 
 from helpers import TRUTH_PROBES, break_truth, random_gaze
@@ -203,6 +203,24 @@ def synthesize_file(runner, tmp_path, name="corr.json", sigma=0.0, beta=0.2,
     return path
 
 
+class TestStreamedOutput:
+    """Records longer than one block of rows reach stdout and ``--out`` alike."""
+
+    def test_stdout_and_out_carry_the_same_bytes(self, runner, tmp_path):
+        corr, depth = tmp_path / "corr.json", tmp_path / "depth.json"
+        synthesize = ["synthesize", "--beta", "0.2", "--rho", "2", "--count",
+                      str(3 * _BLOCK_ROWS // 2), "--sigma", "1e-3", "--seed", "5"]
+        run_ok(runner, [*synthesize, "--out", str(corr)])
+        # at a wrong gaze, failed rows among the rest
+        reconstruct = ["reconstruct", str(corr), "--beta", "1.3", "--rho", "0.9"]
+        run_ok(runner, [*reconstruct, "--out", str(depth)])
+        for args, path in ((synthesize, corr), (reconstruct, depth)):
+            assert runner.invoke(main, args).stdout_bytes == path.read_bytes()
+        rows = json.loads(depth.read_bytes())["records"]
+        assert len(rows) > _BLOCK_ROWS
+        assert 0 < sum("error" in row for row in rows) < len(rows)
+
+
 class TestReconstruct:
     def test_noiseless_round_trip_rms(self, runner, tmp_path):
         corr = synthesize_file(runner, tmp_path)
@@ -314,6 +332,13 @@ class TestEstimate:
         corr = synthesize_file(runner, tmp_path, scene="horopter-samples")
         result = runner.invoke(main, ["estimate", str(corr)])
         assert result.exit_code == 4
+        assert result.stdout == ""
+
+    def test_a_refused_fit_opens_no_out_file(self, runner, tmp_path):
+        corr = synthesize_file(runner, tmp_path, scene="horopter-samples")
+        out = tmp_path / "never.json"
+        result = runner.invoke(main, ["estimate", str(corr), "--out", str(out)])
+        assert result.exit_code == 4 and not out.exists()
 
     def test_iteration_cap_bounds_the_iterations(self, runner, tmp_path):
         corr = synthesize_file(runner, tmp_path, sigma=1e-3)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 from cyclovision.disparity import Correspondences, ray_and_depth, synthesize_correspondence
 from cyclovision.epipolar import epipolar_residual, essential_closed_form
 from cyclovision.errors import (
+    BehindEyeError,
     DegenerateConfigurationError,
     DegenerateGeometryError,
     PointAtInfinityError,
@@ -37,10 +39,12 @@ from cyclovision.gaze import (
     vergence_version,
 )
 from cyclovision.geometry import normalize_point
+from cyclovision.records import load_json, parse_correspondence_file
 from cyclovision.simulate import SceneSpec, synthesize_scene
 from helpers import grid_objective
 
 TRUE_GAZE = GazeState(beta=0.2, rho=2.0)
+GOLDEN_RANDOM_BOX = Path(__file__).resolve().parent / "golden" / "synthesize-random-box.json"
 
 
 def residual_rms(records, az):
@@ -431,6 +435,26 @@ class TestDepthMap:
         assert np.array_equal(depth.p_c[~failed], clean.p_c[~failed])
         with pytest.raises(PointAtInfinityError):
             triangulate_midpoint(poses, broken.q_l[3], broken.q_r[3])
+
+    def test_points_behind_an_eye_fail(self):
+        # The golden random-box file at a wrong gaze: these rows' closest
+        # points on the right ray lie behind the right eye, in front of the
+        # Cyclopean eye.
+        records = parse_correspondence_file(load_json(GOLDEN_RANDOM_BOX)).records
+        depth = estimate_depth_map(records, GazeState(beta=1.3, rho=0.9))
+        assert np.flatnonzero(np.isnan(depth.s)).tolist() == [5, 6, 7, 8, 15, 16, 18]
+        assert np.isnan(depth.p_c[[5, 6, 7, 8, 15, 16, 18]]).all()
+
+    def test_a_single_pair_behind_an_eye_raises_naming_it(self):
+        records = parse_correspondence_file(load_json(GOLDEN_RANDOM_BOX)).records
+        q_l, q_r = records.q_l[5], records.q_r[5]
+        with pytest.raises(BehindEyeError, match="behind the right eye"):
+            triangulate_midpoint(eye_poses(GazeState(beta=1.3, rho=0.9)), q_l, q_r)
+        # the mirror image: eyes swapped, x and beta negated
+        mirror = np.array([-1.0, 1.0, 1.0])
+        with pytest.raises(BehindEyeError, match="behind the left eye"):
+            triangulate_midpoint(eye_poses(GazeState(beta=-1.3, rho=0.9)),
+                                 q_r * mirror, q_l * mirror)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_elevation_changes_no_depth(self, seed):

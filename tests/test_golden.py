@@ -33,7 +33,8 @@ CASES = {
                                     "--sigma", "1e-3", "--seed", "3"]
        for scene in ("random-box", "fixation-plane-patch", "horopter-samples")},
     "reconstruct-header-gaze.json": ["reconstruct", INPUT],
-    # a wrong gaze, under which the depths err by up to 0.9
+    # a wrong gaze, under which the depths err by up to 0.82 and 7 points
+    # triangulate behind the right eye and fail
     "reconstruct-wrong-gaze.json": ["reconstruct", INPUT, "--beta", "1.3", "--rho", "0.9"],
     # every row fails at a far gaze, where rho + s cancels to 0 in each row in front of the eye
     "reconstruct-far-gaze.json": ["reconstruct", INPUT, "--rho", "1e300"],

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cyclovision.errors import SchemaError
 from cyclovision.estimation import estimate_depth_map, estimate_gaze
 from cyclovision.gaze import GazeState
 from cyclovision.records import (
+    _BLOCK_ROWS,
     SCHEMA_VERSION,
     ExperimentRecord,
     Table,
@@ -24,6 +26,8 @@ from cyclovision.records import (
     load_json,
     parse_correspondence_file,
     require_schema,
+    text_pieces,
+    write_json,
 )
 from cyclovision.simulate import SceneSpec, synthesize_scene
 
@@ -112,7 +116,9 @@ table_text = st.text(st.one_of(st.sampled_from('%"\\\n\x00\x1fé€'), st.charac
 
 @st.composite
 def table_columns(draw, cell=table_float):
-    """1-5 columns of 0-30 rows: (N,) and (N, 3) floats, object str/None."""
+    """1-5 columns of 0-30 drawn rows: (N,) and (N, 3) floats, object str/None,
+    taken as they are or stretched to up to 2.5 blocks, where a run of NaN or
+    None cells can cross a block edge."""
     n = draw(st.integers(0, 30))
     columns = {}
     for name in draw(st.lists(table_text, min_size=1, max_size=5, unique=True)):
@@ -129,7 +135,11 @@ def table_columns(draw, cell=table_float):
             column = np.array(rows, dtype=float).reshape(n, k)
             column = column[:, 0] if kind == "scalar" else column
         columns[name] = column
-    return columns
+    # stretched around the block edges, each row repeated in one run
+    length = draw(st.sampled_from([n, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 7,
+                                   5 * _BLOCK_ROWS // 2])) if n else 0
+    rows = np.arange(length) * n // max(length, 1)
+    return {name: c[rows] for name, c in columns.items()}
 
 
 def written(rows):
@@ -140,16 +150,47 @@ def written(rows):
         return ValueError, str(err)
 
 
+EARLIER = b"earlier bytes\n"
+
+
+def streamed(rows, path):
+    """:func:`written` through write_json to ``path``, read back; a record it
+    refuses must leave the file's earlier bytes as they were."""
+    path.write_bytes(EARLIER)
+    try:
+        write_json(path, {"t": rows})
+    except ValueError as err:
+        assert path.read_bytes() == EARLIER
+        return ValueError, str(err)
+    return path.read_bytes().decode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def out_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("streamed") / "table.json"
+
+
+def experiment_record(count):
+    records = synthesize_scene(GAZE, SceneSpec(count=count, sigma=1e-3, seed=0)).records
+    fit = estimate_gaze(records)
+    return experiment_file(fit, records, estimate_depth_map(records, fit.gaze), GAZE,
+                           {"estimate_s": 0.125})
+
+
 class TestTableWriter:
     @settings(max_examples=200, deadline=None)
     @given(table_columns())
-    def test_same_bytes_as_the_rows_it_holds(self, columns):
-        assert written(Table(columns)) == written(table_rows(columns))
+    def test_same_bytes_as_the_rows_it_holds(self, out_path, columns):
+        expected = written(table_rows(columns))
+        assert written(Table(columns)) == expected
+        assert streamed(Table(columns), out_path) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(table_columns(st.one_of(table_float, st.sampled_from([math.inf, -math.inf]))))
-    def test_a_present_infinity_raises_where_the_rows_do(self, columns):
-        assert written(Table(columns)) == written(table_rows(columns))
+    def test_a_present_infinity_raises_where_the_rows_do(self, out_path, columns):
+        expected = written(table_rows(columns))
+        assert written(Table(columns)) == expected
+        assert streamed(Table(columns), out_path) == expected
 
     @pytest.mark.parametrize("row", [[0.5, math.nan, 1.0], [math.inf, 0.0, 1.0]])
     def test_partly_finite_vector_row_raises(self, row):
@@ -161,6 +202,53 @@ class TestTableWriter:
     def test_empty_table_writes_an_empty_array(self):
         assert dumps(Table({"s": np.empty(0), "q": np.empty((0, 3))})) == "[]\n"
         assert dumps(Table({})) == "[]\n"
+
+    def test_groups_that_cross_block_edges_keep_their_bytes(self, tmp_path):
+        n = 5 * _BLOCK_ROWS // 2
+        s = np.linspace(-1.0, 1.0, n)
+        s[_BLOCK_ROWS - 20:_BLOCK_ROWS + 80] = np.nan
+        q = np.column_stack([np.linspace(2.0, 3.0, n), np.full(n, 0.25), np.ones(n)])
+        q[2 * _BLOCK_ROWS - 5:2 * _BLOCK_ROWS + 5] = np.nan
+        error = np.full(n, None, dtype=object)
+        error[2 * _BLOCK_ROWS - 30:2 * _BLOCK_ROWS + 2] = 'a "%" note'
+        columns = {"error": error, "s": s, "q": q}
+        pieces = list(text_pieces({"t": Table(columns)}))
+        # head, one piece per block of rows, the table's close, the record's close
+        assert len(pieces) == 3 + 3 and max(p.count("\n    {") for p in pieces) == _BLOCK_ROWS
+        assert "".join(pieces) == written(Table(columns)) == written(table_rows(columns))
+        assert streamed(Table(columns), tmp_path / "t.json") == written(table_rows(columns))
+
+    @pytest.mark.parametrize("record,error,message", [
+        pytest.param({"t": "cells"}, ValueError, "non-finite value inf", id="cell-in-last-block"),
+        pytest.param({"t": "rows", "x": math.nan}, ValueError, "non-finite value nan",
+                     id="scalar-after-a-table"),
+        pytest.param({"t": "rows", "more": {1: 2.0}}, TypeError, "keys must be str",
+                     id="key-after-a-table"),
+    ])
+    def test_a_refused_record_leaves_the_file_as_it_was(self, tmp_path, record, error, message):
+        n = 5 * _BLOCK_ROWS // 2
+        s = np.linspace(0.0, 1.0, n)
+        if record["t"] == "cells":
+            s[-1] = math.inf
+        record = {**record, "t": Table({"s": s})}
+        path, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+        path.write_bytes(EARLIER)
+        for target in (path, absent):
+            with pytest.raises(error, match=message):
+                write_json(target, record)
+        assert path.read_bytes() == EARLIER and not absent.exists()
+
+    def test_peak_memory_stays_below_the_bytes_written(self, tmp_path):
+        # The whole text and its copies peaked at 3.65 times the bytes written.
+        data = experiment_record(10_000)
+        path = tmp_path / "experiment.json"
+        tracemalloc.start()
+        try:
+            write_json(path, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
 
 
 class TestRoundTrips:
