@@ -4,8 +4,8 @@ Subcommands report fixation parameters, sample the horopter, emit the
 Essential matrix, synthesize noisy correspondences, reconstruct depth
 maps and estimate gaze from image data.
 
-Exit codes: 0 success, 2 input validation, 3 file or schema error,
-4 degenerate geometry.
+Exit codes: 0 success, 2 input validation (a size that cannot be
+allocated among it), 3 file or schema error, 4 degenerate geometry.
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ def _command(*params):
     documented exit codes with the library error as ``__cause__``:
     SchemaError (which an unreadable input file also raises) and an
     OSError from writing ``--out`` exit 3, DegenerateGeometryError 4, any
-    other ValueError 2.
+    other ValueError 2, and so does a MemoryError from a size that cannot
+    be allocated.
     """
 
     def register(f):
@@ -121,7 +122,7 @@ def _command(*params):
             try:
                 result = f(**kwargs)
                 pieces = (result,) if isinstance(result, str) else text_pieces(result)
-            except ValueError as err:
+            except (ValueError, MemoryError) as err:
                 if not isinstance(err, (SchemaError, DegenerateGeometryError)):
                     raise click.UsageError(str(err)) from err
                 raise _failure(str(err), 3 if isinstance(err, SchemaError) else 4) from err

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cyclovision.epipolar import _epipole
+from cyclovision.epipolar import epipoles
 from cyclovision.errors import (
     BehindEyeError,
     DegenerateGeometryError,
@@ -40,6 +40,7 @@ from cyclovision.gaze import (
     GazeState,
     _eye_azimuth,
     direction_from_angles,
+    eye_azimuths,
     eye_poses,
 )
 from cyclovision.geometry import (
@@ -51,8 +52,6 @@ from cyclovision.geometry import (
     rot_y,
     transform,
 )
-
-_EYES = ("left", "right")
 
 
 @dataclass(eq=False)
@@ -132,44 +131,41 @@ def ray_and_depth(gaze: GazeState, scene: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 @np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
-def decompose(gaze: GazeState, p_c: HomogPoint2, eye: str) -> ParallaxDecomposition:
-    """Parallax decomposition of the Cyclopean rays p_c for one eye.
+def decompose(
+    gaze: GazeState, p_c: HomogPoint2
+) -> tuple[ParallaxDecomposition, ParallaxDecomposition]:
+    """Left and right parallax decompositions of the Cyclopean rays p_c.
 
-    The predicted point is the normalized rho R_eye R^T p_c + e/2, where
-    e/2, half the eye's epipole, is the image of the Cyclopean point in that
-    eye. The epipolar direction is (mu p - e/2) / kappa rather than
+    In each eye the predicted point is the normalized rho R_eye R^T p_c + e/2,
+    where e/2, half the eye's epipole, is the image of the Cyclopean point in
+    that eye. The epipolar direction is (mu p - e/2) / kappa rather than
     p - e/(2 mu), because mu vanishes whenever the eye looks straight
     ahead; the difference of third components cancels, so d always lies in
-    the image plane.
+    the image plane. A single ray raises the left eye's error before the
+    right eye's.
     """
-    if eye not in _EYES:
-        raise ValueError(f"eye must be 'left' or 'right', got {eye!r}")
     p_c = normalize_point(p_c)
-    sign = 1.0 if eye == "left" else -1.0
-    beta_eye = _eye_azimuth(gaze, sign)
-    e_half = 0.5 * _epipole(beta_eye, sign)
-    relative = rot_y(beta_eye - gaze.beta)  # R_eye R^T, elevation cancels
-    u = gaze.rho * transform(relative, p_c) + e_half
-    u = mark_failures(u[..., 2] <= 1e-12, BehindEyeError,
-                      f"predicted point lies behind the {eye} eye", u)
-    predicted = u / u[..., 2:]
-    lam = p_c[..., 0] * relative[2, 0] + relative[0, 0]  # sin, cos of the eye's turn
-    mu = float(e_half[2])
-    kappa_vec = mu * predicted - e_half
-    kappa = np.sqrt(inner(kappa_vec, kappa_vec))
-    kappa = mark_failures(
-        kappa < 1e-12, DegenerateGeometryError,
-        f"Cyclopean ray predicts the {eye} epipole: epipolar direction undefined", kappa,
-    )
-    return ParallaxDecomposition(
-        predicted=predicted,
-        direction=kappa_vec / kappa[..., None],
-        kappa=kappa,
-        lam=lam,
-        mu=mu,
-        rho=gaze.rho,
-        eye=eye,
-    )
+    az = eye_azimuths(gaze)
+    epi = epipoles(az)
+    pair = []
+    for eye, beta_eye, e in (("left", az.beta_l, epi.e_l), ("right", az.beta_r, epi.e_r)):
+        e_half = 0.5 * e
+        relative = rot_y(beta_eye - gaze.beta)  # R_eye R^T, elevation cancels
+        u = gaze.rho * transform(relative, p_c) + e_half
+        u = mark_failures(u[..., 2] <= 1e-12, BehindEyeError,
+                          f"predicted point lies behind the {eye} eye", u)
+        predicted = u / u[..., 2:]
+        lam = p_c[..., 0] * relative[2, 0] + relative[0, 0]  # sin, cos of the eye's turn
+        mu = float(e_half[2])
+        kappa_vec = mu * predicted - e_half
+        kappa = np.sqrt(inner(kappa_vec, kappa_vec))
+        kappa = mark_failures(
+            kappa < 1e-12, DegenerateGeometryError,
+            f"Cyclopean ray predicts the {eye} epipole: epipolar direction undefined", kappa,
+        )
+        pair.append(ParallaxDecomposition(
+            predicted, kappa_vec / kappa[..., None], kappa, lam, mu, gaze.rho, eye))
+    return tuple(pair)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
@@ -226,10 +222,8 @@ def synthesize_correspondence(gaze: GazeState, p_c: HomogPoint2, s) -> Correspon
     depth = mark_failures(gaze.rho + s <= 0.0, BehindEyeError,
                           "Cyclopean depth rho + s is not positive", s)
     p_c = normalize_point(p_c)
-    images = []
-    for eye in _EYES:
-        dec = decompose(gaze, p_c, eye)
-        images.append(dec.predicted + parallax(dec, depth)[..., None] * dec.direction)
+    images = [dec.predicted + parallax(dec, depth)[..., None] * dec.direction
+              for dec in decompose(gaze, p_c)]
     return Correspondences(*images, p_c=p_c, s=s)
 
 

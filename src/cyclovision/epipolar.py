@@ -39,12 +39,10 @@ class Epipoles:
 
 def epipoles(az: EyeAzimuths) -> Epipoles:
     """Epipoles (cos b_l, 0, sin b_l) and (-cos b_r, 0, -sin b_r)."""
-    return Epipoles(e_l=_epipole(az.beta_l, 1.0), e_r=_epipole(az.beta_r, -1.0))
-
-
-def _epipole(azimuth: float, sign: float) -> HomogPoint2:
-    """Epipole of the left (sign 1) or the right (sign -1) eye at that eye's azimuth."""
-    return np.array([sign * np.cos(azimuth), 0.0, sign * np.sin(azimuth)])
+    return Epipoles(
+        e_l=np.array([np.cos(az.beta_l), 0.0, np.sin(az.beta_l)]),
+        e_r=np.array([-np.cos(az.beta_r), 0.0, -np.sin(az.beta_r)]),
+    )
 
 
 def essential_from_horopter(epi: Epipoles, a: HomogLine2) -> EssentialMatrix:

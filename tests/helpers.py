@@ -74,8 +74,8 @@ def grid_objective(
 
 # --------------------------------------------------------------------------
 # Reference formulations. Each computes what a library function computes,
-# the long way: every row through the failure pass and the division, both
-# eyes' azimuths and epipoles for one eye's decomposition, all three eye
+# the long way: every row through the failure pass and the division, each
+# eye's decomposition on its own with its own sine and cosine, all three eye
 # poses for the Cyclopean ray. The library's shortcuts must agree with them
 # bit for bit, NaN rows included.
 
@@ -108,7 +108,7 @@ def reference_ray_and_depth(gaze: GazeState, scene):
 
 @np.errstate(over="ignore", invalid="ignore")
 def reference_decompose(gaze: GazeState, p_c, eye: str) -> ParallaxDecomposition:
-    """``decompose`` from both eyes' azimuths and epipoles, with its own sin and cos for lam."""
+    """One eye of ``decompose``'s pair, with its own sin and cos for lam."""
     p_c = reference_normalize_point(p_c)
     az = eye_azimuths(gaze)
     epi = epipoles(az)
@@ -129,17 +129,17 @@ def reference_decompose(gaze: GazeState, p_c, eye: str) -> ParallaxDecomposition
 
 @np.errstate(over="ignore", invalid="ignore")
 def reference_synthesize_correspondence(gaze: GazeState, p_c, s) -> Correspondences:
-    """``synthesize_correspondence`` as a per-eye loop over ``reference_decompose``."""
+    """``synthesize_correspondence`` as both ``reference_decompose`` eyes, then both parallaxes."""
     s = np.asarray(s, dtype=float)
     depth = reference_mark_failures(gaze.rho + s <= 0.0, BehindEyeError,
                                     "Cyclopean depth rho + s is not positive", s)
     p_c = reference_normalize_point(p_c)
+    pair = [reference_decompose(gaze, p_c, eye) for eye in ("left", "right")]
     images = []
-    for eye in ("left", "right"):
-        dec = reference_decompose(gaze, p_c, eye)
+    for dec in pair:
         denom = dec.lam * (gaze.rho + depth) + dec.mu
         denom = reference_mark_failures(denom <= 0.0, BehindEyeError,
-                                        f"scene point lies behind the {eye} eye", denom)
+                                        f"scene point lies behind the {dec.eye} eye", denom)
         t = dec.kappa * (depth / gaze.rho) / denom
         images.append(dec.predicted + t[..., None] * dec.direction)
     return Correspondences(*images, p_c=p_c, s=s)

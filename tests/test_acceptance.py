@@ -151,7 +151,7 @@ def test_criterion_05_epipolar_constraint():
         e = essential_closed_form(eye_azimuths(gaze))
         ray, s = random_ray_and_depth(rng, gaze)
         corr = synthesize_correspondence(gaze, ray, s)
-        predicted_l = decompose(gaze, ray, "left").predicted
+        predicted_l = decompose(gaze, ray)[0].predicted
         assert abs(epipolar_residual(e, corr.q_l, corr.q_r)) < 1e-9
         assert abs(epipolar_residual(e, predicted_l, corr.q_r)) < 1e-9
 
@@ -160,7 +160,7 @@ def test_criterion_05_epipolar_constraint():
 def test_criterion_06_parallax_oracle():
     # hand-computed case, exact to 1e-12
     gaze = GazeState(beta=0.0, rho=1.0)
-    dec = decompose(gaze, np.array([0.0, 0.0, 1.0]), "left")
+    dec = decompose(gaze, np.array([0.0, 0.0, 1.0]))[0]
     t = parallax(dec, 0.5)
     assert abs(t - 1.0 / 7.0) < 1e-12
     corr = synthesize_correspondence(gaze, np.array([0.0, 0.0, 1.0]), 0.5)
@@ -184,8 +184,7 @@ def test_criterion_07_depth_round_trip():
     for _ in range(10_000):
         gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 20.0))
         ray, s = random_ray_and_depth(rng, gaze)
-        eye = "left" if rng.uniform() < 0.5 else "right"
-        dec = decompose(gaze, ray, eye)
+        dec = decompose(gaze, ray)[0 if rng.uniform() < 0.5 else 1]
         t = parallax(dec, s)
         recovered = recover_depth(dec, t)
         assert abs(recovered - s) < 1e-9 * max(1.0, abs(s))
@@ -201,8 +200,7 @@ def test_criterion_08_homography():
     for _ in range(100):
         ray = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), 1.0])
         s = float(rng.uniform(-0.3 * gaze.rho, 1.5 * gaze.rho))
-        dec_l = decompose(gaze, ray, "left")
-        dec_r = decompose(gaze, ray, "right")
+        dec_l, dec_r = decompose(gaze, ray)
         # plane points map left image to right image
         mapped = normalize_point(h @ dec_l.predicted)
         assert np.abs(mapped - dec_r.predicted).max() < 1e-9
@@ -268,8 +266,7 @@ def test_criterion_11_parallax_projectivity():
     while checked < 500:
         gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 10.0))
         ray, _ = random_ray_and_depth(rng, gaze)
-        eye = "left" if rng.uniform() < 0.5 else "right"
-        dec = decompose(gaze, ray, eye)
+        dec = decompose(gaze, ray)[0 if rng.uniform() < 0.5 else 1]
         depths = np.sort(rng.uniform(-0.3 * gaze.rho, 1.5 * gaze.rho, 4))
         if np.min(np.diff(depths)) < 0.05 * gaze.rho:
             continue

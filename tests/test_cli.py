@@ -203,6 +203,20 @@ def synthesize_file(runner, tmp_path, name="corr.json", sigma=0.0, beta=0.2,
     return path
 
 
+class TestUnallocatableSizes:
+    # 10^15 rows exceed the 47-bit address space, so numpy refuses the array
+    # before it maps, let alone fills, any memory
+    @pytest.mark.parametrize("args", [
+        ["synthesize", "--rho", "2", "--count", "1000000000000000"],
+        ["horopter", "--rho", "2", "--samples", "1000000000000000"],
+    ], ids=["synthesize-count", "horopter-samples"])
+    def test_exits_2_with_a_one_line_error(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, (result.output, result.exception)
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert len(errors) == 1 and "Unable to allocate" in errors[0], result.output
+
+
 class TestStreamedOutput:
     """Records longer than one block of rows reach stdout and ``--out`` alike."""
 

@@ -71,7 +71,7 @@ class TestPlaneDepth:
 
 class TestDecompose:
     def test_running_example_values(self):
-        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY)[0]
         assert_allclose(dec.predicted, [0.0, 0.0, 1.0], atol=1e-15)
         assert_allclose(dec.direction, [-1.0, 0.0, 0.0], atol=1e-15)
         assert dec.lam == pytest.approx(2 / np.sqrt(5), abs=1e-15)
@@ -83,7 +83,7 @@ class TestDecompose:
         gaze = GazeState(beta=float(np.arcsin(-0.25)), rho=2.0)
         az = eye_azimuths(gaze)
         assert abs(az.beta_l) < 1e-15
-        dec = decompose(gaze, np.array([0.1, -0.2, 1.0]), "left")
+        dec = decompose(gaze, np.array([0.1, -0.2, 1.0]))[0]
         assert abs(dec.mu) < 1e-15
         assert abs(np.linalg.norm(dec.direction) - 1.0) < 1e-12
 
@@ -92,8 +92,7 @@ class TestDecompose:
         for _ in range(1000):
             gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 20.0))
             ray, _ = random_ray_and_depth(rng, gaze)
-            for eye in ("left", "right"):
-                dec = decompose(gaze, ray, eye)
+            for dec in decompose(gaze, ray):
                 assert dec.direction[2] == 0.0
                 assert dec.predicted[2] == 1.0
                 assert abs(np.linalg.norm(dec.direction) - 1.0) < 1e-12
@@ -108,8 +107,7 @@ class TestDecompose:
             poses = eye_poses(gaze)
             plane_point = gaze.rho * (poses.cyclopean.rotation.T @ ray)
             scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ ray)
-            for eye, pose in (("left", poses.left), ("right", poses.right)):
-                dec = decompose(gaze, ray, eye)
+            for dec, pose in zip(decompose(gaze, ray), (poses.left, poses.right)):
                 rho_eye = project(pose, plane_point)[2]
                 z_eye = project(pose, scene)[2]
                 assert rho_eye == pytest.approx(dec.lam * gaze.rho + dec.mu, rel=1e-12)
@@ -118,39 +116,34 @@ class TestDecompose:
                     mu_from_depths = (rho_eye * (gaze.rho + s) - gaze.rho * z_eye) / s
                     assert mu_from_depths == pytest.approx(dec.mu, abs=1e-9)
 
-    def test_bad_eye_name_rejected(self):
-        with pytest.raises(ValueError):
-            decompose(RUNNING_GAZE, RUNNING_RAY, "cyclopean")
-
     def test_carries_the_range_of_its_gaze(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 20.0))
             rays = np.column_stack([rng.uniform(-0.3, 0.3, (4, 2)), np.ones(4)])
-            for eye in ("left", "right"):
-                assert decompose(gaze, rays, eye).rho == gaze.rho
-                assert decompose(gaze, rays[0], eye).rho == gaze.rho
+            for dec in (*decompose(gaze, rays), *decompose(gaze, rays[0])):
+                assert dec.rho == gaze.rho
 
 
 class TestParallax:
     def test_zero_at_plane(self):
-        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY)[0]
         assert parallax(dec, 0.0) == 0.0
 
     def test_running_example_is_one_seventh(self):
-        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY)[0]
         t = parallax(dec, 0.5)
         assert t == pytest.approx(1.0 / 7.0, abs=1e-15)
 
     def test_strictly_monotone_in_depth(self):
         gaze = GazeState(beta=0.2, rho=2.0)
-        dec = decompose(gaze, np.array([0.15, -0.1, 1.0]), "left")
+        dec = decompose(gaze, np.array([0.15, -0.1, 1.0]))[0]
         depths = np.linspace(-0.5, 3.0, 40)
         values = [parallax(dec, float(s)) for s in depths]
         assert all(a < b for a, b in zip(values, values[1:]))
 
     def test_point_behind_eye_rejected(self):
-        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY)[0]
         with pytest.raises(BehindEyeError):
             parallax(dec, -2.0)
 
@@ -160,8 +153,7 @@ class TestParallax:
         for _ in range(200):
             gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 10.0))
             ray, _ = random_ray_and_depth(rng, gaze)
-            eye = "left" if rng.uniform() < 0.5 else "right"
-            dec = decompose(gaze, ray, eye)
+            dec = decompose(gaze, ray)[0 if rng.uniform() < 0.5 else 1]
             depths = np.sort(rng.uniform(-0.3 * gaze.rho, 1.5 * gaze.rho, 4))
             if np.min(np.diff(depths)) < 0.05 * gaze.rho:
                 continue
@@ -172,7 +164,7 @@ class TestParallax:
 
     def test_mobius_three_point_fit_predicts_fourth(self):
         gaze = GazeState(beta=0.25, rho=1.6)
-        dec = decompose(gaze, np.array([0.2, 0.3, 1.0]), "right")
+        dec = decompose(gaze, np.array([0.2, 0.3, 1.0]))[1]
         depths = np.array([-0.4, 0.0, 0.8, 1.9])
         values = np.array([parallax(dec, float(s)) for s in depths])
         # fit t = (a s + b) / (c s + 1) through the first three samples
@@ -209,8 +201,7 @@ class TestSynthesize:
         for _ in range(100):
             ray = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), 1.0])
             corr = synthesize_correspondence(gaze, ray, 0.0)
-            dec_l = decompose(gaze, ray, "left")
-            dec_r = decompose(gaze, ray, "right")
+            dec_l, dec_r = decompose(gaze, ray)
             assert np.array_equal(corr.q_l, dec_l.predicted)
             assert np.array_equal(corr.q_r, dec_r.predicted)
 
@@ -235,7 +226,7 @@ class TestSynthesize:
             e = essential_closed_form(eye_azimuths(gaze))
             ray, s = random_ray_and_depth(rng, gaze)
             corr = synthesize_correspondence(gaze, ray, s)
-            dec_l = decompose(gaze, ray, "left")
+            dec_l = decompose(gaze, ray)[0]
             assert abs(epipolar_residual(e, corr.q_l, corr.q_r)) < 1e-9
             # the predicted point shares the epipolar line with the true one
             assert abs(epipolar_residual(e, dec_l.predicted, corr.q_r)) < 1e-9
@@ -247,11 +238,11 @@ class TestSynthesize:
 
 class TestRecoverDepth:
     def test_zero_parallax_is_zero_depth(self):
-        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY)[0]
         assert recover_depth(dec, 0.0) == 0.0
 
     def test_running_example(self):
-        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY)[0]
         assert recover_depth(dec, 1.0 / 7.0) == pytest.approx(
             0.5, abs=1e-12
         )
@@ -261,15 +252,14 @@ class TestRecoverDepth:
         for _ in range(1000):
             gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 20.0))
             ray, s = random_ray_and_depth(rng, gaze)
-            eye = "left" if rng.uniform() < 0.5 else "right"
-            dec = decompose(gaze, ray, eye)
+            dec = decompose(gaze, ray)[0 if rng.uniform() < 0.5 else 1]
             t = parallax(dec, s)
             assert recover_depth(dec, t) == pytest.approx(
                 s, rel=1e-9, abs=1e-9
             )
 
     def test_infinite_depth_rejected(self):
-        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY)[0]
         t_at_infinity = dec.kappa / (dec.lam * RUNNING_GAZE.rho)
         with pytest.raises(PointAtInfinityError):
             recover_depth(dec, t_at_infinity)
@@ -277,13 +267,13 @@ class TestRecoverDepth:
 
 class TestProjectParallaxScalar:
     def test_zero_for_predicted_point(self):
-        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY)[0]
         t, perpendicular = project_parallax_scalar(dec, dec.predicted)
         assert t == 0.0
         assert perpendicular == 0.0
 
     def test_running_example(self):
-        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY)[0]
         t, perpendicular = project_parallax_scalar(
             dec, np.array([-1.0 / 7.0, 0.0, 1.0])
         )
@@ -296,14 +286,13 @@ class TestProjectParallaxScalar:
             gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 20.0))
             ray, s = random_ray_and_depth(rng, gaze)
             corr = synthesize_correspondence(gaze, ray, s)
-            for eye, observed in (("left", corr.q_l), ("right", corr.q_r)):
-                dec = decompose(gaze, ray, eye)
+            for dec, observed in zip(decompose(gaze, ray), (corr.q_l, corr.q_r)):
                 t, perpendicular = project_parallax_scalar(dec, observed)
                 assert perpendicular < 1e-12
                 assert t == pytest.approx(parallax(dec, s), abs=1e-12)
 
     def test_noisy_offset_splits_into_parallel_and_perpendicular(self):
-        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY)[0]
         observed = dec.predicted + 0.2 * dec.direction + np.array([0.0, 0.05, 0.0])
         t, perpendicular = project_parallax_scalar(dec, observed)
         assert t == pytest.approx(0.2, abs=1e-12)
@@ -318,8 +307,7 @@ class TestPlaneHomography:
                                alpha=(-0.8, 0.8))
             h = plane_homography(gaze)
             ray = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), 1.0])
-            dec_l = decompose(gaze, ray, "left")
-            dec_r = decompose(gaze, ray, "right")
+            dec_l, dec_r = decompose(gaze, ray)
             mapped = normalize_point(h @ dec_l.predicted)
             assert np.abs(mapped - dec_r.predicted).max() < 1e-9
 
@@ -338,8 +326,7 @@ class TestPlaneHomography:
             gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 20.0))
             h = plane_homography(gaze)
             ray, s = random_ray_and_depth(rng, gaze)
-            dec_l = decompose(gaze, ray, "left")
-            dec_r = decompose(gaze, ray, "right")
+            dec_l, dec_r = decompose(gaze, ray)
             composed = normalize_point(h @ dec_l.predicted) + parallax(
                 dec_r, s
             ) * dec_r.direction
@@ -359,14 +346,14 @@ class TestBatches:
         depths = rng.uniform(-0.3 * gaze.rho, 1.5 * gaze.rho, 200)
         batch = synthesize_correspondence(gaze, rays, depths)
         assert len(batch) == 200
-        for eye, images in (("left", batch.q_l), ("right", batch.q_r)):
-            dec = decompose(gaze, rays, eye)
+        for side, images in enumerate((batch.q_l, batch.q_r)):
+            dec = decompose(gaze, rays)[side]
             t, perpendicular = project_parallax_scalar(dec, images)
             recovered = recover_depth(dec, t)
             for i, ray in enumerate(rays):
                 single = synthesize_correspondence(gaze, ray, depths[i])
-                assert np.array_equal(single.q_l if eye == "left" else single.q_r, images[i])
-                one = decompose(gaze, ray, eye)
+                assert np.array_equal((single.q_l, single.q_r)[side], images[i])
+                one = decompose(gaze, ray)[side]
                 assert np.array_equal(one.direction, dec.direction[i])
                 assert (one.kappa, one.lam) == (dec.kappa[i], dec.lam[i])
                 assert parallax(one, depths[i]) == parallax(dec, depths)[i]
@@ -397,10 +384,26 @@ class TestBatches:
         # a ray far off axis in a near fixation lands behind the left eye
         rays = np.array([[0.0, 0.0, 1.0], [-40.0, 0.0, 1.0]])
         with pytest.raises(BehindEyeError):
-            decompose(RUNNING_GAZE, rays[1], "left")
-        dec = decompose(RUNNING_GAZE, rays, "left")
+            decompose(RUNNING_GAZE, rays[1])
+        dec = decompose(RUNNING_GAZE, rays)[0]
         assert np.isnan(dec.predicted[1]).all() and np.isnan(dec.kappa[1])
         assert np.isfinite(dec.predicted[0]).all() and np.isfinite(dec.kappa[0])
+
+    def test_ray_behind_the_right_eye_alone_fails_the_pair_there(self):
+        # at beta = 1.2, rho = 0.8 the ray (1, 0, 1) passes in front of the
+        # left eye and behind the right one
+        gaze = GazeState(beta=1.2, rho=0.8)
+        rays = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+        with pytest.raises(BehindEyeError, match="behind the right eye"):
+            decompose(gaze, rays[1])
+        left, right = decompose(gaze, rays)
+        assert np.isfinite(left.predicted).all() and np.isfinite(left.kappa).all()
+        assert np.isnan(right.predicted[1]).all() and np.isnan(right.kappa[1])
+        assert np.isfinite(right.predicted[0]).all() and np.isfinite(right.kappa[0])
+        # a batch of that ray alone still gives its left eye
+        alone_left, alone_right = decompose(gaze, rays[1:])
+        assert np.array_equal(alone_left.predicted[0], left.predicted[1])
+        assert np.isnan(alone_right.kappa[0])
 
     def test_ray_at_the_epipole_marks_its_row(self):
         # the fixation plane of beta = 0.5, rho = 1 meets the baseline at
@@ -408,8 +411,8 @@ class TestBatches:
         gaze = GazeState(beta=0.5, rho=1.0)
         on_baseline = np.array([1.0 / np.tan(0.5), 0.0, 1.0])
         with pytest.raises(DegenerateGeometryError, match="epipole"):
-            decompose(gaze, on_baseline, "left")
-        dec = decompose(gaze, np.array([[0.1, 0.0, 1.0], on_baseline]), "left")
+            decompose(gaze, on_baseline)
+        dec = decompose(gaze, np.array([[0.1, 0.0, 1.0], on_baseline]))[0]
         assert np.isnan(dec.direction[1]).all() and np.isnan(dec.kappa[1])
         assert np.isfinite(dec.direction[0]).all() and np.isfinite(dec.kappa[0])
 
@@ -420,12 +423,12 @@ class TestBatches:
     def test_overflowing_row_reads_non_finite_without_a_warning(self, kernel, gaze, values):
         # the suite turns any RuntimeWarning into an error
         rays = np.array([[0.1, 0.2, 1.0], [0.0, 0.1, 1.0]])
-        out = kernel(decompose(gaze, rays, "left"), np.array(values))
+        out = kernel(decompose(gaze, rays)[0], np.array(values))
         assert not np.isfinite(out[0])
-        assert out[1] == kernel(decompose(gaze, rays[1], "left"), values[1])
+        assert out[1] == kernel(decompose(gaze, rays[1])[0], values[1])
 
     def test_infinite_depth_and_behind_eye_mark_rows(self):
-        dec = decompose(RUNNING_GAZE, RUNNING_RAY, "left")
+        dec = decompose(RUNNING_GAZE, RUNNING_RAY)[0]
         t_at_infinity = dec.kappa / (dec.lam * RUNNING_GAZE.rho)
         depths = recover_depth(dec, np.array([1.0 / 7.0, t_at_infinity]))
         assert depths[0] == pytest.approx(0.5, abs=1e-12) and np.isnan(depths[1])

@@ -379,8 +379,7 @@ class TestDepthMap:
 
         records = synthesized_set(TRUE_GAZE, seed=41)[:20]
         per_eye = []
-        for eye, observed in (("left", records.q_l), ("right", records.q_r)):
-            dec = decompose(TRUE_GAZE, records.p_c, eye)
+        for dec, observed in zip(decompose(TRUE_GAZE, records.p_c), (records.q_l, records.q_r)):
             t, _ = project_parallax_scalar(dec, observed)
             per_eye.append(recover_depth(dec, t))
         assert_allclose(per_eye[0], per_eye[1], rtol=0.0, atol=1e-10)

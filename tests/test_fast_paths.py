@@ -4,7 +4,7 @@
   to third component 1.
 - ``mark_failures`` returns a batch without failing rows as it is.
 - ``ray_and_depth`` builds only the Cyclopean pose.
-- ``decompose`` derives only its own eye's azimuth and epipole.
+- ``decompose`` reads each eye's sine and cosine off that eye's rotation.
 - ``_r_factor`` normalizes each image alone.
 - Each damped step of ``estimate_gaze`` is ``_damped_step``, a closed-form
   2 x 2 solve on Python floats, whose backward error is pinned instead of
@@ -178,10 +178,12 @@ class TestPipelineFunctions:
                          outcome(reference_ray_and_depth, gaze, scene))
 
     @settings(max_examples=300, deadline=None)
-    @given(gazes, points(), st.sampled_from(["left", "right"]))
-    def test_decompose_matches_both_eyes_form(self, gaze, p_c, eye):
-        assert_identical(outcome(decompose, gaze, p_c, eye),
-                         outcome(reference_decompose, gaze, p_c, eye))
+    @given(gazes, points())
+    def test_decompose_matches_both_eyes_form(self, gaze, p_c):
+        def pair(gaze, p_c):
+            return reference_decompose(gaze, p_c, "left"), reference_decompose(gaze, p_c, "right")
+
+        assert_identical(outcome(decompose, gaze, p_c), outcome(pair, gaze, p_c))
 
     @settings(max_examples=300, deadline=None)
     @given(gazes, points(min_rows=1), st.lists(component, min_size=6, max_size=6))
@@ -228,14 +230,14 @@ class CountingDecompose:
 
 
 class TestDecomposeCalls:
-    """Both eyes are decomposed by a call to ``decompose`` each, visible to a wrapper."""
+    """Both eyes are decomposed by one call to ``decompose``, visible to a wrapper."""
 
-    def test_synthesize_correspondence_calls_decompose_twice(self, monkeypatch):
+    def test_synthesize_correspondence_calls_decompose_once(self, monkeypatch):
         counter = CountingDecompose()
         monkeypatch.setattr(disparity, "decompose", counter)
         synthesize_correspondence(GazeState(beta=0.2, rho=2.0),
                                   np.array([[0.1, 0.0, 1.0], [0.0, 0.2, 1.0]]), np.zeros(2))
-        assert counter.calls == 2
+        assert counter.calls == 1
 
 
 class TestEstimateGazeAlpha:
