@@ -11,7 +11,9 @@ allocated among it), 3 file or schema error, 4 degenerate geometry.
 from __future__ import annotations
 
 import functools
+import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import click
@@ -111,9 +113,10 @@ def _command(*params):
     writes nothing and leaves ``--out`` unopened. Library errors map to the
     documented exit codes with the library error as ``__cause__``:
     SchemaError (which an unreadable input file also raises) and an
-    OSError from writing ``--out`` exit 3, DegenerateGeometryError 4, any
-    other ValueError 2, and so does a MemoryError from a size that cannot
-    be allocated.
+    OSError from writing ``--out`` or stdout exit 3, DegenerateGeometryError
+    4, any other ValueError 2, and so does a MemoryError from a size that
+    cannot be allocated. A pipe closed on stdout is left to click, which
+    ends quietly.
     """
 
     def register(f):
@@ -126,15 +129,16 @@ def _command(*params):
                 if not isinstance(err, (SchemaError, DegenerateGeometryError)):
                     raise click.UsageError(str(err)) from err
                 raise _failure(str(err), 3 if isinstance(err, SchemaError) else 4) from err
-            if out is None:
-                for piece in pieces:
-                    click.echo(piece, nl=False)
-                return
             try:
-                with out.open("w", encoding="utf-8") as fp:
+                with (nullcontext(sys.stdout) if out is None
+                      else out.open("w", encoding="utf-8")) as fp:
                     fp.writelines(pieces)
+                    fp.flush()
             except OSError as err:
-                raise _failure(f"{out}: cannot be written ({err.strerror or err})", 3) from err
+                if out is None and isinstance(err, BrokenPipeError):
+                    raise  # click ends a closed pipe quietly
+                target = "stdout" if out is None else out
+                raise _failure(f"{target}: cannot be written ({err.strerror or err})", 3) from err
 
         for param in reversed((*params, _OUT_OPTION)):
             run = param(run)

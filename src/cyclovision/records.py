@@ -25,6 +25,7 @@ is checked before the first piece.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -39,9 +40,6 @@ from cyclovision.estimation import DepthMap, GazeEstimate
 from cyclovision.gaze import EyeAzimuths, GazeState, eye_azimuths, vergence_version
 
 SCHEMA_VERSION = "cyclovision/1"
-
-#: what a malformed value raises on conversion to float
-_MALFORMED = (KeyError, TypeError, ValueError, OverflowError)
 
 #: rows of a :class:`Table` formatted as one piece of text: about 0.37 MB at
 #: the 11 floats of an experiment record's row
@@ -277,37 +275,35 @@ class ParsedCorrespondences:
     records: Correspondences
 
 
-def _holds_a_boolean(rows: list, key: str, values: np.ndarray) -> bool:
-    """Whether a boolean sits among the numbers under ``key``. numpy's inferred
-    dtype promotes one to exactly 0 or 1, so only a component that holds such
-    a value is scanned, by exact type."""
-    suspect = (values == 0.0) | (values == 1.0)
-    if values.ndim == 1:
-        return suspect.any() and bool in set(map(type, (row[key] for row in rows)))
-    return any(bool in set(map(type, (row[key][j] for row in rows)))
-               for j in np.flatnonzero(suspect.any(axis=0)).tolist())
-
-
 def _numbers(rows: list, key: str, width: int) -> np.ndarray:
-    """The numbers under ``key`` in every row, as (N, width), or as (N,) for
-    width 0. Each must be a finite JSON number, not a string, null or a
-    boolean, and a point (width 3) needs a nonzero third component;
-    anything else raises :class:`SchemaError`. A boolean among numbers,
-    which numpy's inferred dtype would promote to 0 or 1, is refused by an
-    exact type scan."""
+    """The numbers under ``key`` in every row: (N, width) from cells that are
+    lists of ``width`` numbers, or (N,) from one number a cell at width 0.
+    A number is an ``int`` or ``float`` as JSON parses it, of any size a
+    double holds finitely, so a string, null or a boolean fails by its
+    type; a point (width 3) needs a nonzero third component. Anything else
+    raises :class:`SchemaError`."""
     if not isinstance(rows, list):
         raise SchemaError(f"expected an array of rows holding {key!r}")
-    shape = (len(rows), width) if width else (len(rows),)
     what = "3 finite numbers, the third nonzero" if width == 3 else "a finite number"
+    refused = SchemaError(f"every {key!r} must be {what}")
     try:
-        values = np.array([row[key] for row in rows]) if rows else np.empty(shape)
-    except _MALFORMED as err:
-        raise SchemaError(f"every {key!r} must be {what}") from err
-    if (values.dtype.kind not in "fiu" or values.shape != shape
-            or not np.isfinite(values).all() or width == 3 and not values[:, 2].all()
-            or _holds_a_boolean(rows, key, values)):
-        raise SchemaError(f"every {key!r} must be {what}")
-    return values.astype(float, copy=False)
+        cells = [row[key] for row in rows]
+    except (KeyError, TypeError) as err:
+        raise refused from err
+    if width and not ({list}.issuperset(map(type, cells)) and {width}.issuperset(map(len, cells))):
+        raise refused
+    flat = itertools.chain.from_iterable if width else iter
+    if not {int, float}.issuperset(map(type, flat(cells))):
+        raise refused
+    try:
+        values = np.fromiter(flat(cells), float, len(cells) * max(width, 1))
+    except OverflowError as err:  # an integer beyond the largest double
+        raise refused from err
+    if width:
+        values = values.reshape(-1, width)
+    if not np.isfinite(values).all() or width == 3 and not values[:, 2].all():
+        raise refused
+    return values
 
 
 def _held_numbers(rows: list, key: str, width: int) -> np.ndarray:

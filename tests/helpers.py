@@ -7,7 +7,12 @@ import numpy as np
 
 from cyclovision.disparity import Correspondences, ParallaxDecomposition
 from cyclovision.epipolar import epipoles
-from cyclovision.errors import BehindEyeError, DegenerateGeometryError, PointAtInfinityError
+from cyclovision.errors import (
+    BehindEyeError,
+    DegenerateGeometryError,
+    PointAtInfinityError,
+    SchemaError,
+)
 from cyclovision.estimation import (
     GRID_DELTA_MAX,
     GRID_EPSILON_MAX,
@@ -160,6 +165,39 @@ def reference_box(region, count: int, seed: int) -> np.ndarray:
     lows = np.array([b[0] for b in region])
     highs = np.array([b[1] for b in region])
     return np.random.default_rng(seed).uniform(lows, highs, (count, 3))
+
+
+def _reference_holds_a_boolean(rows: list, key: str, values: np.ndarray) -> bool:
+    """Whether a boolean sits among the numbers under ``key``: numpy's inferred
+    dtype promotes one to exactly 0 or 1, so each component that holds such a
+    value is scanned by exact type."""
+    suspect = (values == 0.0) | (values == 1.0)
+    if values.ndim == 1:
+        return suspect.any() and bool in set(map(type, (row[key] for row in rows)))
+    return any(bool in set(map(type, (row[key][j] for row in rows)))
+               for j in np.flatnonzero(suspect.any(axis=0)).tolist())
+
+
+def reference_numbers(rows: list, key: str, width: int) -> np.ndarray:
+    """``records._numbers`` through numpy's inferred dtype and a boolean rescan.
+
+    The one difference from the exact-type reader: numpy infers an object
+    dtype for an integer outside [-2**63, 2**64), so such an integer is
+    refused here even where a double holds it.
+    """
+    if not isinstance(rows, list):
+        raise SchemaError(f"expected an array of rows holding {key!r}")
+    shape = (len(rows), width) if width else (len(rows),)
+    what = "3 finite numbers, the third nonzero" if width == 3 else "a finite number"
+    try:
+        values = np.array([row[key] for row in rows]) if rows else np.empty(shape)
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
+        raise SchemaError(f"every {key!r} must be {what}") from err
+    if (values.dtype.kind not in "fiu" or values.shape != shape
+            or not np.isfinite(values).all() or width == 3 and not values[:, 2].all()
+            or _reference_holds_a_boolean(rows, key, values)):
+        raise SchemaError(f"every {key!r} must be {what}")
+    return values.astype(float, copy=False)
 
 
 #: (key, value, key removed from the row, whether the gaze header is removed):

@@ -414,6 +414,15 @@ class TestMalformedPoints:
         assert result.exit_code == 3, result.output
 
     @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    def test_integer_depth_beyond_64_bits_is_read(self, runner, tmp_path, command):
+        corr = _corrupted_file(runner, tmp_path, lambda row: row.__setitem__("s", 10**20))
+        assert '"s": 100000000000000000000' in corr.read_text()
+        result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 0, result.output
+        rows = json.loads(result.output)["points" if command == "estimate" else "records"]
+        assert rows[3]["s_true"] == 1e20
+
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
     @pytest.mark.parametrize("probe", TRUTH_PROBES)
     def test_malformed_truth_exits_3(self, runner, tmp_path, command, probe):
         corr = synthesize_file(runner, tmp_path, count=20)
@@ -487,6 +496,20 @@ class TestUnreadableFiles:
         result = runner.invoke(main, [command, str(corr)])
         assert result.exit_code == 3, (result.output, result.exception)
         assert result.output == f"Error: {corr}: cannot be read (device not ready)\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("out", [[], ["--out", "/dev/full"]], ids=["stdout", "out"])
+    def test_full_device_exits_3_with_one_error_line(self, out):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        with open("/dev/full", "w") as full:
+            run = subprocess.run(
+                [sys.executable, "-m", "cyclovision", "fixate", "--rho", "2", *out],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+            )
+        target = out[1] if out else "stdout"
+        assert run.returncode == 3, run.stderr
+        assert run.stderr == f"Error: {target}: cannot be written (No space left on device)\n"
 
     def test_unwritable_out_exits_3_naming_the_path(self, runner, tmp_path):
         out = tmp_path / "missing" / "fixation.json"

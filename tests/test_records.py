@@ -15,6 +15,7 @@ from cyclovision.records import (
     SCHEMA_VERSION,
     ExperimentRecord,
     Table,
+    _numbers,
     correspondence_file,
     csv_rows,
     depth_map_file,
@@ -31,7 +32,7 @@ from cyclovision.records import (
 )
 from cyclovision.simulate import SceneSpec, synthesize_scene
 
-from helpers import TRUTH_PROBES, break_truth, table_rows
+from helpers import TRUTH_PROBES, break_truth, reference_numbers, table_rows
 
 GAZE = GazeState(beta=0.2, rho=2.0)
 
@@ -386,6 +387,24 @@ class TestCorrespondenceFiles:
         with pytest.raises(SchemaError):
             parse_correspondence_file(data)
 
+    @pytest.mark.parametrize("key,value", [("s", 10**20), ("s", -2**63 - 1),
+                                           ("q_l", [10**20, 0, 1])])
+    def test_integer_beyond_64_bits_is_read_as_a_float(self, key, value):
+        data = sample_file_dict()
+        data["records"][2][key] = value
+        read = getattr(parse_correspondence_file(data).records, key)[2]
+        assert read.tolist() == (list(map(float, value)) if key == "q_l" else float(value))
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("s", 10**400, "every 's' must be a finite number"),
+        ("q_r", [0, -10**400, 1], "every 'q_r' must be 3 finite numbers, the third nonzero"),
+    ])
+    def test_integer_beyond_the_doubles_is_refused(self, key, value, message):
+        data = sample_file_dict()
+        data["records"][2][key] = value
+        with pytest.raises(SchemaError, match=message):
+            parse_correspondence_file(data)
+
     def test_points_and_partial_truth_stay_with_their_rows(self):
         data = sample_file_dict()
         del data["records"][4]["s"]
@@ -506,6 +525,83 @@ class TestCorrespondenceFiles:
         path.write_bytes(content)
         with pytest.raises(SchemaError):
             load_json(path)
+
+
+# Integers at the edges of numpy's inferred int64 and uint64 dtypes and of
+# the doubles, beside the 0 and 1 that numpy would promote a boolean to.
+edge_int = st.sampled_from([0, 1, -1, 2**53 + 1, 2**63 - 1, 2**63, -2**63, -2**63 - 1,
+                            2**64 - 1, 2**64, -2**64, 10**20, 2**1023, 2**1024, -10**400])
+finite_number = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(),
+                          edge_int)
+zero_or_one = st.sampled_from([0, 1, 0.0, -0.0, 1.0])
+not_number = st.one_of(st.booleans(), st.none(), st.text(max_size=3), st.just("1"),
+                       st.sampled_from([math.nan, math.inf, -math.inf]))
+malformed_cell = st.one_of(
+    not_number,
+    finite_number,
+    st.lists(finite_number, max_size=2),
+    st.lists(finite_number, min_size=4, max_size=5),
+    st.lists(st.lists(finite_number, max_size=3), min_size=1, max_size=3),
+    st.dictionaries(st.text(max_size=1), finite_number, max_size=2),
+)
+
+
+@st.composite
+def number_rows(draw):
+    """A width, 0 or 3, and 0-6 rows of cells of that width under 'v', all
+    finite numbers or all 0 and 1, then up to two faults: a non-number in
+    place of a number, a cell of another form, or a row without 'v'."""
+    width = draw(st.sampled_from([0, 3]))
+    number = draw(st.sampled_from([finite_number, zero_or_one]))
+    cell = st.lists(number, min_size=3, max_size=3) if width else number
+    rows = [{"v": value} for value in draw(st.lists(cell, max_size=6))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        fault = draw(st.sampled_from(["number", "cell", "key"]))
+        if fault == "key":
+            row.pop("v", None)
+        elif fault == "cell" or not isinstance(row.get("v"), list):
+            row["v"] = draw(not_number if fault == "number" else malformed_cell)
+        else:
+            row["v"][draw(st.integers(0, len(row["v"]) - 1))] = draw(not_number)
+    return width, rows
+
+
+def read_numbers(reader, rows, width):
+    try:
+        return reader(rows, "v", width)
+    except SchemaError as err:
+        return f"SchemaError: {err}"
+
+
+def json_ints(value):
+    """Every int (not bool) in a value of nested lists and dicts."""
+    if type(value) is int:
+        yield value
+    elif isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from json_ints(item)
+
+
+class TestNumberReader:
+    @settings(max_examples=500, deadline=None)
+    @given(number_rows())
+    def test_same_result_as_the_numpy_inferred_reader(self, width_rows):
+        """The same float64 bits or the same refusal as inferring the dtype and
+        rescanning for booleans, except that an integer outside [-2**63, 2**64),
+        which numpy holds as an object, is read as the double nearest it."""
+        width, rows = width_rows
+        new, ref = read_numbers(_numbers, rows, width), read_numbers(reference_numbers, rows, width)
+        if isinstance(ref, str) and isinstance(new, str):
+            assert new == ref
+            return
+        assert isinstance(new, np.ndarray) and new.dtype == np.float64
+        if isinstance(ref, np.ndarray):
+            assert new.shape == ref.shape and new.tobytes() == ref.tobytes()
+            return
+        assert any(not -2**63 <= i < 2**64 for i in json_ints(rows))
+        doubles = [list(map(float, row["v"])) if width else float(row["v"]) for row in rows]
+        assert new.tobytes() == np.array(doubles, dtype=float).tobytes()
 
 
 class TestDepthMapFile:
