@@ -11,6 +11,7 @@ allocated among it), 3 file or schema error, 4 degenerate geometry.
 from __future__ import annotations
 
 import functools
+import os
 import sys
 import time
 from contextlib import nullcontext
@@ -137,6 +138,11 @@ def _command(*params):
             except OSError as err:
                 if out is None and isinstance(err, BrokenPipeError):
                     raise  # click ends a closed pipe quietly
+                if out is None:
+                    # A buffered stdout keeps what it could not write, and its
+                    # flush at exit would fail again and exit 120: send that
+                    # flush to the null device.
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
                 target = "stdout" if out is None else out
                 raise _failure(f"{target}: cannot be written ({err.strerror or err})", 3) from err
 

@@ -280,8 +280,9 @@ def _numbers(rows: list, key: str, width: int) -> np.ndarray:
     lists of ``width`` numbers, or (N,) from one number a cell at width 0.
     A number is an ``int`` or ``float`` as JSON parses it, of any size a
     double holds finitely, so a string, null or a boolean fails by its
-    type; a point (width 3) needs a nonzero third component. Anything else
-    raises :class:`SchemaError`."""
+    type, and so does a numpy scalar or a float subclass; a point (width 3)
+    needs a nonzero third component. Anything else raises
+    :class:`SchemaError`."""
     if not isinstance(rows, list):
         raise SchemaError(f"expected an array of rows holding {key!r}")
     what = "3 finite numbers, the third nonzero" if width == 3 else "a finite number"

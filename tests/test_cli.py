@@ -499,9 +499,15 @@ class TestUnreadableFiles:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("out", [[], ["--out", "/dev/full"]], ids=["stdout", "out"])
-    def test_full_device_exits_3_with_one_error_line(self, out):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_device_exits_3_with_one_error_line(self, out, unbuffered):
+        # A buffered stdout keeps what it could not write and is flushed
+        # again at exit, so both buffering modes are run.
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:
             run = subprocess.run(
                 [sys.executable, "-m", "cyclovision", "fixate", "--rho", "2", *out],

@@ -405,6 +405,11 @@ class TestCorrespondenceFiles:
         with pytest.raises(SchemaError, match=message):
             parse_correspondence_file(data)
 
+    @pytest.mark.parametrize("number", [np.float64(0.2), np.int64(1)])
+    def test_numpy_scalar_is_refused(self, number):
+        with pytest.raises(SchemaError, match="every 'beta' must be a finite number"):
+            gaze_from_dict({"beta": number, "rho": 2.0})
+
     def test_points_and_partial_truth_stay_with_their_rows(self):
         data = sample_file_dict()
         del data["records"][4]["s"]
