@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,9 @@ from cyclovision.simulate import SceneSpec, synthesize_scene
 DEFAULT_SIGMAS = (0.0, 1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 
 
-def parse_args() -> argparse.Namespace:
+def parse_args() -> tuple[argparse.Namespace, GazeState, list[SceneSpec]]:
+    """The arguments, the gaze and one unseeded spec per sigma. Refuses, with
+    exit 2 before any trial runs, what would fail later or write nothing."""
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--beta", type=float, default=0.2, help="gaze azimuth (rad)")
@@ -41,21 +44,30 @@ def parse_args() -> argparse.Namespace:
                         help="noise standard deviations to sweep")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument("--out", type=Path, default=Path("noise_sweep.csv"))
-    return parser.parse_args()
+    args = parser.parse_args()
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
+    if not args.out.parent.is_dir():
+        parser.error(f"--out directory {str(args.out.parent)!r} does not exist")
+    try:
+        gaze = GazeState(beta=args.beta, rho=args.rho)
+        specs = [SceneSpec(count=args.count, sigma=sigma) for sigma in args.sigmas]
+    except (TypeError, ValueError) as exc:
+        parser.error(str(exc))
+    return args, gaze, specs
 
 
 def main() -> int:
-    args = parse_args()
-    gaze = GazeState(beta=args.beta, rho=args.rho)
+    args, gaze, specs = parse_args()
     true_az = eye_azimuths(gaze)
 
     rows = []
-    for sigma in args.sigmas:
+    for spec in specs:
+        sigma = spec.sigma
         rho_errors, azimuth_errors, failures = [], [], 0
         for trial in range(args.trials):
-            spec = SceneSpec(count=args.count, sigma=sigma,
-                             seed=args.seed + 10_000 * trial + hash(sigma) % 1000)
-            records = synthesize_scene(gaze, spec).records
+            seeded = replace(spec, seed=args.seed + 10_000 * trial + hash(sigma) % 1000)
+            records = synthesize_scene(gaze, seeded).records
             try:
                 fit = estimate_gaze(records)
             except DegenerateGeometryError:

@@ -56,11 +56,6 @@ from cyclovision.geometry import (
 )
 
 
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
-
-
 _SQRT2 = np.sqrt(2.0)
 
 GRID_DELTA_MAX = 1.2
@@ -147,27 +142,19 @@ def _damped_step(a: float, b: float, d: float, g_l: float, g_r: float, damping: 
 
 # (beta_l, beta_r) = epsilon +- delta / 2 of the seed grid's cells; cell
 # i * GRID_SIZE + j has vergence delta i in (0, 1.2], version epsilon j in [-0.8, 0.8]
-_GRID_AZIMUTHS = _read_only(
+_GRID_AZIMUTHS = (
     np.tile(np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE), GRID_SIZE)
     + np.outer([0.5, -0.5], np.repeat(GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE,
                                       GRID_SIZE)))
 # c = (sin beta_l, sin beta_r, cos beta_r, cos beta_l) of each cell
-_GRID_COEFFICIENTS = _read_only(
-    np.concatenate([np.sin(_GRID_AZIMUTHS), np.cos(_GRID_AZIMUTHS)[::-1]]))
-# Cells per evaluation block: its (4, 1024) float64 temporaries are 32 KiB,
-# far below glibc malloc's 128 KiB mmap and trim thresholds, so each fit
-# reuses heap memory instead of mapping and faulting in fresh pages.
-_GRID_BLOCK = 1024
+_GRID_COEFFICIENTS = np.concatenate([np.sin(_GRID_AZIMUTHS), np.cos(_GRID_AZIMUTHS)[::-1]])
+_GRID_AZIMUTHS.flags.writeable = _GRID_COEFFICIENTS.flags.writeable = False
 
 
 def _grid(r_factor: np.ndarray, count: int) -> np.ndarray:
     """Mean squared residual of each grid cell, in the order of _GRID_AZIMUTHS."""
-    mse = np.empty(GRID_SIZE ** 2)
-    for start in range(0, GRID_SIZE ** 2, _GRID_BLOCK):
-        block = r_factor @ _GRID_COEFFICIENTS[:, start:start + _GRID_BLOCK]
-        np.add.reduce(np.square(block, out=block), axis=0, out=mse[start:start + _GRID_BLOCK])
-    mse /= count
-    return mse
+    residuals = r_factor @ _GRID_COEFFICIENTS
+    return np.square(residuals, out=residuals).sum(axis=0) / count
 
 
 def _grid_seed(r_factor: np.ndarray, count: int) -> EyeAzimuths:

@@ -106,6 +106,7 @@ class VergenceVersion:
     epsilon: float
 
     def __post_init__(self):
+        _finite_numbers("vergence and version", delta=self.delta, epsilon=self.epsilon)
         if not (0.0 <= self.delta <= np.pi):
             raise ValueError(f"vergence must lie in [0, pi], got {self.delta}")
 

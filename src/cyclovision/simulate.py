@@ -108,9 +108,7 @@ def _scene_candidates(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator
     if spec.generator == "random-box":
         region = spec.region if spec.region is not None else default_region(gaze)
         lows, highs = np.array(region, dtype=float).T
-        # rng.uniform's own per-element formula, in the same stream order,
-        # without its broadcasting machinery
-        return lows + (highs - lows) * rng.random((spec.count, 3))
+        return rng.uniform(lows, highs, (spec.count, 3))
     # horopter-samples: iso-vergence circle points, rotated into the visual plane
     circle = vieth_muller(vergence_version(eye_azimuths(gaze)))
     limit = ARC_MARGIN * forward_arc_limit(circle)

@@ -160,13 +160,6 @@ def reference_r_factor(correspondences: Correspondences) -> np.ndarray:
     return np.linalg.qr(features, mode="r")
 
 
-def reference_box(region, count: int, seed: int) -> np.ndarray:
-    """The random box drawn by ``rng.uniform`` between the region's bounds."""
-    lows = np.array([b[0] for b in region])
-    highs = np.array([b[1] for b in region])
-    return np.random.default_rng(seed).uniform(lows, highs, (count, 3))
-
-
 def _reference_holds_a_boolean(rows: list, key: str, values: np.ndarray) -> bool:
     """Whether a boolean sits among the numbers under ``key``: numpy's inferred
     dtype promotes one to exactly 0 or 1, so each component that holds such a

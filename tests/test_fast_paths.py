@@ -10,7 +10,6 @@
   2 x 2 solve on Python floats, whose backward error is pinned instead of
   its bits; a system that is not positive definite gives a NaN step, which
   the fit rejects, instead of an exception.
-- The random box is drawn as an affine map of ``rng.random``.
 - ``GazeState``, ``EyeAzimuths`` and ``estimate_gaze`` check finiteness
   with ``math.isfinite``.
 
@@ -24,10 +23,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclovision import disparity, estimation, simulate
+from cyclovision import disparity, estimation
 from cyclovision.disparity import (
     Correspondences,
     ParallaxDecomposition,
@@ -44,9 +43,8 @@ from cyclovision.estimation import (
 )
 from cyclovision.gaze import EyeAzimuths, GazeState
 from cyclovision.geometry import mark_failures, normalize_point
-from cyclovision.simulate import SceneSpec, default_region, synthesize_scene
+from cyclovision.simulate import SceneSpec, synthesize_scene
 from helpers import (
-    reference_box,
     reference_decompose,
     reference_mark_failures,
     reference_normalize_point,
@@ -333,27 +331,8 @@ class TestDampedStep:
         assert (fit.iterations, fit.converged) == (0, True)
 
 
-bounds = st.tuples(st.floats(-1e300, 1e300), st.floats(1e-300, 1e300))
-GAZE = GazeState(beta=0.2, rho=2.0)
 NON_FINITE = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.array(math.inf)]
 NOT_NUMBERS = [None, "0.2"]
-
-
-class TestBoxDraw:
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**63), st.integers(1, 60), st.lists(bounds, min_size=3, max_size=3))
-    def test_matches_rng_uniform(self, seed, count, box):
-        region = tuple((low, low + width) for low, width in box)
-        assume(all(low < high and math.isfinite(high - low) for low, high in region))
-        spec = SceneSpec(count=count, seed=seed, region=region)
-        drawn = simulate._scene_candidates(GAZE, spec, np.random.default_rng(seed))
-        assert same_bits(drawn, reference_box(region, count, seed))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_default_region_matches_rng_uniform(self, seed):
-        gaze = GazeState(beta=-0.5, rho=40.0)
-        drawn = simulate._scene_candidates(gaze, SceneSpec(seed=seed), np.random.default_rng(seed))
-        assert same_bits(drawn, reference_box(default_region(gaze), 50, seed))
 
 
 class TestScalarChecks:

@@ -51,6 +51,12 @@ class TestBooleansRefused:
         with pytest.raises(TypeError, match=f"{field} must be a number"):
             EyeAzimuths(**{"beta_l": 1.0, "beta_r": 0.0, field: value})
 
+    @pytest.mark.parametrize("value", BOOLEANS)
+    @pytest.mark.parametrize("field", ["delta", "epsilon"])
+    def test_vergence_version_names_the_field(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be a number"):
+            VergenceVersion(**{"delta": 0.5, "epsilon": 0.0, field: value})
+
 
 class TestGazeState:
     def test_range_bound_is_enforced_and_named(self):
@@ -147,6 +153,12 @@ class TestVergenceVersion:
     def test_parallel_gaze_has_zero_vergence(self):
         vv = vergence_version(EyeAzimuths(0.1, 0.1))
         assert vv.delta == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["delta", "epsilon"])
+    def test_non_finite_is_refused(self, field, value):
+        with pytest.raises(ValueError, match="vergence and version must be finite"):
+            VergenceVersion(**{"delta": 0.5, "epsilon": 0.0, field: value})
 
     @given(st.floats(1e-6, 1.0), st.floats(-0.7, 0.7))
     def test_round_trip_with_azimuths(self, delta, epsilon):

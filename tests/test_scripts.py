@@ -9,11 +9,11 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(monkeypatch, name, args):
+def run_script(monkeypatch, name, args, code=0):
     monkeypatch.setattr(sys, "argv", [name, *args])
     with pytest.raises(SystemExit) as stop:
         runpy.run_path(str(SCRIPTS / name), run_name="__main__")
-    assert stop.value.code == 0
+    assert stop.value.code == code
 
 
 def test_noise_sweep(monkeypatch, tmp_path, capsys):
@@ -27,6 +27,31 @@ def test_noise_sweep(monkeypatch, tmp_path, capsys):
     assert noiseless[0] == 0.0 and noiseless[-1] == 0.0
     assert noiseless[3] < 1e-6  # median azimuth error without noise
     assert "failed=0/3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--rho", "0.5"], "rho must be at least 0.75"),
+    (["--count", "0"], "count must be positive, got 0"),
+    (["--sigmas", "-1"], "sigma must be nonnegative, got -1.0"),
+    (["--trials", "0"], "--trials must be at least 1, got 0"),
+])
+def test_noise_sweep_refuses_bad_arguments_up_front(monkeypatch, tmp_path, capsys, args, message):
+    out = tmp_path / "sweep.csv"
+    run_script(monkeypatch, "noise_sweep.py",
+               ["--trials", "1", "--sigmas", "0", "--out", str(out), *args], code=2)
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "sigma=" not in captured.out  # no trial ran
+    assert not out.exists()
+
+
+def test_noise_sweep_refuses_a_missing_out_directory(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "missing" / "sweep.csv"
+    run_script(monkeypatch, "noise_sweep.py", ["--trials", "1", "--sigmas", "0", "--out", str(out)],
+               code=2)
+    captured = capsys.readouterr()
+    assert "error: --out directory" in captured.err and "sigma=" not in captured.out
+    assert not out.parent.exists()
 
 
 def test_end_to_end_demo(monkeypatch, capsys):
