@@ -38,17 +38,16 @@ from cyclovision.errors import (
 from cyclovision.gaze import (
     BASELINE,
     GazeState,
-    _eye_azimuth,
     direction_from_angles,
     eye_azimuths,
     eye_poses,
+    project,
 )
 from cyclovision.geometry import (
     HomogPoint2,
     inner,
     mark_failures,
     normalize_point,
-    rot_x,
     rot_y,
     transform,
 )
@@ -120,11 +119,10 @@ class ParallaxDecomposition:
 def ray_and_depth(gaze: GazeState, scene: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cyclopean rays p_c and plane depths s of scene points in front of the Cyclopean eye.
 
-    The rays are the images under the Cyclopean pose of ``eye_poses``, and
-    |beta| = pi/2 is refused as there; the two eyes' poses are not built.
+    The rays are the images under the Cyclopean pose of ``eye_poses``, which
+    refuses |beta| = pi/2.
     """
-    _eye_azimuth(gaze, 1.0)
-    ray = transform(rot_y(gaze.beta) @ rot_x(-gaze.alpha), np.asarray(scene, dtype=float))
+    ray = project(eye_poses(gaze).cyclopean, scene)
     ray = mark_failures(ray[..., 2] <= 1e-12, BehindEyeError,
                         "point lies behind the Cyclopean eye", ray)
     return ray / ray[..., 2:], ray[..., 2] - gaze.rho
@@ -211,10 +209,11 @@ def project_parallax_scalar(dec: ParallaxDecomposition, q_observed: HomogPoint2)
 def synthesize_correspondence(gaze: GazeState, p_c: HomogPoint2, s) -> Correspondences:
     """Left and right images of the scene points at rays p_c, plane depths s.
 
-    Both points equal the direct pinhole projections of z_c R^T p_c; the
-    parallax route is used so that tests can check that identity against
-    the projection oracle. The truth of the result is (p_c, s); a scalar s
-    is the depth of every ray.
+    This is the parallax model run forward: both points equal the direct
+    pinhole projections of z_c R^T p_c, which the acceptance suite checks
+    against projection. ``simulate.synthesize_scene`` does not call it; it
+    projects its scene points through the eye poses. The truth of the
+    result is (p_c, s); a scalar s is the depth of every ray.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim == 0:

@@ -167,24 +167,18 @@ def helmholtz_from_point(p: Vec3) -> GazeState:
     return GazeState(beta=beta, rho=rho, alpha=alpha)
 
 
-def _eye_azimuth(gaze: GazeState, sign: float) -> float:
-    """Azimuth of the left (sign = +1.0) or right (sign = -1.0) eye.
-
-    Raises DegenerateGeometryError at |beta| = pi/2, where it is unbounded.
-    """
-    cb = np.cos(gaze.beta)
-    if cb <= 1e-12:
-        raise DegenerateGeometryError("eye azimuths are unbounded at |beta| = pi/2")
-    return float(np.arctan(np.tan(gaze.beta) + sign * (1.0 / (2.0 * gaze.rho * cb))))
-
-
 def eye_azimuths(gaze: GazeState) -> EyeAzimuths:
     """Azimuths of the two eyes fixating the given point.
 
     tan(beta_l) = tan(beta) + sec(beta) / (2 rho) and likewise with a
-    minus sign for the right eye.
+    minus sign for the right eye. Raises DegenerateGeometryError at
+    |beta| = pi/2, where they are unbounded.
     """
-    return EyeAzimuths(_eye_azimuth(gaze, 1.0), _eye_azimuth(gaze, -1.0))
+    cb = np.cos(gaze.beta)
+    if cb <= 1e-12:
+        raise DegenerateGeometryError("eye azimuths are unbounded at |beta| = pi/2")
+    tb, half_sec = np.tan(gaze.beta), 1.0 / (2.0 * gaze.rho * cb)
+    return EyeAzimuths(float(np.arctan(tb + half_sec)), float(np.arctan(tb - half_sec)))
 
 
 def vergence_version(az: EyeAzimuths) -> VergenceVersion:

@@ -1,7 +1,10 @@
 """Synthetic scenes and correspondence generation for the simulation CLI.
 
 A scene is drawn, projected and perturbed in one array pass into a
-Correspondences set whose truth is each point's clean (p_c, s).
+Correspondences set whose truth is each point's clean (p_c, s). The images
+are pinhole projections through the left, right and Cyclopean poses of
+``eye_poses``, not the parallax model: that model is what the acceptance
+suite checks against projection.
 """
 
 from __future__ import annotations
@@ -13,15 +16,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cyclovision.disparity import Correspondences, ray_and_depth, synthesize_correspondence
+from cyclovision.disparity import Correspondences
+from cyclovision.errors import BehindEyeError
 from cyclovision.gaze import (
     GazeState,
     eye_azimuths,
+    eye_poses,
     fixation_point,
+    project,
     vergence_version,
     vieth_muller,
 )
-from cyclovision.geometry import rot_x, transform
+from cyclovision.geometry import mark_failures, rot_x, transform
 from cyclovision.horopter import forward_arc_limit, vm_point
 
 GENERATORS = ("random-box", "fixation-plane-patch", "horopter-samples")
@@ -92,7 +98,7 @@ class SceneSpec:
 
 class SynthesisResult(NamedTuple):
     records: Correspondences
-    skipped: int  # candidates behind an eye or otherwise degenerate
+    skipped: int  # candidates not in front of all three eyes, or whose images overflow
 
 
 def default_region(gaze: GazeState) -> Region:
@@ -119,21 +125,36 @@ def _scene_candidates(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator
 def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
     """Generate correspondences for a scene, deterministically for a seed.
 
-    Candidates that land behind an eye, or whose Cyclopean ray is
-    degenerate, are skipped and counted. Noise is added after synthesis;
-    the stored truth (p_c, s) stays clean.
+    Each candidate point X is projected through the left, right and
+    Cyclopean poses of ``eye_poses``; each image is R (X - c) divided by its
+    third component. The left and right images are the correspondence, and
+    the Cyclopean image and its depth minus rho are the truth (p_c, s), as
+    ``ray_and_depth`` gives them. The fixation-plane patch draws its rays
+    p_c at s = 0, keeps them as its truth, and projects the points
+    rho R_c^T p_c. A candidate is skipped and counted unless it lies in
+    front of both eyes and the Cyclopean eye (a depth above 1e-12 in each)
+    and its truth and the sum q_l + q_r are finite. Noise is added after
+    synthesis; the stored truth stays clean.
     """
     rng = np.random.default_rng(spec.seed)
+    poses = eye_poses(gaze)
     if spec.generator == "fixation-plane-patch":
         offsets = rng.uniform(-PATCH_HALF_WIDTH, PATCH_HALF_WIDTH, (spec.count, 2))
         rays = np.column_stack([offsets, np.ones(spec.count)])
-        depths = np.zeros(spec.count)
+        scene = gaze.rho * transform(poses.cyclopean.rotation.T, rays)
     else:
-        rays, depths = ray_and_depth(gaze, _scene_candidates(gaze, spec, rng))
+        scene = _scene_candidates(gaze, spec, rng)
 
-    records = synthesize_correspondence(gaze, rays, depths)
-    with np.errstate(over="ignore", invalid="ignore"):  # a sum that overflows drops its row
-        kept = np.isfinite(records.q_l + records.q_r).all(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is dropped
+        images = np.stack([project(pose, scene) for pose in poses])
+        images = mark_failures(images[..., 2] <= 1e-12, BehindEyeError,
+                               "point lies behind an eye", images)
+        s = images[2, :, 2] - gaze.rho
+        q_l, q_r, p_c = images / images[..., 2:]
+        kept = np.isfinite(q_l + q_r).all(axis=1) & np.isfinite(p_c).all(axis=1)
+    if spec.generator == "fixation-plane-patch":
+        p_c, s = rays, np.zeros(spec.count)
+    records = Correspondences(q_l, q_r, p_c, s)
     if not kept.all():
         records = records[kept]
     if spec.sigma > 0.0:

@@ -80,9 +80,8 @@ def grid_objective(
 # --------------------------------------------------------------------------
 # Reference formulations. Each computes what a library function computes,
 # the long way: every row through the failure pass and the division, each
-# eye's decomposition on its own with its own sine and cosine, all three eye
-# poses for the Cyclopean ray. The library's shortcuts must agree with them
-# bit for bit, NaN rows included.
+# eye's decomposition on its own with its own sine and cosine. The library's
+# shortcuts must agree with them bit for bit, NaN rows included.
 
 
 def reference_mark_failures(bad, error, message, values):
@@ -100,15 +99,6 @@ def reference_normalize_point(p):
     p = reference_mark_failures(np.abs(p[..., 2]) <= 1e-12 * np.abs(p).max(axis=-1),
                                 PointAtInfinityError, "cannot normalize a point at infinity", p)
     return p / p[..., 2:]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def reference_ray_and_depth(gaze: GazeState, scene):
-    """``ray_and_depth`` through the Cyclopean pose of all three ``eye_poses``."""
-    ray = project(eye_poses(gaze).cyclopean, scene)
-    ray = reference_mark_failures(ray[..., 2] <= 1e-12, BehindEyeError,
-                                  "point lies behind the Cyclopean eye", ray)
-    return ray / ray[..., 2:], ray[..., 2] - gaze.rho
 
 
 @np.errstate(over="ignore", invalid="ignore")

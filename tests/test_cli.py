@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cyclovision.cli import main
+from cyclovision.disparity import decompose
 from cyclovision.gaze import GazeState, eye_azimuths
 from cyclovision.records import _BLOCK_ROWS, ExperimentRecord, dumps
 from cyclovision.simulate import GENERATORS
@@ -169,6 +170,22 @@ class TestSynthesize:
         data = json.loads(path.read_text())
         assert data["skipped"] > 0
         assert data["skipped"] + len(data["records"]) == 200
+
+    def test_a_point_whose_cyclopean_ray_meets_the_plane_behind_an_eye_is_kept(
+            self, runner, tmp_path):
+        # These points lie in front of both eyes and the Cyclopean eye, but
+        # their Cyclopean rays meet the fixation plane z = 2 near x = -100,
+        # behind the left eye, where the parallax model has no predicted point.
+        path = tmp_path / "side.json"
+        run_ok(runner, ["synthesize", "--beta", "0", "--rho", "2", "--count", "20",
+                        "--region", "-0.26,-0.24,-0.01,0.01,0.004,0.006", "--out", str(path)])
+        data = json.loads(path.read_text())
+        assert data["skipped"] == 0
+        p_c = np.array([row["p_c"] for row in data["records"]])
+        assert np.isnan(decompose(GazeState(beta=0.0, rho=2.0), p_c)[0].predicted).all()
+        depths = json.loads(run_ok(runner, ["reconstruct", str(path)]))["records"]
+        assert len(depths) == 20
+        assert max(abs(row["s_est"] - row["s_true"]) for row in depths) < 1e-9
 
     def test_write_read_write_byte_identical(self, runner, tmp_path):
         path = tmp_path / "rt.json"

@@ -3,7 +3,6 @@
 - ``normalize_point`` skips the at-infinity pass for points already scaled
   to third component 1.
 - ``mark_failures`` returns a batch without failing rows as it is.
-- ``ray_and_depth`` builds only the Cyclopean pose.
 - ``decompose`` reads each eye's sine and cosine off that eye's rotation.
 - ``_r_factor`` normalizes each image alone.
 - Each damped step of ``estimate_gaze`` is ``_damped_step``, a closed-form
@@ -49,7 +48,6 @@ from helpers import (
     reference_mark_failures,
     reference_normalize_point,
     reference_r_factor,
-    reference_ray_and_depth,
     reference_synthesize_correspondence,
 )
 
@@ -169,12 +167,6 @@ class TestMarkFailures:
 
 
 class TestPipelineFunctions:
-    @settings(max_examples=300, deadline=None)
-    @given(gazes, points())
-    def test_ray_and_depth_matches_the_three_pose_form(self, gaze, scene):
-        assert_identical(outcome(ray_and_depth, gaze, scene),
-                         outcome(reference_ray_and_depth, gaze, scene))
-
     @settings(max_examples=300, deadline=None)
     @given(gazes, points())
     def test_decompose_matches_both_eyes_form(self, gaze, p_c):

@@ -565,7 +565,7 @@ def number_rows(draw):
         fault = draw(st.sampled_from(["number", "cell", "key"]))
         if fault == "key":
             row.pop("v", None)
-        elif fault == "cell" or not isinstance(row.get("v"), list):
+        elif fault == "cell" or not isinstance(row.get("v"), list) or not row["v"]:
             row["v"] = draw(not_number if fault == "number" else malformed_cell)
         else:
             row["v"][draw(st.integers(0, len(row["v"]) - 1))] = draw(not_number)

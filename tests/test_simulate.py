@@ -1,9 +1,22 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclovision.disparity import ray_and_depth
 from cyclovision.epipolar import epipolar_residual, essential_closed_form
 from cyclovision.gaze import GazeState, eye_azimuths, eye_poses, project
-from cyclovision.simulate import SceneSpec, default_region, synthesize_scene
+from cyclovision.geometry import transform
+from cyclovision.simulate import (
+    GENERATORS,
+    PATCH_HALF_WIDTH,
+    SceneSpec,
+    _scene_candidates,
+    default_region,
+    synthesize_scene,
+)
 
 GAZE = GazeState(beta=0.1, rho=1.5)
 
@@ -153,3 +166,57 @@ class TestSynthesizeScene:
             scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ p_c)
             left = project(poses.left, scene)
             assert np.abs(q_l - left / left[2]).max() < 1e-9
+
+
+def drawn_scene(gaze: GazeState, spec: SceneSpec):
+    """The candidate scene points of ``spec``, drawn as ``synthesize_scene``
+    draws them, and the patch's drawn rays (None for the other generators)."""
+    rng = np.random.default_rng(spec.seed)
+    if spec.generator != "fixation-plane-patch":
+        return _scene_candidates(gaze, spec, rng), None
+    offsets = rng.uniform(-PATCH_HALF_WIDTH, PATCH_HALF_WIDTH, (spec.count, 2))
+    rays = np.column_stack([offsets, np.ones(spec.count)])
+    turn_back = eye_poses(gaze).cyclopean.rotation.T
+    return np.array([gaze.rho * transform(turn_back, ray) for ray in rays]), rays
+
+
+def same_bytes(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+scene_gazes = st.builds(GazeState, beta=st.floats(-1.4, 1.4), rho=st.floats(0.75, 100.0),
+                        alpha=st.floats(-math.pi / 2, math.pi / 2))
+# boxes that may reach around and behind the eyes, or the default box
+scene_regions = st.one_of(st.none(), st.tuples(
+    *[st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 6.0))] * 3
+).map(lambda pairs: tuple((low, low + width) for low, width in pairs)))
+
+
+class TestPinholeSynthesis:
+    """Synthesis is one pinhole projection through the three eye poses."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scene_gazes, st.sampled_from(GENERATORS), scene_regions,
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_rows_are_the_projections_of_the_points_in_front_of_all_three_eyes(
+            self, gaze, generator, region, count, seed):
+        spec = SceneSpec(generator=generator, count=count, seed=seed, region=region)
+        records = synthesize_scene(gaze, spec).records
+        scene, rays = drawn_scene(gaze, spec)
+        poses = eye_poses(gaze)
+        with np.errstate(all="ignore"):
+            rays_c, depths = ray_and_depth(gaze, scene)
+            expected = []
+            for i, point in enumerate(scene):
+                left, right, cyclopean = (project(pose, point) for pose in poses)
+                if not all(image[2] > 1e-12 for image in (left, right, cyclopean)):
+                    continue
+                q_l, q_r = left / left[2], right / right[2]
+                p_c, s = (rays[i], 0.0) if rays is not None else (rays_c[i], depths[i])
+                if np.isfinite(q_l + q_r).all() and np.isfinite(p_c).all():
+                    expected.append((q_l, q_r, p_c, s))
+        assert len(records) == len(expected)
+        for row, (q_l, q_r, p_c, s) in zip(records, expected):
+            assert same_bytes(row.q_l, q_l) and same_bytes(row.q_r, q_r)
+            assert same_bytes(row.p_c, p_c) and same_bytes(row.s, s)
