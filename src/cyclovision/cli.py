@@ -38,15 +38,14 @@ from cyclovision.gaze import (
 from cyclovision.geometry import rot_x, transform
 from cyclovision.horopter import forward_arc_limit, vm_point
 from cyclovision.records import (
-    SCHEMA_VERSION,
     correspondence_file,
     csv_rows,
     depth_map_file,
     dumps,
     experiment_file,
-    gaze_to_dict,
     load_json,
     parse_correspondence_file,
+    record_head,
     text_pieces,
 )
 from cyclovision.simulate import GENERATORS, SceneSpec, synthesize_scene
@@ -155,12 +154,7 @@ def _command(*params):
 
 def _report_head(kind: str, gaze: GazeState, az) -> dict:
     """Schema, kind, gaze and eye azimuths: how fixate and essential start."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "kind": kind,
-        "gaze": gaze_to_dict(gaze),
-        "azimuths": {"beta_l": az.beta_l, "beta_r": az.beta_r},
-    }
+    return {**record_head(kind, gaze), "azimuths": {"beta_l": az.beta_l, "beta_r": az.beta_r}}
 
 
 def _epipoles_block(az) -> dict:

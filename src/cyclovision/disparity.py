@@ -41,12 +41,12 @@ from cyclovision.gaze import (
     direction_from_angles,
     eye_azimuths,
     eye_poses,
-    project,
 )
 from cyclovision.geometry import (
     HomogPoint2,
     inner,
     mark_failures,
+    normalize_in_front,
     normalize_point,
     rot_y,
     transform,
@@ -116,19 +116,6 @@ class ParallaxDecomposition:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
-def ray_and_depth(gaze: GazeState, scene: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclopean rays p_c and plane depths s of scene points in front of the Cyclopean eye.
-
-    The rays are the images under the Cyclopean pose of ``eye_poses``, which
-    refuses |beta| = pi/2.
-    """
-    ray = project(eye_poses(gaze).cyclopean, scene)
-    ray = mark_failures(ray[..., 2] <= 1e-12, BehindEyeError,
-                        "point lies behind the Cyclopean eye", ray)
-    return ray / ray[..., 2:], ray[..., 2] - gaze.rho
-
-
-@np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
 def decompose(
     gaze: GazeState, p_c: HomogPoint2
 ) -> tuple[ParallaxDecomposition, ParallaxDecomposition]:
@@ -150,9 +137,7 @@ def decompose(
         e_half = 0.5 * e
         relative = rot_y(beta_eye - gaze.beta)  # R_eye R^T, elevation cancels
         u = gaze.rho * transform(relative, p_c) + e_half
-        u = mark_failures(u[..., 2] <= 1e-12, BehindEyeError,
-                          f"predicted point lies behind the {eye} eye", u)
-        predicted = u / u[..., 2:]
+        predicted, _ = normalize_in_front(u, f"predicted point lies behind the {eye} eye")
         lam = p_c[..., 0] * relative[2, 0] + relative[0, 0]  # sin, cos of the eye's turn
         mu = float(e_half[2])
         kappa_vec = mu * predicted - e_half

@@ -32,10 +32,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from cyclovision.disparity import Correspondences, ray_and_depth
+from cyclovision.disparity import Correspondences
 from cyclovision.errors import (
     BehindEyeError,
     DegenerateConfigurationError,
+    DegenerateGeometryError,
     PointAtInfinityError,
 )
 from cyclovision.gaze import (
@@ -45,12 +46,14 @@ from cyclovision.gaze import (
     _finite_numbers,
     eye_poses,
     gaze_from_azimuths,
+    project,
 )
 from cyclovision.geometry import (
     HomogPoint2,
     Vec3,
     inner,
     mark_failures,
+    normalize_in_front,
     normalize_point,
     transform,
 )
@@ -278,12 +281,16 @@ def triangulate_midpoint(
 def estimate_depth_map(correspondences: Correspondences, gaze: GazeState) -> DepthMap:
     """Plane-relative depths of all points for a known (or estimated) gaze.
 
-    Each point is triangulated, and its Cyclopean ray and fixation-plane
-    depth are those of the triangulated point. Rows read NaN where the
-    rays are parallel, or the point is not in front of both eyes and the
-    Cyclopean eye; such failures are not fatal.
+    Each point is triangulated; its Cyclopean ray and plane depth are the
+    triangulated point's Cyclopean image and depth less rho. Rows read NaN
+    where the rays are parallel, the point is not in front of both eyes and
+    the Cyclopean eye, or rho + s rounds to 0; such failures are not fatal.
     """
-    scene = triangulate_midpoint(eye_poses(gaze), correspondences.q_l, correspondences.q_r)
-    p_c, s = ray_and_depth(gaze, scene)
-    s = mark_failures(gaze.rho + s <= 0.0, BehindEyeError, "point lies behind the eyes", s)
+    poses = eye_poses(gaze)
+    scene = triangulate_midpoint(poses, correspondences.q_l, correspondences.q_r)
+    p_c, depth = normalize_in_front(project(poses.cyclopean, scene),
+                                    "point lies behind the Cyclopean eye")
+    s = depth - gaze.rho
+    s = mark_failures(gaze.rho + s <= 0.0, DegenerateGeometryError,
+                      "Cyclopean depth rho + s rounds to 0 at this range", s)
     return DepthMap(p_c=np.where(np.isnan(s)[..., None], np.nan, p_c), s=s)

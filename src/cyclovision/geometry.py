@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from cyclovision.errors import DegenerateInputError, PointAtInfinityError
+from cyclovision.errors import BehindEyeError, DegenerateInputError, PointAtInfinityError
 
 # Type aliases carry shape and meaning only; there is no runtime wrapper.
 Vec3 = np.ndarray         # shape (3,), finite Euclidean scene vector
@@ -109,6 +109,16 @@ def normalize_point(p: HomogPoint2) -> HomogPoint2:
     p = mark_failures(np.abs(p[..., 2]) <= _DEGENERATE_TOL * np.abs(p).max(axis=-1),
                       PointAtInfinityError, "cannot normalize a point at infinity", p)
     return p / p[..., 2:]
+
+
+def normalize_in_front(u: HomogPoint2, message: str) -> tuple[HomogPoint2, np.ndarray]:
+    """Pinhole images u (..., 3) scaled to third component 1, and their depths u[..., 2].
+
+    An image lies in front of its eye when its depth is above 1e-12; one
+    that does not raises BehindEyeError(message), or reads NaN in a batch.
+    """
+    u = mark_failures(u[..., 2] <= 1e-12, BehindEyeError, message, u)
+    return u / u[..., 2:], u[..., 2]
 
 
 def proportional_form(a: np.ndarray) -> np.ndarray:

@@ -231,6 +231,11 @@ def gaze_to_dict(gaze: GazeState) -> dict:
     return {"alpha": float(gaze.alpha), "beta": float(gaze.beta), "rho": float(gaze.rho)}
 
 
+def record_head(kind: str, gaze: GazeState) -> dict:
+    """Schema, kind and gaze: how every record at one gaze starts."""
+    return {"schema": SCHEMA_VERSION, "kind": kind, "gaze": gaze_to_dict(gaze)}
+
+
 def _object(data: dict, key: str) -> dict:
     """``data[key]``, which must be a JSON object, or :class:`SchemaError` naming it."""
     if not isinstance(data.get(key), dict):
@@ -257,9 +262,7 @@ def correspondence_file(
 ) -> dict:
     """Header plus one record per correspondence, truth included when known."""
     return {
-        "schema": SCHEMA_VERSION,
-        "kind": "correspondences",
-        "gaze": gaze_to_dict(gaze),
+        **record_head("correspondences", gaze),
         "generator": generator,
         "sigma": float(sigma),
         "seed": int(seed),
@@ -351,9 +354,7 @@ def depth_map_file(gaze: GazeState, records: Correspondences, depth: DepthMap) -
     has rows and every true depth is known."""
     failed = np.isnan(depth.s)
     out = {
-        "schema": SCHEMA_VERSION,
-        "kind": "depth-map",
-        "gaze": gaze_to_dict(gaze),
+        **record_head("depth-map", gaze),
         "records": Table({
             "error": np.where(failed, "unrecoverable (behind an eye or at infinity)", None),
             "p_c": depth.p_c,

@@ -2,9 +2,9 @@
 
 A scene is drawn, projected and perturbed in one array pass into a
 Correspondences set whose truth is each point's clean (p_c, s). The images
-are pinhole projections through the left, right and Cyclopean poses of
-``eye_poses``, not the parallax model: that model is what the acceptance
-suite checks against projection.
+are pinhole projections through the three poses of ``eye_poses``, kept in
+front of each eye by ``geometry.normalize_in_front``, not the parallax
+model: that model is what the acceptance suite checks against projection.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from cyclovision.disparity import Correspondences
-from cyclovision.errors import BehindEyeError
 from cyclovision.gaze import (
     GazeState,
     eye_azimuths,
@@ -27,7 +26,7 @@ from cyclovision.gaze import (
     vergence_version,
     vieth_muller,
 )
-from cyclovision.geometry import mark_failures, rot_x, transform
+from cyclovision.geometry import normalize_in_front, rot_x, transform
 from cyclovision.horopter import forward_arc_limit, vm_point
 
 GENERATORS = ("random-box", "fixation-plane-patch", "horopter-samples")
@@ -129,12 +128,12 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
     Cyclopean poses of ``eye_poses``; each image is R (X - c) divided by its
     third component. The left and right images are the correspondence, and
     the Cyclopean image and its depth minus rho are the truth (p_c, s), as
-    ``ray_and_depth`` gives them. The fixation-plane patch draws its rays
-    p_c at s = 0, keeps them as its truth, and projects the points
-    rho R_c^T p_c. A candidate is skipped and counted unless it lies in
-    front of both eyes and the Cyclopean eye (a depth above 1e-12 in each)
-    and its truth and the sum q_l + q_r are finite. Noise is added after
-    synthesis; the stored truth stays clean.
+    the depth map reads them off a triangulated point. The fixation-plane
+    patch draws its rays p_c at s = 0, keeps them as its truth, and projects
+    the points rho R_c^T p_c. A candidate is skipped and counted unless
+    ``normalize_in_front`` finds it in front of both eyes and the Cyclopean
+    eye (a depth above 1e-12 in each) and its truth and the sum q_l + q_r
+    are finite. Noise is added after synthesis; the stored truth stays clean.
     """
     rng = np.random.default_rng(spec.seed)
     poses = eye_poses(gaze)
@@ -147,10 +146,8 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
 
     with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is dropped
         images = np.stack([project(pose, scene) for pose in poses])
-        images = mark_failures(images[..., 2] <= 1e-12, BehindEyeError,
-                               "point lies behind an eye", images)
-        s = images[2, :, 2] - gaze.rho
-        q_l, q_r, p_c = images / images[..., 2:]
+        (q_l, q_r, p_c), depths = normalize_in_front(images, "point lies behind an eye")
+        s = depths[2] - gaze.rho
         kept = np.isfinite(q_l + q_r).all(axis=1) & np.isfinite(p_c).all(axis=1)
     if spec.generator == "fixation-plane-patch":
         p_c, s = rays, np.zeros(spec.count)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cyclovision.disparity import Correspondences, ray_and_depth, synthesize_correspondence
+from cyclovision.disparity import Correspondences, synthesize_correspondence
 from cyclovision.epipolar import epipolar_residual, essential_closed_form
 from cyclovision.errors import (
     BehindEyeError,
@@ -36,6 +36,7 @@ from cyclovision.gaze import (
     GazeState,
     eye_azimuths,
     eye_poses,
+    project,
     vergence_version,
 )
 from cyclovision.geometry import normalize_point
@@ -351,12 +352,11 @@ class TestGridInit:
 
 
 def point_depth(gaze, q_l, q_r):
-    """Reference: one point's depth through the single-ray calls, NaN where one raises."""
+    """Reference: one point's depth through the single-correspondence path, NaN where it raises."""
     try:
-        _, s = ray_and_depth(gaze, triangulate_midpoint(eye_poses(gaze), q_l, q_r))
+        return estimate_depth_map(Correspondences(q_l, q_r), gaze).s
     except DegenerateGeometryError:
         return np.nan
-    return s if gaze.rho + s > 0.0 else np.nan
 
 
 class TestDepthMap:
@@ -443,6 +443,20 @@ class TestDepthMap:
         depth = estimate_depth_map(records, GazeState(beta=1.3, rho=0.9))
         assert np.flatnonzero(np.isnan(depth.s)).tolist() == [5, 6, 7, 8, 15, 16, 18]
         assert np.isnan(depth.p_c[[5, 6, 7, 8, 15, 16, 18]]).all()
+
+    def test_a_range_that_swallows_the_depth_names_the_rounding(self):
+        # At rho = 1e300 row 3 of the golden random-box file triangulates in
+        # front of both eyes and of the Cyclopean eye: it fails only because
+        # rho + s rounds to 0.
+        records = parse_correspondence_file(load_json(GOLDEN_RANDOM_BOX)).records
+        gaze = GazeState(beta=0.0, rho=1e300)
+        poses = eye_poses(gaze)
+        point = triangulate_midpoint(poses, records.q_l[3], records.q_r[3])
+        assert project(poses.cyclopean, point)[2] > 1e-12
+        with pytest.raises(DegenerateGeometryError, match="rounds to 0") as raised:
+            estimate_depth_map(records[3], gaze)
+        assert not isinstance(raised.value, BehindEyeError)
+        assert np.isnan(estimate_depth_map(records, gaze).s).all()
 
     def test_a_single_pair_behind_an_eye_raises_naming_it(self):
         records = parse_correspondence_file(load_json(GOLDEN_RANDOM_BOX)).records

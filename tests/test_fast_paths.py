@@ -30,7 +30,6 @@ from cyclovision.disparity import (
     Correspondences,
     ParallaxDecomposition,
     decompose,
-    ray_and_depth,
     synthesize_correspondence,
 )
 from cyclovision.epipolar import epipoles
@@ -38,6 +37,7 @@ from cyclovision.errors import BehindEyeError, DegenerateGeometryError
 from cyclovision.estimation import (
     _damped_step,
     _r_factor,
+    estimate_depth_map,
     estimate_gaze,
 )
 from cyclovision.gaze import EyeAzimuths, GazeState
@@ -190,9 +190,10 @@ class TestPipelineFunctions:
         assert same_bits(epi.e_r, np.array([-np.cos(beta_r), 0.0, -np.sin(beta_r)]))
 
     @pytest.mark.parametrize("beta", [HALF_PI, -HALF_PI])
-    def test_ray_and_depth_refuses_beta_at_half_pi_as_eye_poses_does(self, beta):
+    def test_depth_map_refuses_beta_at_half_pi_as_eye_poses_does(self, beta):
+        q = np.array([0.0, 0.0, 1.0])
         with pytest.raises(DegenerateGeometryError, match="unbounded"):
-            ray_and_depth(GazeState(beta=beta, rho=2.0), np.array([0.0, 0.0, 1.0]))
+            estimate_depth_map(Correspondences(q, q), GazeState(beta=beta, rho=2.0))
 
 
 class TestFit:

@@ -1,14 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from cyclovision.errors import DegenerateInputError, PointAtInfinityError
+from cyclovision.errors import BehindEyeError, DegenerateInputError, PointAtInfinityError
 from cyclovision.geometry import (
     cross_matrix,
     join,
     meet,
+    normalize_in_front,
     normalize_point,
     projectively_equal,
     rot_y,
@@ -136,3 +139,30 @@ class TestNormalizePoint:
         normalized = normalize_point(points)
         assert_allclose(normalized[[0, 2]], [[1.0, 2.0, 1.0], [0.0, 0.0, 1.0]])
         assert np.isnan(normalized[1]).all()
+
+
+class TestNormalizeInFront:
+    def test_a_depth_of_exactly_1e_12_is_refused(self):
+        with pytest.raises(BehindEyeError):
+            normalize_in_front(np.array([0.5, 0.25, 1e-12]), "behind")
+
+    def test_the_next_depth_up_is_accepted(self):
+        depth = float(np.nextafter(1e-12, 1.0))
+        image, got = normalize_in_front(np.array([0.5, 0.25, depth]), "behind")
+        assert image.tolist() == [0.5 / depth, 0.25 / depth, 1.0]
+        assert got == depth
+
+    @pytest.mark.parametrize("depth", [0.0, -0.0, -2.0])
+    def test_a_single_image_raises_with_the_callers_message(self, depth):
+        with pytest.raises(BehindEyeError, match="^point lies behind the left eye$"):
+            normalize_in_front(np.array([1.0, 2.0, depth]), "point lies behind the left eye")
+
+    def test_a_batch_reads_nan_in_each_failing_row_without_a_warning(self):
+        images = np.array([[2.0, 4.0, 2.0], [1.0, 1.0, 1e-12], [0.0, 0.0, -3.0],
+                           [3.0, 0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            normalized, depths = normalize_in_front(images, "behind")
+        assert normalized[[0, 3]].tolist() == [[1.0, 2.0, 1.0], [3.0, 0.0, 1.0]]
+        assert depths[[0, 3]].tolist() == [2.0, 1.0]
+        assert np.isnan(normalized[[1, 2]]).all() and np.isnan(depths[[1, 2]]).all()

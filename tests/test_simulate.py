@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclovision.disparity import ray_and_depth
 from cyclovision.epipolar import epipolar_residual, essential_closed_form
+from cyclovision.estimation import estimate_depth_map
 from cyclovision.gaze import GazeState, eye_azimuths, eye_poses, project
-from cyclovision.geometry import transform
+from cyclovision.geometry import normalize_point, transform
 from cyclovision.simulate import (
     GENERATORS,
     PATCH_HALF_WIDTH,
@@ -206,17 +206,30 @@ class TestPinholeSynthesis:
         scene, rays = drawn_scene(gaze, spec)
         poses = eye_poses(gaze)
         with np.errstate(all="ignore"):
-            rays_c, depths = ray_and_depth(gaze, scene)
             expected = []
             for i, point in enumerate(scene):
                 left, right, cyclopean = (project(pose, point) for pose in poses)
                 if not all(image[2] > 1e-12 for image in (left, right, cyclopean)):
                     continue
                 q_l, q_r = left / left[2], right / right[2]
-                p_c, s = (rays[i], 0.0) if rays is not None else (rays_c[i], depths[i])
+                p_c, s = ((rays[i], 0.0) if rays is not None
+                          else (normalize_point(cyclopean), cyclopean[2] - gaze.rho))
                 if np.isfinite(q_l + q_r).all() and np.isfinite(p_c).all():
                     expected.append((q_l, q_r, p_c, s))
         assert len(records) == len(expected)
         for row, (q_l, q_r, p_c, s) in zip(records, expected):
             assert same_bytes(row.q_l, q_l) and same_bytes(row.q_r, q_r)
             assert same_bytes(row.p_c, p_c) and same_bytes(row.s, s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(scene_gazes, st.sampled_from(GENERATORS), scene_regions,
+           st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_the_depth_map_at_the_true_gaze_recovers_every_kept_row(
+            self, gaze, generator, region, count, seed):
+        spec = SceneSpec(generator=generator, count=count, seed=seed, region=region)
+        records = synthesize_scene(gaze, spec).records
+        depth = estimate_depth_map(records, gaze)
+        assert not np.isnan(depth.s).any()
+        # the ray, unlike the depth, stays well conditioned as the eyes' rays near parallel
+        error = np.abs(depth.p_c - records.p_c).max(axis=1, initial=0.0)
+        assert (error <= 1e-9 * (1.0 + np.abs(records.p_c).max(axis=1, initial=0.0))).all()
