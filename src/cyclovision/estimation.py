@@ -13,9 +13,10 @@ on Python floats, over R's 10 nonzero entries: the residual, the analytic
 Jacobian and each damped 2 x 2 step, solved in closed form with no LAPACK
 call; (beta, rho) follow algebraically. The fit needs a Correspondences set
 of at least three points. Depths are recovered for all points in one array
-pass: each point is triangulated, and its Cyclopean ray and plane depth
-are those of the triangulated point; a point that cannot be recovered
-reads NaN in the depth map.
+pass in the Cyclopean frame, where the elevation cancels: each point is the
+closed-form midpoint of its two rays, and its Cyclopean ray and plane depth
+are those of that point; a point that cannot be recovered reads NaN in the
+depth map.
 
 Data lying entirely on the horizontal image meridian satisfies the
 epipolar constraint for every azimuth pair, so such sets are rejected
@@ -40,21 +41,19 @@ from cyclovision.errors import (
     PointAtInfinityError,
 )
 from cyclovision.gaze import (
-    BinocularPoses,
+    BASELINE,
     EyeAzimuths,
     GazeState,
     _finite_numbers,
-    eye_poses,
+    eye_azimuths,
     gaze_from_azimuths,
-    project,
 )
 from cyclovision.geometry import (
-    HomogPoint2,
-    Vec3,
     inner,
     mark_failures,
     normalize_in_front,
     normalize_point,
+    rot_y,
     transform,
 )
 
@@ -251,44 +250,31 @@ def estimate_gaze(
                         iterations=iterations, converged=converged)
 
 
-def triangulate_midpoint(
-    poses: BinocularPoses, q_l: HomogPoint2, q_r: HomogPoint2
-) -> Vec3:
-    """Midpoints of the closest points of the back-projected ray pairs.
-
-    A pair fails where its rays are parallel, or where the closest point on
-    either ray lies at or behind that eye: PointAtInfinityError or
-    BehindEyeError for a single pair, NaN rows in a batch.
-    """
-    d1 = transform(poses.left.rotation.T, normalize_point(q_l))
-    d2 = transform(poses.right.rotation.T, normalize_point(q_r))
-    w0 = poses.left.centre - poses.right.centre
-    a, b, c = inner(d1, d1), inner(d1, d2), inner(d2, d2)
-    det = b * b - a * c
-    det = mark_failures(np.abs(det) <= 1e-15 * a * c, PointAtInfinityError,
-                        "rays are parallel: triangulated point at infinity", det)
-    rhs1, rhs2 = -inner(d1, w0), -inner(d2, w0)
-    u = (-c * rhs1 + b * rhs2) / det
-    v = (-b * rhs1 + a * rhs2) / det
-    u = mark_failures(u <= 0.0, BehindEyeError, "point lies behind the left eye", u)
-    v = mark_failures(v <= 0.0, BehindEyeError, "point lies behind the right eye", v)
-    near_l = poses.left.centre + u[..., None] * d1
-    near_r = poses.right.centre + v[..., None] * d2
-    return 0.5 * (near_l + near_r)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # rows that overflow come out NaN
 def estimate_depth_map(correspondences: Correspondences, gaze: GazeState) -> DepthMap:
     """Plane-relative depths of all points for a known (or estimated) gaze.
 
-    Each point is triangulated; its Cyclopean ray and plane depth are the
-    triangulated point's Cyclopean image and depth less rho. Rows read NaN
-    where the rays are parallel, the point is not in front of both eyes and
-    the Cyclopean eye, or rho + s rounds to 0; such failures are not fatal.
+    Each pair of rays is turned into the Cyclopean frame, where the eyes sit
+    at -b/2 and b/2 and the elevation cancels, and triangulated at the
+    midpoint of its common perpendicular; the Cyclopean ray and plane depth
+    are that point's image and depth less rho. Rows read NaN where the rays
+    are parallel, the point is not in front of both eyes and the Cyclopean
+    eye, or rho + s rounds to 0; such failures are not fatal.
     """
-    poses = eye_poses(gaze)
-    scene = triangulate_midpoint(poses, correspondences.q_l, correspondences.q_r)
-    p_c, depth = normalize_in_front(project(poses.cyclopean, scene),
+    az = eye_azimuths(gaze)
+    d1 = transform(rot_y(gaze.beta - az.beta_l), normalize_point(correspondences.q_l))
+    d2 = transform(rot_y(gaze.beta - az.beta_r), normalize_point(correspondences.q_r))
+    b = rot_y(gaze.beta) @ BASELINE
+    n = np.cross(d1, d2)
+    nn = inner(n, n)
+    nn = mark_failures(nn <= 1e-15 * inner(d1, d1) * inner(d2, d2), PointAtInfinityError,
+                       "rays are parallel: triangulated point at infinity", nn)
+    # left eye + u d1 and right eye + v d2 are the ends of the common perpendicular
+    u = inner(np.cross(b, d2), n) / nn
+    v = inner(np.cross(b, d1), n) / nn
+    u = mark_failures(u <= 0.0, BehindEyeError, "point lies behind the left eye", u)
+    v = mark_failures(v <= 0.0, BehindEyeError, "point lies behind the right eye", v)
+    p_c, depth = normalize_in_front(0.5 * (u[..., None] * d1 + v[..., None] * d2),
                                     "point lies behind the Cyclopean eye")
     s = depth - gaze.rho
     s = mark_failures(gaze.rho + s <= 0.0, DegenerateGeometryError,

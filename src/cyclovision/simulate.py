@@ -1,9 +1,10 @@
 """Synthetic scenes and correspondence generation for the simulation CLI.
 
 A scene is drawn, projected and perturbed in one array pass into a
-Correspondences set whose truth is each point's clean (p_c, s). The images
-are pinhole projections through the three poses of ``eye_poses``, kept in
-front of each eye by ``geometry.normalize_in_front``, not the parallax
+Correspondences set whose truth is each point's clean (p_c, s), the Cyclopean
+image and depth less rho that the depth map recovers in the Cyclopean frame.
+The images are pinhole projections through the three poses of ``eye_poses``,
+kept in front of each eye by ``geometry.normalize_in_front``, not the parallax
 model: that model is what the acceptance suite checks against projection.
 """
 
@@ -128,7 +129,7 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
     Cyclopean poses of ``eye_poses``; each image is R (X - c) divided by its
     third component. The left and right images are the correspondence, and
     the Cyclopean image and its depth minus rho are the truth (p_c, s), as
-    the depth map reads them off a triangulated point. The fixation-plane
+    the depth map reads them off its triangulated point. The fixation-plane
     patch draws its rays p_c at s = 0, keeps them as its truth, and projects
     the points rho R_c^T p_c. A candidate is skipped and counted unless
     ``normalize_in_front`` finds it in front of both eyes and the Cyclopean

@@ -45,6 +45,23 @@ def project_both(gaze: GazeState, scene_point) -> tuple[np.ndarray, np.ndarray]:
     return q_l, q_r
 
 
+def midpoint_oracle(gaze: GazeState, q_l, q_r) -> tuple[np.ndarray, float, float]:
+    """Head-frame midpoint of the common perpendicular of one pair's back-projected
+    rays, with the rays' parameters u and v at its ends.
+
+    The other oracle: each ray leaves its eye's centre of ``eye_poses`` along
+    R^T q, and c_l + u d_l - (c_r + v d_r) is minimized by ``np.linalg.lstsq``,
+    with no frame change, closed form or normal equations.
+    """
+    poses = eye_poses(gaze)
+    d_l = poses.left.rotation.T @ normalize_point(q_l)
+    d_r = poses.right.rotation.T @ normalize_point(q_r)
+    (u, v), *_ = np.linalg.lstsq(np.column_stack([d_l, -d_r]),
+                                 poses.right.centre - poses.left.centre, rcond=None)
+    near_l, near_r = poses.left.centre + u * d_l, poses.right.centre + v * d_r
+    return 0.5 * (near_l + near_r), float(u), float(v)
+
+
 def table_rows(columns: dict[str, np.ndarray]) -> list[dict]:
     """One record per row from (N,) and (N, k) columns, keys in column order.
 

@@ -29,20 +29,20 @@ from cyclovision.estimation import (
     estimate_depth_map,
     estimate_gaze,
     grid_init,
-    triangulate_midpoint,
 )
 from cyclovision.gaze import (
     EyeAzimuths,
     GazeState,
     eye_azimuths,
     eye_poses,
+    fixation_point,
     project,
     vergence_version,
 )
 from cyclovision.geometry import normalize_point
 from cyclovision.records import load_json, parse_correspondence_file
 from cyclovision.simulate import SceneSpec, synthesize_scene
-from helpers import grid_objective
+from helpers import grid_objective, midpoint_oracle, project_both
 
 TRUE_GAZE = GazeState(beta=0.2, rho=2.0)
 GOLDEN_RANDOM_BOX = Path(__file__).resolve().parent / "golden" / "synthesize-random-box.json"
@@ -386,14 +386,17 @@ class TestDepthMap:
         assert_allclose(per_eye[0], records.s, rtol=0.0, atol=1e-10)
 
     def test_triangulation_recovers_scene_points(self):
-        records = synthesized_set(TRUE_GAZE, seed=43)[:20]
-        poses = eye_poses(TRUE_GAZE)
-        scene = triangulate_midpoint(poses, records.q_l, records.q_r)
-        expected = (TRUE_GAZE.rho + records.s)[:, None] * (records.p_c @ poses.cyclopean.rotation)
-        assert_allclose(scene, expected, atol=1e-10)
+        # R_c^T p_c (rho + s), the scene point the depth map reads, is the drawn one
+        gaze = GazeState(beta=0.2, rho=2.0, alpha=0.4)
+        rng = np.random.default_rng(43)
+        scene = fixation_point(gaze) + rng.uniform(-0.8, 0.8, (20, 3))
+        records = Correspondences(*map(np.array, zip(*(project_both(gaze, x) for x in scene))))
+        depth = estimate_depth_map(records, gaze)
+        recovered = (gaze.rho + depth.s)[:, None] * (depth.p_c @ eye_poses(gaze).cyclopean.rotation)
+        assert_allclose(recovered, scene, rtol=0.0, atol=1e-10)
         for i in range(len(records)):
-            assert np.array_equal(triangulate_midpoint(poses, records.q_l[i], records.q_r[i]),
-                                  scene[i])
+            single = estimate_depth_map(records[i], gaze)
+            assert np.array_equal(single.p_c, depth.p_c[i]) and single.s == depth.s[i]
 
     def test_matches_the_point_by_point_reference(self):
         # a wrong gaze on a scene around the eyes: many points fail
@@ -432,8 +435,8 @@ class TestDepthMap:
         assert np.isnan(depth.p_c[failed]).all()
         assert np.array_equal(depth.s[~failed], clean.s[~failed])
         assert np.array_equal(depth.p_c[~failed], clean.p_c[~failed])
-        with pytest.raises(PointAtInfinityError):
-            triangulate_midpoint(poses, broken.q_l[3], broken.q_r[3])
+        with pytest.raises(PointAtInfinityError, match="rays are parallel"):
+            estimate_depth_map(broken[3], TRUE_GAZE)
 
     def test_points_behind_an_eye_fail(self):
         # The golden random-box file at a wrong gaze: these rows' closest
@@ -450,9 +453,8 @@ class TestDepthMap:
         # rho + s rounds to 0.
         records = parse_correspondence_file(load_json(GOLDEN_RANDOM_BOX)).records
         gaze = GazeState(beta=0.0, rho=1e300)
-        poses = eye_poses(gaze)
-        point = triangulate_midpoint(poses, records.q_l[3], records.q_r[3])
-        assert project(poses.cyclopean, point)[2] > 1e-12
+        point, u, v = midpoint_oracle(gaze, records.q_l[3], records.q_r[3])
+        assert u > 0.0 and v > 0.0 and project(eye_poses(gaze).cyclopean, point)[2] > 1e-12
         with pytest.raises(DegenerateGeometryError, match="rounds to 0") as raised:
             estimate_depth_map(records[3], gaze)
         assert not isinstance(raised.value, BehindEyeError)
@@ -460,20 +462,19 @@ class TestDepthMap:
 
     def test_a_single_pair_behind_an_eye_raises_naming_it(self):
         records = parse_correspondence_file(load_json(GOLDEN_RANDOM_BOX)).records
-        q_l, q_r = records.q_l[5], records.q_r[5]
         with pytest.raises(BehindEyeError, match="behind the right eye"):
-            triangulate_midpoint(eye_poses(GazeState(beta=1.3, rho=0.9)), q_l, q_r)
+            estimate_depth_map(records[5], GazeState(beta=1.3, rho=0.9))
         # the mirror image: eyes swapped, x and beta negated
         mirror = np.array([-1.0, 1.0, 1.0])
         with pytest.raises(BehindEyeError, match="behind the left eye"):
-            triangulate_midpoint(eye_poses(GazeState(beta=-1.3, rho=0.9)),
-                                 q_r * mirror, q_l * mirror)
+            estimate_depth_map(Correspondences(records.q_r[5] * mirror, records.q_l[5] * mirror),
+                               GazeState(beta=-1.3, rho=0.9))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_elevation_changes_no_depth(self, seed):
         # The images are unchanged by a rotation about the baseline, so they
         # cannot constrain alpha: gazes that differ only in alpha give the
-        # same failed rows and the same depths, up to rounding.
+        # same failed rows and exactly the same rays and depths.
         records = synthesized_set(TRUE_GAZE, count=200, seed=seed, sigma=1e-3)
         poses = eye_poses(TRUE_GAZE)
         far = np.array([0.1, 0.05, 1.0])          # images of a point at infinity
@@ -486,7 +487,28 @@ class TestDepthMap:
         assert failed[[3, 8]].all() and not failed.all()
         for alpha in (-HALF_PI, -0.3, 0.6, HALF_PI):
             depth = estimate_depth_map(records, GazeState(TRUE_GAZE.beta, TRUE_GAZE.rho, alpha))
-            assert np.array_equal(np.isnan(depth.s), failed)
-            # relative to each point's range rho + s, as s itself crosses 0
-            change = np.abs(depth.s[~failed] - level.s[~failed])
-            assert (change <= 1e-12 * (TRUE_GAZE.rho + level.s[~failed])).all()
+            assert np.array_equal(depth.s, level.s, equal_nan=True)
+            assert np.array_equal(depth.p_c, level.p_c, equal_nan=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-1.2, 1.2), st.floats(0.8, 200.0), st.floats(-1.2, 1.2),
+           st.sampled_from([1e-4, 1e-3, 1e-2]), st.integers(0, 2**32 - 1))
+    def test_the_closed_form_midpoint_matches_the_head_frame_oracle(
+            self, beta, rho, alpha, sigma, seed):
+        # noisy images: the rays miss each other, so the midpoint is not an intersection
+        gaze = GazeState(beta, rho, alpha)
+        records = synthesize_scene(gaze, SceneSpec(count=20, sigma=sigma, seed=seed)).records
+        depth = estimate_depth_map(records, gaze)
+        poses = eye_poses(gaze)
+        for i in range(len(records)):
+            point, u, v = midpoint_oracle(gaze, records.q_l[i], records.q_r[i])
+            d_l = poses.left.rotation.T @ records.q_l[i]
+            d_r = poses.right.rotation.T @ records.q_r[i]
+            sine = np.linalg.norm(np.cross(d_l, d_r)) / (np.linalg.norm(d_l) * np.linalg.norm(d_r))
+            image = project(poses.cyclopean, point)
+            distance = np.linalg.norm(point)
+            if sine < 1e-3 or min(u, v, image[2]) < 1e-6 * distance:
+                continue  # ill-conditioned, or too near an eye's failure rule
+            assert abs(depth.s[i] + rho - image[2]) <= 1e-9 * distance
+            ray = image / image[2]
+            assert np.abs(depth.p_c[i] - ray).max() <= 1e-9 * np.abs(ray).max()

@@ -230,6 +230,6 @@ class TestPinholeSynthesis:
         records = synthesize_scene(gaze, spec).records
         depth = estimate_depth_map(records, gaze)
         assert not np.isnan(depth.s).any()
-        # the ray, unlike the depth, stays well conditioned as the eyes' rays near parallel
         error = np.abs(depth.p_c - records.p_c).max(axis=1, initial=0.0)
         assert (error <= 1e-9 * (1.0 + np.abs(records.p_c).max(axis=1, initial=0.0))).all()
+        assert (np.abs(depth.s - records.s) <= 1e-9 * (gaze.rho + np.abs(records.s))).all()
