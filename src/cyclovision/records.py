@@ -58,12 +58,11 @@ def float_repr(x: float) -> str:
 
 @dataclass(frozen=True, eq=False)
 class Table:
-    """Rows held as columns: name -> float (N,) or (N, k) array, or an
-    object (N,) array of str or None.
+    """Rows held as columns: name -> float (N,) or (N, k) array.
 
     Written as an array of N objects with the keys in column order. A row
     leaves out a key whose value there is NaN (all k of an (N, k) row: a
-    failed or unknown value) or None; any other non-finite value raises
+    failed or unknown value); any other non-finite value raises
     ``ValueError``.
     """
 
@@ -90,56 +89,47 @@ def _table_blocks(columns: dict[str, np.ndarray], indent: str):
     n = len(next(iter(columns.values()), ()))
     if n == 0:
         return iter(("[]",))
-    # Per column: a code for each row, and for each code the cell text
-    # (float slots as %.17g), or None where the row leaves the key out.
-    codes, cells = [], []
+    # Per column: whether each row holds it (0 where the row leaves the key
+    # out), and its cell text, with %.17g in each float slot.
+    present, cells = [], []
     bad = np.zeros(n, dtype=bool)
     for c in columns.values():
-        if c.dtype == object:
-            distinct: dict = {}
-            codes.append([distinct.setdefault(v, len(distinct)) for v in c.tolist()])
-            cells.append([None if v is None else _encode(v, cells_at, []).replace("%", "%%")
-                          for v in distinct])
-            continue
         inner = tuple(range(1, c.ndim))
-        present = ~np.isnan(c).all(axis=inner)
-        bad |= present & ~np.isfinite(c).all(axis=inner)
-        codes.append(present)
-        slots = "%.17g" if c.ndim == 1 else _block(["%.17g"] * c.shape[1], "[]", cells_at)
-        cells.append([None, slots])
-    codes = np.array(codes, dtype=np.intp)
+        held = ~np.isnan(c).all(axis=inner)
+        bad |= held & ~np.isfinite(c).all(axis=inner)
+        present.append(held)
+        cells.append("%.17g" if c.ndim == 1 else _block(["%.17g"] * c.shape[1], "[]", cells_at))
+    present = np.array(present, dtype=np.intp)
     if bad.any():  # the first row with a non-finite value, written cell by cell, raises there
         row = int(np.argmax(bad))
-        _encode({name: c[row:row + 1].tolist()[0] for (name, c), text, code
-                 in zip(columns.items(), cells, codes[:, row]) if text[code] is not None},
+        _encode({name: c[row:row + 1].tolist()[0]
+                 for (name, c), held in zip(columns.items(), present[:, row]) if held},
                 indent, [])
     names = [json.dumps(name).replace("%", "%%") for name in columns]
-    return _row_blocks(list(columns.values()), codes, names, cells, indent)
+    return _row_blocks(list(columns.values()), present, names, cells, indent)
 
 
-def _row_blocks(columns: list[np.ndarray], codes: np.ndarray, names: list[str],
-                cells: list[list], indent: str):
+def _row_blocks(columns: list[np.ndarray], present: np.ndarray, names: list[str],
+                cells: list[str], indent: str):
     """The checked rows' text, one block of :data:`_BLOCK_ROWS` rows at a time."""
     rows_at = indent + "  "
-    for start in range(0, codes.shape[1], _BLOCK_ROWS):
+    for start in range(0, present.shape[1], _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        block = codes[:, start:stop]
-        # Rows with equal codes share one template; the stable sort keeps each
-        # group in row order. A row's text depends on that row alone, so
+        block = present[:, start:stop]
+        # Rows that hold the same keys share one template; the stable sort keeps
+        # each group in row order. A row's text depends on that row alone, so
         # grouping within each block gives the bytes of grouping all rows.
         order = np.lexsort(block)
         grouped = block[:, order]
         changes = np.flatnonzero((grouped[:, 1:] != grouped[:, :-1]).any(axis=0)) + 1
         out = [""] * block.shape[1]
         for rows in np.split(order, changes):
-            kept = [(f"{name}: {text[code]}", c) for name, text, code, c
-                    in zip(names, cells, block[:, rows[0]], columns) if text[code] is not None]
+            kept = [(f"{name}: {cell}", c) for name, cell, held, c
+                    in zip(names, cells, block[:, rows[0]], columns) if held]
             template = _block([item for item, _ in kept], "{}", rows_at)
-            floats = [c[start:stop][rows] for _, c in kept if c.dtype != object]
-            if floats:
-                texts = [template % tuple(v) for v in np.column_stack(floats).tolist()]
-            else:
-                texts = [template % ()] * len(rows)
+            floats = [c[start:stop][rows] for _, c in kept]
+            values = np.column_stack(floats).tolist() if floats else [()] * len(rows)
+            texts = [template % tuple(v) for v in values]
             for i, text in zip(rows.tolist(), texts):
                 out[i] = text
         yield ("[\n" if start == 0 else ",\n") + rows_at + f",\n{rows_at}".join(out)
@@ -351,12 +341,11 @@ def _rms(errors: np.ndarray) -> float:
 
 def depth_map_file(gaze: GazeState, records: Correspondences, depth: DepthMap) -> dict:
     """Depth-map records at ``gaze``, with error statistics when the file
-    has rows and every true depth is known."""
-    failed = np.isnan(depth.s)
+    has rows and every true depth is known. A row the depth map failed holds
+    no estimate, as in :func:`experiment_file`, and ``stats.failed`` counts it."""
     out = {
         **record_head("depth-map", gaze),
         "records": Table({
-            "error": np.where(failed, "unrecoverable (behind an eye or at infinity)", None),
             "p_c": depth.p_c,
             "s_est": depth.s,
             "z_c_est": gaze.rho + depth.s,
@@ -364,7 +353,7 @@ def depth_map_file(gaze: GazeState, records: Correspondences, depth: DepthMap) -
         }),
     }
     if len(records) and not np.isnan(records.s).any():
-        stats = out["stats"] = {"count": len(records), "failed": int(failed.sum())}
+        stats = out["stats"] = {"count": len(records), "failed": int(np.isnan(depth.s).sum())}
         errors = _depth_errors(depth, records)
         if errors.size:  # left out when no row was recovered
             stats["rms_error"] = _rms(errors)

@@ -49,7 +49,8 @@ class SceneSpec:
     """What to synthesize: generator kind, size, noise and seeding.
 
     ``region`` bounds random-box points as ((x0, x1), (y0, y1), (z0, z1))
-    in baseline units; None means a box centred on the fixation point.
+    in baseline units; None means a box centred on the fixation point. The
+    other generators refuse a region, which they would ignore.
     ``sigma`` is the standard deviation of isotropic Gaussian noise added
     to the inhomogeneous image coordinates, independently per eye.
     """
@@ -65,6 +66,8 @@ class SceneSpec:
             raise ValueError(f"unknown generator {self.generator!r}, expected one of {GENERATORS}")
         pairs = []
         if self.region is not None:
+            if self.generator != "random-box":
+                raise ValueError(f"region bounds random-box points only, not {self.generator}")
             try:
                 pairs = [(low, high) for low, high in self.region]
             except (TypeError, ValueError):  # not an iterable of pairs

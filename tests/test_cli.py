@@ -13,8 +13,16 @@ from hypothesis import strategies as st
 
 from cyclovision.cli import main
 from cyclovision.disparity import decompose
+from cyclovision.estimation import estimate_depth_map, estimate_gaze
 from cyclovision.gaze import GazeState, eye_azimuths
-from cyclovision.records import _BLOCK_ROWS, ExperimentRecord, dumps
+from cyclovision.records import (
+    _BLOCK_ROWS,
+    ExperimentRecord,
+    dumps,
+    experiment_file,
+    load_json,
+    parse_correspondence_file,
+)
 from cyclovision.simulate import GENERATORS
 
 from helpers import TRUTH_PROBES, break_truth, random_gaze
@@ -204,6 +212,8 @@ class TestSynthesize:
         (["--point", "1,2"], "--point"),
         (["--region", "a,b,c,d,e,f"], "--region"),
         (["--seed", "-1"], "seed"),
+        (["--scene", "horopter-samples", "--region", "100,101,100,101,100,101"], "region"),
+        (["--scene", "fixation-plane-patch", "--region", "0,1,0,1,1,2"], "region"),
     ])
     def test_overflowing_flags_exit_2_naming_the_flag(self, runner, flags, name):
         result = runner.invoke(main, ["synthesize", "--beta", "0.2", "--rho", "2", *flags])
@@ -249,7 +259,7 @@ class TestStreamedOutput:
             assert runner.invoke(main, args).stdout_bytes == path.read_bytes()
         rows = json.loads(depth.read_bytes())["records"]
         assert len(rows) > _BLOCK_ROWS
-        assert 0 < sum("error" in row for row in rows) < len(rows)
+        assert 0 < sum("s_est" not in row for row in rows) < len(rows)
 
 
 class TestReconstruct:
@@ -298,7 +308,7 @@ class TestReconstruct:
         text = run_ok(runner, ["reconstruct", str(corr), "--beta", "1.3", "--rho", "0.9"])
         report = json.loads(text)
         assert report["stats"]["failed"] > 0
-        assert any("error" in row and "s_est" not in row for row in report["records"])
+        assert any("s_est" not in row for row in report["records"])
         assert dumps(report) == text
 
     def test_nothing_recovered_omits_error_stats(self, runner, tmp_path):
@@ -315,7 +325,7 @@ class TestReconstruct:
         report = json.loads(run_ok(runner, ["reconstruct", str(corr)]))
         count = len(data["records"])
         assert report["stats"] == {"count": count, "failed": count}
-        assert all("error" in row for row in report["records"])
+        assert not any({"p_c", "s_est", "z_c_est"} & row.keys() for row in report["records"])
 
     @pytest.mark.parametrize("flags", [
         ["--beta", "0.9"],
@@ -337,6 +347,36 @@ class TestReconstruct:
         result = runner.invoke(main, ["reconstruct", str(corr)])
         assert result.exit_code == 2, result.output
         assert "no gaze header" in result.output
+
+
+def failed_rows(rows, estimates, inputs=()):
+    """How many rows hold none of the ``estimates`` keys, asserting that each
+    row holds all of them or none, and that a row holding none holds nothing
+    but ``s_true`` and the ``inputs``."""
+    held = [set(estimates) & row.keys() for row in rows]
+    assert all(keys in (set(), set(estimates)) for keys in held)
+    failed = [row for row, keys in zip(rows, held) if not keys]
+    assert all(row.keys() <= {"s_true", *inputs} for row in failed)
+    return len(failed)
+
+
+class TestFailedPoints:
+    """Every record marks a failed point one way: its estimates are absent."""
+
+    @pytest.mark.parametrize("flags", [["--beta", "1.3", "--rho", "0.9"], ["--rho", "1e300"]],
+                             ids=["wrong-gaze", "far-gaze"])
+    def test_a_depth_map_row_holds_every_estimate_or_none(self, runner, tmp_path, flags):
+        corr = synthesize_file(runner, tmp_path)
+        report = json.loads(run_ok(runner, ["reconstruct", str(corr), *flags]))
+        failed = failed_rows(report["records"], ("p_c", "s_est", "z_c_est"))
+        assert report["stats"]["failed"] == failed > 0
+
+    def test_an_experiment_point_holds_both_estimates_or_neither(self, runner, tmp_path):
+        records = parse_correspondence_file(load_json(synthesize_file(runner, tmp_path))).records
+        depth = estimate_depth_map(records, GazeState(beta=1.3, rho=0.9))  # some rows fail
+        record = experiment_file(estimate_gaze(records), records, depth, None, {})
+        points = json.loads(dumps(record))["points"]
+        assert failed_rows(points, ("p_c", "s_est"), ("q_l", "q_r")) > 0
 
 
 class TestEstimate:

@@ -66,6 +66,12 @@ class TestSceneSpec:
         assert SceneSpec(sigma=value, region=region) == SceneSpec(sigma=float(value),
                                                                   region=region)
 
+    @pytest.mark.parametrize("generator", ["horopter-samples", "fixation-plane-patch"])
+    def test_rejects_a_region_that_the_generator_would_ignore(self, generator):
+        message = f"^region bounds random-box points only, not {generator}$"
+        with pytest.raises(ValueError, match=message):
+            SceneSpec(generator=generator, region=((0.0, 1.0), (0.0, 1.0), (1.0, 2.0)))
+
     def test_rejects_inverted_region(self):
         with pytest.raises(ValueError):
             SceneSpec(region=((1.0, -1.0), (-1.0, 1.0), (0.5, 2.0)))
@@ -187,7 +193,7 @@ def same_bytes(a, b) -> bool:
 
 scene_gazes = st.builds(GazeState, beta=st.floats(-1.4, 1.4), rho=st.floats(0.75, 100.0),
                         alpha=st.floats(-math.pi / 2, math.pi / 2))
-# boxes that may reach around and behind the eyes, or the default box
+# random-box regions that may reach around and behind the eyes, or the default box
 scene_regions = st.one_of(st.none(), st.tuples(
     *[st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 6.0))] * 3
 ).map(lambda pairs: tuple((low, low + width) for low, width in pairs)))
@@ -201,7 +207,8 @@ class TestPinholeSynthesis:
            st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_rows_are_the_projections_of_the_points_in_front_of_all_three_eyes(
             self, gaze, generator, region, count, seed):
-        spec = SceneSpec(generator=generator, count=count, seed=seed, region=region)
+        spec = SceneSpec(generator=generator, count=count, seed=seed,
+                         region=region if generator == "random-box" else None)
         records = synthesize_scene(gaze, spec).records
         scene, rays = drawn_scene(gaze, spec)
         poses = eye_poses(gaze)
@@ -226,7 +233,8 @@ class TestPinholeSynthesis:
            st.integers(1, 40), st.integers(0, 2**32 - 1))
     def test_the_depth_map_at_the_true_gaze_recovers_every_kept_row(
             self, gaze, generator, region, count, seed):
-        spec = SceneSpec(generator=generator, count=count, seed=seed, region=region)
+        spec = SceneSpec(generator=generator, count=count, seed=seed,
+                         region=region if generator == "random-box" else None)
         records = synthesize_scene(gaze, spec).records
         depth = estimate_depth_map(records, gaze)
         assert not np.isnan(depth.s).any()
