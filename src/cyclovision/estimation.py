@@ -5,13 +5,14 @@ the eye azimuths (beta_l, beta_r). Each normalized epipolar residual
 q_r^T E q_l is linear in c = (sin beta_l, sin beta_r, cos beta_r, cos beta_l),
 with features f = (x_l y_r, -x_r y_l, y_l, -y_r) / sqrt(2), so the objective
 ||F c||^2 over the N x 4 feature matrix F equals ||R c||^2 for the 4 x 4 R
-factor of its QR (not F^T F, which squares the conditioning). A constant
-table of 64 x 64 azimuth pairs, a grid over vergence and version, seeds
-the fit: each fit multiplies the table's coefficient vectors by R and takes
-the pair of the least residual. Damped least squares then refines the pair
-on Python floats, over R's 10 nonzero entries: the residual, the analytic
-Jacobian and each damped 2 x 2 step, solved in closed form with no LAPACK
-call; (beta, rho) follow algebraically. The fit needs a Correspondences set
+factor of its QR (not F^T F, which squares the conditioning). A 64 x 64
+grid of azimuth pairs over vergence and version seeds the fit with its pair
+of least residual; the grid is separable, so each fit reads every cell off
+the 64 Gram matrices of R times a half-vergence turn (``_grid_seed``).
+Damped least squares then refines the pair on Python floats, over R's 10
+nonzero entries: the residual, the analytic Jacobian and each damped 2 x 2
+step, solved in closed form with no LAPACK call; (beta, rho) follow
+algebraically. The fit needs a Correspondences set
 of at least three points. Depths are recovered for all points in one array
 pass in the Cyclopean frame, where the elevation cancels: each point is the
 closed-form midpoint of its two rays, and its Cyclopean ray and plane depth
@@ -142,25 +143,31 @@ def _damped_step(a: float, b: float, d: float, g_l: float, g_r: float, damping: 
     return (-g_l - b * step_r) / a, step_r
 
 
-# (beta_l, beta_r) = epsilon +- delta / 2 of the seed grid's cells; cell
-# i * GRID_SIZE + j has vergence delta i in (0, 1.2], version epsilon j in [-0.8, 0.8]
-_GRID_AZIMUTHS = (
-    np.tile(np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE), GRID_SIZE)
-    + np.outer([0.5, -0.5], np.repeat(GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE,
-                                      GRID_SIZE)))
-# c = (sin beta_l, sin beta_r, cos beta_r, cos beta_l) of each cell
-_GRID_COEFFICIENTS = np.concatenate([np.sin(_GRID_AZIMUTHS), np.cos(_GRID_AZIMUTHS)[::-1]])
-_GRID_AZIMUTHS.flags.writeable = _GRID_COEFFICIENTS.flags.writeable = False
+# The seed grid's cell (i, j) is the azimuth pair epsilon_j +- delta_i / 2, with
+# vergence delta_i in (0, 1.2] and version epsilon_j in [-0.8, 0.8]. Its c is
+# T_i (sin epsilon_j, cos epsilon_j) for the 4 x 2 turn T_i by delta_i / 2, so its
+# ||R c||^2 is the Gram matrix of R T_i read against the products (s^2, s c, c s, c^2).
+_GRID_DELTAS = GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE
+_GRID_EPSILONS = np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE)
+_ch, _sh = np.cos(0.5 * _GRID_DELTAS), np.sin(0.5 * _GRID_DELTAS)
+_turns = np.array([[_ch, _sh], [_ch, -_sh], [_sh, _ch], [-_sh, _ch]])  # T_i = _turns[:, :, i]
+# columns a and b of every T_i for the Gram entries (a, b) = 00, 01, 10, 11, side by side
+_GRID_TURN_PAIRS = np.concatenate([_turns[:, [0, 0, 1, 1]], _turns[:, [0, 1, 0, 1]]],
+                                  axis=1).reshape(4, 8 * GRID_SIZE)
+_s, _c = np.sin(_GRID_EPSILONS), np.cos(_GRID_EPSILONS)
+_GRID_PRODUCTS = np.array([_s * _s, _s * _c, _c * _s, _c * _c])
+for _table in (_GRID_DELTAS, _GRID_EPSILONS, _GRID_TURN_PAIRS, _GRID_PRODUCTS):
+    _table.flags.writeable = False
+del _ch, _sh, _turns, _s, _c, _table
 
 
-def _grid(r_factor: np.ndarray, count: int) -> np.ndarray:
-    """Mean squared residual of each grid cell, in the order of _GRID_AZIMUTHS."""
-    residuals = r_factor @ _GRID_COEFFICIENTS
-    return np.square(residuals, out=residuals).sum(axis=0) / count
-
-
-def _grid_seed(r_factor: np.ndarray, count: int) -> EyeAzimuths:
-    return EyeAzimuths(*_GRID_AZIMUTHS[:, np.argmin(_grid(r_factor, count))].tolist())
+def _grid_seed(r_factor: np.ndarray) -> EyeAzimuths:
+    """The azimuth pair of the seed grid's cell of least ||R c||^2."""
+    columns = (r_factor @ _GRID_TURN_PAIRS).reshape(-1, 2, 4 * GRID_SIZE)
+    gram = np.einsum("ke,ke->e", columns[:, 0], columns[:, 1]).reshape(4, GRID_SIZE)
+    i, j = divmod(int((gram.T @ _GRID_PRODUCTS).argmin()), GRID_SIZE)
+    delta, epsilon = float(_GRID_DELTAS[i]), float(_GRID_EPSILONS[j])
+    return EyeAzimuths(epsilon + 0.5 * delta, epsilon - 0.5 * delta)
 
 
 def _fit_input(correspondences: Correspondences) -> tuple[np.ndarray, int]:
@@ -187,7 +194,7 @@ def grid_init(correspondences: Correspondences) -> EyeAzimuths:
 
     Refuses the sets that estimate_gaze refuses, with the same errors.
     """
-    return _grid_seed(*_fit_input(correspondences))
+    return _grid_seed(_fit_input(correspondences)[0])
 
 
 def estimate_gaze(
@@ -212,7 +219,7 @@ def estimate_gaze(
         raise ValueError(f"alpha must lie in [-pi/2, pi/2], got {alpha}")
     r_factor, count = _fit_input(correspondences)
     if initial is None:
-        initial = _grid_seed(r_factor, count)
+        initial = _grid_seed(r_factor)
 
     rows = r_factor.tolist() + [[0.0] * 4]  # a 3 x 4 factor (N = 3) reads a zero fourth row
     upper = (*rows[0], *rows[1][1:], *rows[2][2:], rows[3][3])

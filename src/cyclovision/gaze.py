@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +48,10 @@ _HALF_PI = np.pi / 2
 LEFT_CENTRE = np.array([-0.5, 0.0, 0.0])
 RIGHT_CENTRE = np.array([0.5, 0.0, 0.0])
 CYCLOPEAN_CENTRE = np.array([0.0, 0.0, 0.0])
+
+#: optical centres of the left, right and Cyclopean eyes, as ``GazeState.rotations``
+EYE_CENTRES = np.array([LEFT_CENTRE, RIGHT_CENTRE, CYCLOPEAN_CENTRE])
+EYE_CENTRES.flags.writeable = False
 
 #: baseline vector from the left to the right optical centre (unit length)
 BASELINE = RIGHT_CENTRE - LEFT_CENTRE
@@ -79,6 +84,18 @@ class GazeState:
             )
         if abs(self.beta) > _HALF_PI or abs(self.alpha) > _HALF_PI:
             raise ValueError("alpha and beta must lie in [-pi/2, pi/2]")
+
+    @cached_property
+    def rotations(self) -> np.ndarray:
+        """World-to-eye rotations of the left, right and Cyclopean eyes, (3, 3, 3),
+        built on first use and held read-only by this instance; ``eye_poses``
+        returns views of them. Raises DegenerateGeometryError at |beta| = pi/2."""
+        az = eye_azimuths(self)
+        tilt = rot_x(-self.alpha)
+        rotations = np.stack([rot_y(azimuth) @ tilt
+                              for azimuth in (az.beta_l, az.beta_r, self.beta)])
+        rotations.flags.writeable = False
+        return rotations
 
 
 @dataclass(frozen=True)
@@ -206,18 +223,19 @@ def gaze_from_azimuths(az: EyeAzimuths, alpha: float = 0.0) -> GazeState:
 
 
 def eye_poses(gaze: GazeState) -> BinocularPoses:
-    """Left, right and Cyclopean eye poses for a fixation."""
-    az = eye_azimuths(gaze)
-    tilt = rot_x(-gaze.alpha)
+    """Left, right and Cyclopean eye poses for a fixation, whose rotations are
+    read-only views of ``gaze.rotations``."""
+    left, right, cyclopean = gaze.rotations
     return BinocularPoses(
-        left=EyePose(rot_y(az.beta_l) @ tilt, LEFT_CENTRE),
-        right=EyePose(rot_y(az.beta_r) @ tilt, RIGHT_CENTRE),
-        cyclopean=EyePose(rot_y(gaze.beta) @ tilt, CYCLOPEAN_CENTRE),
+        left=EyePose(left, LEFT_CENTRE),
+        right=EyePose(right, RIGHT_CENTRE),
+        cyclopean=EyePose(cyclopean, CYCLOPEAN_CENTRE),
     )
 
 
 def project(pose: EyePose, point: Vec3) -> HomogPoint2:
-    """Pinhole images of scene points (..., 3): R @ (q - c), as homogeneous coordinates."""
+    """Pinhole images of scene points (..., 3): R @ (q - c), as homogeneous coordinates.
+    A stacked pose, rotation (..., 3, 3) and centre (..., 3), broadcasts against them."""
     return transform(pose.rotation, np.asarray(point, dtype=float) - pose.centre)
 
 

@@ -3,9 +3,10 @@
 A scene is drawn, projected and perturbed in one array pass into a
 Correspondences set whose truth is each point's clean (p_c, s), the Cyclopean
 image and depth less rho that the depth map recovers in the Cyclopean frame.
-The images are pinhole projections through the three poses of ``eye_poses``,
-kept in front of each eye by ``geometry.normalize_in_front``, not the parallax
-model: that model is what the acceptance suite checks against projection.
+The images are pinhole projections through the left, right and Cyclopean
+poses at once, kept in front of each eye by ``geometry.normalize_in_front``,
+not the parallax model: that model is what the acceptance suite checks against
+projection.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import numpy as np
 
 from cyclovision.disparity import Correspondences
 from cyclovision.gaze import (
+    EYE_CENTRES,
+    EyePose,
     GazeState,
     eye_azimuths,
-    eye_poses,
     fixation_point,
     project,
     vergence_version,
@@ -129,8 +131,9 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
     """Generate correspondences for a scene, deterministically for a seed.
 
     Each candidate point X is projected through the left, right and
-    Cyclopean poses of ``eye_poses``; each image is R (X - c) divided by its
-    third component. The left and right images are the correspondence, and
+    Cyclopean poses in one ``project`` call on the stacked pose of
+    ``gaze.rotations`` and ``EYE_CENTRES``; each image is R (X - c) divided
+    by its third component. The left and right images are the correspondence, and
     the Cyclopean image and its depth minus rho are the truth (p_c, s), as
     the depth map reads them off its triangulated point. The fixation-plane
     patch draws its rays p_c at s = 0, keeps them as its truth, and projects
@@ -140,16 +143,16 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
     are finite. Noise is added after synthesis; the stored truth stays clean.
     """
     rng = np.random.default_rng(spec.seed)
-    poses = eye_poses(gaze)
+    rotations = gaze.rotations  # left, right, Cyclopean
     if spec.generator == "fixation-plane-patch":
         offsets = rng.uniform(-PATCH_HALF_WIDTH, PATCH_HALF_WIDTH, (spec.count, 2))
         rays = np.column_stack([offsets, np.ones(spec.count)])
-        scene = gaze.rho * transform(poses.cyclopean.rotation.T, rays)
+        scene = gaze.rho * transform(rotations[2].T, rays)
     else:
         scene = _scene_candidates(gaze, spec, rng)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is dropped
-        images = np.stack([project(pose, scene) for pose in poses])
+        images = project(EyePose(rotations[:, None], EYE_CENTRES[:, None]), scene)
         (q_l, q_r, p_c), depths = normalize_in_front(images, "point lies behind an eye")
         s = depths[2] - gaze.rho
         kept = np.isfinite(q_l + q_r).all(axis=1) & np.isfinite(p_c).all(axis=1)

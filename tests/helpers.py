@@ -1,5 +1,6 @@
-"""Shared test utilities: random gaze sampling, the projection oracle, the grid
-objective and the reference formulations of the per-call fast paths."""
+"""Shared test utilities: random gaze sampling, the projection oracle, the
+brute-force grid objective and the reference formulations of the per-call fast
+paths."""
 
 from __future__ import annotations
 
@@ -17,11 +18,10 @@ from cyclovision.estimation import (
     GRID_DELTA_MAX,
     GRID_EPSILON_MAX,
     GRID_SIZE,
-    _grid,
     _r_factor,
 )
 from cyclovision.gaze import GazeState, eye_azimuths, eye_poses, project
-from cyclovision.geometry import inner, normalize_point, rot_y, transform
+from cyclovision.geometry import inner, normalize_point, rot_x, rot_y, transform
 
 
 def random_gaze(rng, beta=(-0.8, 0.8), rho=(0.8, 50.0), alpha=None) -> GazeState:
@@ -80,17 +80,23 @@ def table_rows(columns: dict[str, np.ndarray]) -> list[dict]:
 def grid_objective(
     correspondences: Correspondences,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean squared residual over the (vergence, version) seed grid.
+    """Mean squared residual over the (vergence, version) seed grid, the long way.
 
     Returns (deltas, epsilons, mse) with mse indexed [delta, epsilon];
     vergence spans (0, GRID_DELTA_MAX] and version [-GRID_EPSILON_MAX,
     GRID_EPSILON_MAX] at GRID_SIZE x GRID_SIZE resolution. Cell [i, j] is
-    the estimator's azimuth pair epsilon_j +- delta_i / 2.
+    the estimator's azimuth pair epsilon_j +- delta_i / 2, and its value is
+    ||R c||^2 / N from that pair's own c = (sin b_l, sin b_r, cos b_r, cos b_l):
+    the brute-force reference for the separable seed of ``grid_init``.
     """
     deltas = GRID_DELTA_MAX * np.arange(1, GRID_SIZE + 1) / GRID_SIZE
     epsilons = np.linspace(-GRID_EPSILON_MAX, GRID_EPSILON_MAX, GRID_SIZE)
-    mse = _grid(_r_factor(correspondences), len(correspondences))
-    return deltas, epsilons, mse.reshape(GRID_SIZE, GRID_SIZE)
+    dd, ee = np.meshgrid(deltas, epsilons, indexing="ij")
+    beta_l, beta_r = ee + 0.5 * dd, ee - 0.5 * dd
+    c = np.stack([np.sin(beta_l), np.sin(beta_r), np.cos(beta_r), np.cos(beta_l)], axis=-1)
+    r_factor = _r_factor(correspondences)
+    mse = np.sum(np.square(c @ r_factor.T), axis=-1) / len(correspondences)
+    return deltas, epsilons, mse
 
 
 # --------------------------------------------------------------------------
@@ -98,6 +104,13 @@ def grid_objective(
 # the long way: every row through the failure pass and the division, each
 # eye's decomposition on its own with its own sine and cosine. The library's
 # shortcuts must agree with them bit for bit, NaN rows included.
+
+
+def reference_eye_rotations(gaze: GazeState) -> np.ndarray:
+    """``GazeState.rotations`` as every ``eye_poses`` call used to build them."""
+    az = eye_azimuths(gaze)
+    tilt = rot_x(-gaze.alpha)
+    return np.array([rot_y(az.beta_l) @ tilt, rot_y(az.beta_r) @ tilt, rot_y(gaze.beta) @ tilt])
 
 
 def reference_mark_failures(bad, error, message, values):

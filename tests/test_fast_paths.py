@@ -11,12 +11,18 @@
   the fit rejects, instead of an exception.
 - ``GazeState``, ``EyeAzimuths`` and ``estimate_gaze`` check finiteness
   with ``math.isfinite``.
+- ``GazeState.rotations`` builds a gaze's three eye rotations once, and
+  ``eye_poses`` returns read-only views of them.
+- ``synthesize_scene`` images a scene through the three poses in one
+  ``project`` call on a stacked pose.
 
 Each must give the same bits as the long way in ``helpers`` (or in numpy),
 with NaN rows counted as equal, and fail the same way where the long way
-fails. (``_grid`` is pinned by ``tests/test_estimation.py``.)
+fails. (The separable grid seed is checked against the brute-force grid in
+``tests/test_estimation.py``.)
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -25,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclovision import disparity, estimation
+from cyclovision import disparity, estimation, simulate
 from cyclovision.disparity import (
     Correspondences,
     ParallaxDecomposition,
@@ -40,11 +46,12 @@ from cyclovision.estimation import (
     estimate_depth_map,
     estimate_gaze,
 )
-from cyclovision.gaze import EyeAzimuths, GazeState
+from cyclovision.gaze import EyeAzimuths, GazeState, eye_poses, project
 from cyclovision.geometry import mark_failures, normalize_point
-from cyclovision.simulate import SceneSpec, synthesize_scene
+from cyclovision.simulate import GENERATORS, SceneSpec, synthesize_scene
 from helpers import (
     reference_decompose,
+    reference_eye_rotations,
     reference_mark_failures,
     reference_normalize_point,
     reference_r_factor,
@@ -229,6 +236,71 @@ class TestDecomposeCalls:
         synthesize_correspondence(GazeState(beta=0.2, rho=2.0),
                                   np.array([[0.1, 0.0, 1.0], [0.0, 0.2, 1.0]]), np.zeros(2))
         assert counter.calls == 1
+
+
+class RecordingProject:
+    """``gaze.project`` that keeps the points and images of each call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, pose, point):
+        images = project(pose, point)
+        self.calls.append((point, images))
+        return images
+
+
+SYNTHESIS_GAZES = [GazeState(beta=0.3, rho=2.5, alpha=-0.4), GazeState(beta=-0.6, rho=9.0, alpha=0.8)]
+
+
+class TestPoses:
+    @pytest.mark.parametrize("gaze", SYNTHESIS_GAZES)
+    @pytest.mark.parametrize("generator", GENERATORS)
+    @pytest.mark.parametrize("count", [1, 50, 10_000])
+    def test_synthesis_projects_once_with_the_bits_of_one_call_per_pose(
+            self, monkeypatch, gaze, generator, count):
+        recorder = RecordingProject()
+        monkeypatch.setattr(simulate, "project", recorder)
+        synthesize_scene(gaze, SceneSpec(generator=generator, count=count, sigma=1e-3, seed=count))
+        [(scene, images)] = recorder.calls
+        expected = np.stack([project(pose, scene) for pose in eye_poses(gaze)])
+        assert images.shape == (3, count, 3)
+        assert same_bits(images, expected)
+
+    @pytest.mark.parametrize("gaze", SYNTHESIS_GAZES + [GazeState(beta=-0.0, rho=1.0, alpha=-0.0)])
+    def test_rotations_are_built_once_per_gaze_and_read_only(self, gaze):
+        rotations = gaze.rotations
+        assert same_bits(rotations, reference_eye_rotations(gaze))
+        assert not rotations.flags.writeable
+        first, second = eye_poses(gaze), eye_poses(gaze)
+        for pose, again, rotation in zip(first, second, rotations):
+            assert pose.rotation.base is rotations and again.rotation.base is rotations
+            assert same_bits(pose.rotation, rotation)
+            with pytest.raises(ValueError):
+                pose.rotation[0, 0] = 0.5
+        assert gaze.rotations is rotations
+
+    @pytest.mark.parametrize("make", [
+        lambda gaze: GazeState(gaze.beta, gaze.rho, gaze.alpha),
+        lambda gaze: dataclasses.replace(gaze),
+        lambda gaze: dataclasses.replace(gaze, alpha=-gaze.alpha),
+    ], ids=["new", "replaced", "replaced-alpha"])
+    def test_a_new_or_replaced_gaze_builds_its_own_rotations(self, make):
+        gaze = GazeState(beta=0.0, rho=2.0, alpha=0.0)
+        rotations = gaze.rotations
+        other = make(gaze)
+        assert other == gaze
+        assert not np.shares_memory(other.rotations, rotations)
+        assert same_bits(other.rotations, reference_eye_rotations(other))
+        for pose, before in zip(eye_poses(other), rotations):
+            assert not np.shares_memory(pose.rotation, before)
+
+    @pytest.mark.parametrize("beta", [HALF_PI, -HALF_PI])
+    def test_rotations_at_beta_half_pi_raise_on_every_call(self, beta):
+        gaze = GazeState(beta=beta, rho=2.0)
+        for _ in range(2):
+            with pytest.raises(DegenerateGeometryError, match="unbounded"):
+                eye_poses(gaze)
 
 
 class TestEstimateGazeAlpha:
