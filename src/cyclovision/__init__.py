@@ -17,8 +17,7 @@ from cyclovision.disparity import (
 )
 from cyclovision.epipolar import (
     Epipoles,
-    epipolar_line_left,
-    epipolar_line_right,
+    epipolar_line,
     epipolar_residual,
     epipoles,
     essential_closed_form,
@@ -57,7 +56,7 @@ from cyclovision.gaze import (
     vergence_version,
     vieth_muller,
 )
-from cyclovision.horopter import MidlineHoropter, is_on_horopter, midline, vm_point
+from cyclovision.horopter import MidlineHoropter, midline, vm_point
 from cyclovision.simulate import SceneSpec, synthesize_scene
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from cyclovision.gaze import (
     vieth_muller,
 )
 from cyclovision.geometry import rot_x, transform
-from cyclovision.horopter import forward_arc_limit, vm_point
+from cyclovision.horopter import forward_arc_limit, midline, vm_point
 from cyclovision.records import (
     correspondence_file,
     csv_rows,
@@ -188,7 +188,8 @@ def fixate(alpha, beta, rho, point, degrees):
 def horopter(alpha, beta, rho, point, degrees, samples):
     """Sample the iso-vergence circle and midline as CSV (component,x,y,z)."""
     gaze = _gaze_from_flags(alpha, beta, rho, point, degrees)
-    circle = vieth_muller(vergence_version(eye_azimuths(gaze)))
+    vv = vergence_version(eye_azimuths(gaze))
+    circle = vieth_muller(vv)
     tilt = rot_x(gaze.alpha)
 
     # Right half-sweep starts at theta = 0 (the circle's top), then the
@@ -196,7 +197,7 @@ def horopter(alpha, beta, rho, point, degrees, samples):
     sweep = np.linspace(0.0, forward_arc_limit(circle), samples)
     arc = transform(tilt, vm_point(circle, np.concatenate([sweep, -sweep[1:]])))
     heights = np.outer(np.linspace(-1.0, 1.0, samples), [0.0, 1.0, 0.0])
-    axis = transform(tilt, vm_point(circle, 0.0) + heights)
+    axis = transform(tilt, midline(vv).scene_base + heights)
     rows = [["circle", *p] for p in arc.tolist()] + [["midline", *p] for p in axis.tolist()]
     return csv_rows("component,x,y,z", rows)
 

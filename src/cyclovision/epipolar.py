@@ -79,18 +79,14 @@ def essential_traditional(left: EyePose, right: EyePose) -> EssentialMatrix:
     return right.rotation @ cross_matrix(b) @ left.rotation.T
 
 
-def epipolar_line_right(E: EssentialMatrix, q_l: HomogPoint2) -> HomogLine2:
-    """Right-image line E q_l on which the correspondent of q_l must lie."""
-    q_l = np.asarray(q_l, dtype=float)
-    u = E @ q_l
-    if np.abs(u).max() <= 1e-12 * np.abs(E).max() * np.abs(q_l).max():
+def epipolar_line(E: EssentialMatrix, q: HomogPoint2) -> HomogLine2:
+    """Line E q on which the correspondent of image point q must lie: the right
+    image's line for E and a left point q_l, the left's for E^T and q_r."""
+    q = np.asarray(q, dtype=float)
+    u = E @ q
+    if np.abs(u).max() <= 1e-12 * np.abs(E).max() * np.abs(q).max():
         raise DegenerateGeometryError("epipolar line undefined: point at the epipole")
     return u
-
-
-def epipolar_line_left(E: EssentialMatrix, q_r: HomogPoint2) -> HomogLine2:
-    """Left-image line E^T q_r, mirror of ``epipolar_line_right``."""
-    return epipolar_line_right(E.T, q_r)
 
 
 def epipolar_residual(E: EssentialMatrix, q_l: HomogPoint2, q_r: HomogPoint2) -> float:
@@ -108,11 +104,11 @@ def epipolar_residual(E: EssentialMatrix, q_l: HomogPoint2, q_r: HomogPoint2) ->
 def construct_line_via_fixed_point(
     epi: Epipoles, a: HomogLine2, q_l: HomogPoint2
 ) -> HomogLine2:
-    """Right epipolar line built geometrically through the midline.
+    """Right epipolar line, ``epipolar_line(E, q_l)`` up to scale, built through the midline.
 
     Joins q_l to the left epipole, meets the result with the midline image
     line a (a fixed point, so its coordinates transfer unchanged to the
-    right image), and joins with the right epipole. Equals E q_l up to scale.
+    right image), and joins with the right epipole.
     """
     u_l = join(epi.e_l, q_l)
     q_a = meet(np.asarray(a, dtype=float), u_l)

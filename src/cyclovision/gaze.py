@@ -57,14 +57,27 @@ EYE_CENTRES.flags.writeable = False
 BASELINE = RIGHT_CENTRE - LEFT_CENTRE
 
 
+def _is_number(value) -> bool:
+    """A Python float or int but not a bool, or a numpy scalar or 0-d array of kind i, u or f."""
+    return (isinstance(value, (float, int)) and not isinstance(value, bool)
+            or getattr(value, "dtype", np.dtype("O")).kind in "iuf" and np.ndim(value) == 0)
+
+
+def _all_finite(*values) -> bool:
+    """``math.isfinite`` of every value, reading an int too large for a float as infinite."""
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
 def _finite_numbers(what: str, **values) -> None:
-    """TypeError naming a value that is a bool, np.bool_ or boolean array, which
-    arithmetic would read as 0 or 1; ValueError "``what`` must be finite" unless
-    every value is finite."""
+    """TypeError "``name`` must be a number" unless ``_is_number(value)``;
+    ValueError "``what`` must be finite" unless ``_all_finite``."""
     for name, value in values.items():
-        if isinstance(value, bool) or getattr(value, "dtype", None) == bool:
+        if not _is_number(value):
             raise TypeError(f"{name} must be a number, got {value!r}")
-    if not all(map(math.isfinite, values.values())):
+    if not _all_finite(*values.values()):
         raise ValueError(f"{what} must be finite")
 
 
@@ -130,7 +143,7 @@ class VergenceVersion:
 
 @dataclass(frozen=True, eq=False)
 class EyePose:
-    """World-to-eye rotation plus optical centre of one eye."""
+    """World-to-eye rotation (..., 3, 3) plus optical centre (..., 3) of one eye or a stack."""
 
     rotation: Rot3
     centre: Vec3
@@ -201,11 +214,6 @@ def eye_azimuths(gaze: GazeState) -> EyeAzimuths:
 def vergence_version(az: EyeAzimuths) -> VergenceVersion:
     """Vergence delta = beta_l - beta_r and version epsilon = (beta_l + beta_r) / 2."""
     return VergenceVersion(az.beta_l - az.beta_r, 0.5 * (az.beta_l + az.beta_r))
-
-
-def azimuths_from_vergence_version(vv: VergenceVersion) -> EyeAzimuths:
-    """Inverse of ``vergence_version``: beta_l = epsilon + delta/2, beta_r = epsilon - delta/2."""
-    return EyeAzimuths(vv.epsilon + 0.5 * vv.delta, vv.epsilon - 0.5 * vv.delta)
 
 
 def gaze_from_azimuths(az: EyeAzimuths, alpha: float = 0.0) -> GazeState:

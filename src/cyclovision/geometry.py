@@ -18,9 +18,6 @@ HomogPoint2 = np.ndarray  # shape (3,), image point up to scale
 HomogLine2 = np.ndarray   # shape (3,), image line up to scale
 Rot3 = np.ndarray         # shape (3, 3), orthonormal with det +1
 
-#: tolerance for projective equality after normalizing by the largest entry
-PROJECTIVE_TOL = 1e-9
-
 _DEGENERATE_TOL = 1e-12
 
 
@@ -119,27 +116,3 @@ def normalize_in_front(u: HomogPoint2, message: str) -> tuple[HomogPoint2, np.nd
     """
     u = mark_failures(u[..., 2] <= 1e-12, BehindEyeError, message, u)
     return u / u[..., 2:], u[..., 2]
-
-
-def proportional_form(a: np.ndarray) -> np.ndarray:
-    """Canonical representative of a homogeneous array (point, line or matrix).
-
-    Divides by the largest-magnitude entry and fixes the overall sign so
-    that the first entry above noise level, in row-major order, is positive.
-    """
-    a = np.asarray(a, dtype=float)
-    m = np.abs(a).max()
-    if m == 0.0:
-        raise DegenerateInputError("zero array has no projective representative")
-    a = a / m
-    flat = a.ravel()
-    first = flat[np.abs(flat) > _DEGENERATE_TOL][0]
-    return a if first > 0 else -a
-
-
-def projectively_equal(a: np.ndarray, b: np.ndarray, tol: float = PROJECTIVE_TOL) -> bool:
-    """Equality of homogeneous arrays up to a nonzero common scale."""
-    try:
-        return bool(np.abs(proportional_form(a) - proportional_form(b)).max() <= tol)
-    except DegenerateInputError:
-        return False

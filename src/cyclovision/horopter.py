@@ -72,11 +72,6 @@ def midline(vv: VergenceVersion) -> MidlineHoropter:
     )
 
 
-def midline_image_point(h: MidlineHoropter, y: float) -> HomogPoint2:
-    """Image of the midline point at height y, identical in both eyes."""
-    return h.image_base + np.array([0.0, y, 0.0])
-
-
 def horopter_component(q: Vec3, gaze: GazeState, tol: float = HOROPTER_TOL) -> str:
     """Which horopter component a scene point belongs to: 'circle', 'midline' or 'none'.
 
@@ -97,8 +92,3 @@ def horopter_component(q: Vec3, gaze: GazeState, tol: float = HOROPTER_TOL) -> s
     if abs(x) <= tol and abs(z - (circle.zeta + circle.eta)) <= tol:
         return "midline"
     return "none"
-
-
-def is_on_horopter(q: Vec3, gaze: GazeState, tol: float = HOROPTER_TOL) -> bool:
-    """True when the scene point projects identically in the two eyes."""
-    return horopter_component(q, gaze, tol) != "none"

@@ -23,6 +23,8 @@ from cyclovision.gaze import (
     EYE_CENTRES,
     EyePose,
     GazeState,
+    _all_finite,
+    _is_number,
     eye_azimuths,
     fixation_point,
     project,
@@ -82,23 +84,22 @@ class SceneSpec:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         bounds = [bound for pair in pairs for bound in pair]
         for name, value in [("sigma", self.sigma)] + [("region bound", b) for b in bounds]:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_number(value):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
         if self.count <= 0:
             raise ValueError(f"count must be positive, got {self.count}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if not math.isfinite(self.sigma):
+        if not _all_finite(self.sigma):
             raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.region is not None:
-            for low, high in self.region:
-                if not low < high:
-                    raise ValueError(f"region bounds must increase, got ({low}, {high})")
-                if not math.isfinite(high - low):
-                    raise ValueError(
-                        f"region bounds and their width must be finite, got ({low}, {high})")
+        for low, high in pairs:
+            if not low < high:
+                raise ValueError(f"region bounds must increase, got ({low}, {high})")
+            if not (_all_finite(low, high) and _all_finite(high - low)):
+                raise ValueError(
+                    f"region bounds and their width must be finite, got ({low}, {high})")
 
 
 class SynthesisResult(NamedTuple):

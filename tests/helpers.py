@@ -1,6 +1,7 @@
-"""Shared test utilities: random gaze sampling, the projection oracle, the
-brute-force grid objective and the reference formulations of the per-call fast
-paths."""
+"""Shared test utilities: random gaze sampling, projective equality, the
+inverse of vergence and version, the midline's image points, the projection
+oracle, the brute-force grid objective and the reference formulations of the
+per-call fast paths."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from cyclovision.epipolar import epipoles
 from cyclovision.errors import (
     BehindEyeError,
     DegenerateGeometryError,
+    DegenerateInputError,
     PointAtInfinityError,
     SchemaError,
 )
@@ -20,8 +22,26 @@ from cyclovision.estimation import (
     GRID_SIZE,
     _r_factor,
 )
-from cyclovision.gaze import GazeState, eye_azimuths, eye_poses, project
-from cyclovision.geometry import inner, normalize_point, rot_x, rot_y, transform
+from cyclovision.gaze import (
+    EyeAzimuths,
+    GazeState,
+    VergenceVersion,
+    eye_azimuths,
+    eye_poses,
+    project,
+)
+from cyclovision.geometry import (
+    _DEGENERATE_TOL,
+    inner,
+    normalize_point,
+    rot_x,
+    rot_y,
+    transform,
+)
+from cyclovision.horopter import MidlineHoropter
+
+#: tolerance for projective equality after normalizing by the largest entry
+PROJECTIVE_TOL = 1e-9
 
 
 def random_gaze(rng, beta=(-0.8, 0.8), rho=(0.8, 50.0), alpha=None) -> GazeState:
@@ -31,6 +51,40 @@ def random_gaze(rng, beta=(-0.8, 0.8), rho=(0.8, 50.0), alpha=None) -> GazeState
         rho=float(rng.uniform(*rho)),
         alpha=float(rng.uniform(*alpha)) if alpha is not None else 0.0,
     )
+
+
+def proportional_form(a: np.ndarray) -> np.ndarray:
+    """Canonical representative of a homogeneous array (point, line or matrix).
+
+    Divides by the largest-magnitude entry and fixes the overall sign so
+    that the first entry above noise level, in row-major order, is positive.
+    """
+    a = np.asarray(a, dtype=float)
+    m = np.abs(a).max()
+    if m == 0.0:
+        raise DegenerateInputError("zero array has no projective representative")
+    a = a / m
+    flat = a.ravel()
+    first = flat[np.abs(flat) > _DEGENERATE_TOL][0]
+    return a if first > 0 else -a
+
+
+def projectively_equal(a: np.ndarray, b: np.ndarray, tol: float = PROJECTIVE_TOL) -> bool:
+    """Equality of homogeneous arrays up to a nonzero common scale."""
+    try:
+        return bool(np.abs(proportional_form(a) - proportional_form(b)).max() <= tol)
+    except DegenerateInputError:
+        return False
+
+
+def azimuths_from_vergence_version(vv: VergenceVersion) -> EyeAzimuths:
+    """Inverse of ``vergence_version``: beta_l = epsilon + delta/2, beta_r = epsilon - delta/2."""
+    return EyeAzimuths(vv.epsilon + 0.5 * vv.delta, vv.epsilon - 0.5 * vv.delta)
+
+
+def midline_image_point(h: MidlineHoropter, y: float) -> np.ndarray:
+    """Image of the midline point at height y, identical in both eyes."""
+    return h.image_base + np.array([0.0, y, 0.0])
 
 
 def project_both(gaze: GazeState, scene_point) -> tuple[np.ndarray, np.ndarray]:

@@ -35,11 +35,11 @@ from cyclovision.gaze import (
     vergence_version,
     vieth_muller,
 )
-from cyclovision.geometry import normalize_point, projectively_equal, proportional_form
+from cyclovision.geometry import normalize_point
 from cyclovision.horopter import forward_arc_limit, horopter_component, midline, vm_point
 from cyclovision.simulate import SceneSpec, synthesize_scene
 
-from helpers import project_both, random_gaze
+from helpers import project_both, projectively_equal, proportional_form, random_gaze
 
 
 def criterion(number, name):

@@ -41,6 +41,12 @@ def run_ok(runner, args):
     return result.output
 
 
+def test_help_lists_every_subcommand(runner):
+    out = run_ok(runner, ["--help"])
+    for command in ("fixate", "horopter", "essential", "synthesize", "reconstruct", "estimate"):
+        assert f"  {command} " in out
+
+
 class TestFixate:
     def test_symmetric_report(self, runner):
         report = json.loads(run_ok(runner, ["fixate", "--beta", "0", "--rho", "1"]))
@@ -146,6 +152,14 @@ class TestSynthesize:
             run_ok(runner, ["synthesize", "--beta", "0.2", "--rho", "2",
                             "--count", "30", "--sigma", "1e-3", "--seed", "9",
                             "--out", str(path)])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("scene", GENERATORS)
+    def test_every_generator_is_byte_identical_for_a_seed(self, runner, tmp_path, scene):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            run_ok(runner, ["synthesize", "--beta", "0.2", "--rho", "2", "--alpha", "0.1",
+                            "--scene", scene, "--seed", "5", "--out", str(path)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_noiseless_rows_satisfy_epipolar_constraint(self, runner, tmp_path):
@@ -284,6 +298,26 @@ class TestReconstruct:
         ))
         assert report["gaze"]["beta"] == 0.25
         assert report["stats"]["rms_error"] > 1e-3  # wrong gaze, wrong depths
+
+    def test_elevation_changes_no_depth(self, runner, tmp_path):
+        # The images cannot see the elevation: gazes that differ only in
+        # alpha give the same records and statistics.
+        corr = synthesize_file(runner, tmp_path, sigma=1e-3, seed=7)
+        level, raised = (json.loads(run_ok(runner, ["reconstruct", str(corr), "--beta", "0.2",
+                                                    "--rho", "2", "--alpha", alpha]))
+                         for alpha in ("0", "0.7"))
+        assert raised["gaze"]["alpha"] == 0.7
+        assert level["records"] == raised["records"]
+        assert level["stats"] == raised["stats"]
+
+    def test_points_kept_around_the_eyes_all_reconstruct(self, runner, tmp_path):
+        corr = tmp_path / "around.json"
+        run_ok(runner, ["synthesize", "--beta", "0.2", "--rho", "2", "--count", "200",
+                        "--region", "-0.5,0.5,-0.5,0.5,-1,1", "--seed", "13",
+                        "--out", str(corr)])
+        assert json.loads(corr.read_text())["skipped"] > 0
+        stats = json.loads(run_ok(runner, ["reconstruct", str(corr)]))["stats"]
+        assert stats["failed"] == 0 and stats["max_abs_error"] < 1e-9, stats
 
     def test_missing_truth_omits_stats(self, runner, tmp_path):
         corr = synthesize_file(runner, tmp_path)
@@ -539,6 +573,13 @@ class TestUnreadableFiles:
     def test_unreadable_file_exits_3(self, runner, tmp_path, command, content):
         corr = tmp_path / "bad.json"
         corr.write_bytes(content)
+        result = runner.invoke(main, [command, str(corr)])
+        assert result.exit_code == 3, (result.output, result.exception)
+
+    @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
+    def test_empty_object_exits_3(self, runner, tmp_path, command):
+        corr = tmp_path / "empty.json"
+        corr.write_text("{}")
         result = runner.invoke(main, [command, str(corr)])
         assert result.exit_code == 3, (result.output, result.exception)
 

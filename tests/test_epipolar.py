@@ -4,8 +4,7 @@ from numpy.testing import assert_allclose
 
 from cyclovision.epipolar import (
     construct_line_via_fixed_point,
-    epipolar_line_left,
-    epipolar_line_right,
+    epipolar_line,
     epipolar_residual,
     epipoles,
     essential_closed_form,
@@ -27,12 +26,16 @@ from cyclovision.geometry import (
     cross_matrix,
     join,
     normalize_point,
-    projectively_equal,
-    proportional_form,
 )
 from cyclovision.horopter import midline
 
-from helpers import project_both, random_gaze
+from helpers import (
+    midline_image_point,
+    project_both,
+    projectively_equal,
+    proportional_form,
+    random_gaze,
+)
 
 
 def symmetric_az():
@@ -172,7 +175,7 @@ class TestEpipolarConstraint:
         # passes through the right epipole and the right fixation image
         az = symmetric_az()
         e = essential_closed_form(az)
-        line = epipolar_line_right(e, np.array([0.0, 0.0, 1.0]))
+        line = epipolar_line(e, np.array([0.0, 0.0, 1.0]))
         assert projectively_equal(line, np.array([0.0, 1.0, 0.0]))
         assert abs(line @ epipoles(az).e_r) < 1e-12
         assert abs(line @ np.array([0.0, 0.0, 1.0])) < 1e-12
@@ -185,8 +188,8 @@ class TestEpipolarConstraint:
         epi = epipoles(az)
         for _ in range(100):
             q = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1), 1.0])
-            assert abs(epipolar_line_right(e, q) @ epi.e_r) < 1e-12
-            assert abs(epipolar_line_left(e, q) @ epi.e_l) < 1e-12
+            assert abs(epipolar_line(e, q) @ epi.e_r) < 1e-12
+            assert abs(epipolar_line(e.T, q) @ epi.e_l) < 1e-12
 
     def test_correspondent_lies_on_the_line(self):
         rng = np.random.default_rng(43)
@@ -194,10 +197,10 @@ class TestEpipolarConstraint:
             gaze = random_gaze(rng, rho=(0.8, 20.0))
             e = essential_closed_form(eye_azimuths(gaze))
             q_l, q_r = random_correspondence(gaze, rng)
-            u_r = epipolar_line_right(e, q_l)
+            u_r = epipolar_line(e, q_l)
             u_r = u_r / np.linalg.norm(u_r)
             assert abs(u_r @ q_r) < 1e-9
-            u_l = epipolar_line_left(e, q_r)
+            u_l = epipolar_line(e.T, q_r)
             u_l = u_l / np.linalg.norm(u_l)
             assert abs(u_l @ q_l) < 1e-9
 
@@ -205,9 +208,9 @@ class TestEpipolarConstraint:
         az = symmetric_az()
         e = essential_closed_form(az)
         with pytest.raises(DegenerateGeometryError):
-            epipolar_line_right(e, epipoles(az).e_l)
+            epipolar_line(e, epipoles(az).e_l)
         with pytest.raises(DegenerateGeometryError):
-            epipolar_line_left(e, epipoles(az).e_r)
+            epipolar_line(e.T, epipoles(az).e_r)
 
     def test_residual_zero_on_horopter(self):
         gaze = GazeState(beta=0.1, rho=1.4)
@@ -241,13 +244,13 @@ class TestConstructionViaFixedPoint:
             e = essential_closed_form(az)
             q_l = np.array([rng.uniform(-0.8, 0.8), rng.uniform(-0.8, 0.8), 1.0])
             constructed = construct_line_via_fixed_point(epi, mid.image_line, q_l)
-            assert projectively_equal(constructed, epipolar_line_right(e, q_l))
+            assert projectively_equal(constructed, epipolar_line(e, q_l))
 
     def test_fixed_point_is_its_own_correspondence(self):
         az = eye_azimuths(GazeState(beta=0.2, rho=1.5))
         epi = epipoles(az)
         mid = midline(vergence_version(az))
-        q_l = normalize_point(midline_image(mid, -0.4))
+        q_l = normalize_point(midline_image_point(mid, -0.4))
         line = construct_line_via_fixed_point(epi, mid.image_line, q_l)
         assert abs(line @ q_l) < 1e-9 * np.linalg.norm(line)
 
@@ -267,7 +270,3 @@ class TestConstructionViaFixedPoint:
         contrived_midline = join(epi.e_l, q_l)  # forces the meet to degenerate
         with pytest.raises(DegenerateInputError):
             construct_line_via_fixed_point(epi, contrived_midline, q_l)
-
-
-def midline_image(mid, y):
-    return np.asarray(mid.image_base) + np.array([0.0, y, 0.0])

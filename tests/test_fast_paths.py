@@ -10,7 +10,9 @@
   its bits; a system that is not positive definite gives a NaN step, which
   the fit rejects, instead of an exception.
 - ``GazeState``, ``EyeAzimuths`` and ``estimate_gaze`` check finiteness
-  with ``math.isfinite``.
+  with ``math.isfinite``, which reads an integer too large for a float as
+  infinite, after one type test: a number is a Python float or int, or a
+  numpy scalar or 0-d array of integer or float kind, and never a bool.
 - ``GazeState.rotations`` builds a gaze's three eye rotations once, and
   ``eye_poses`` returns read-only views of them.
 - ``synthesize_scene`` images a scene through the three poses in one
@@ -25,6 +27,8 @@ fails. (The separable grid seed is checked against the brute-force grid in
 import dataclasses
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -326,7 +330,7 @@ class TestEstimateGazeAlpha:
         with pytest.raises(TypeError, match="alpha must be a number"):
             estimate_gaze(Correspondences(np.zeros((5, 3)), np.zeros((5, 3))), alpha=alpha)
 
-    @pytest.mark.parametrize("alpha", [None, "0.2"])
+    @pytest.mark.parametrize("alpha", [None, "0.2", Fraction(1, 10), Decimal("0.1")])
     def test_non_number_alpha_raises_a_type_error(self, alpha):
         with pytest.raises(TypeError):
             estimate_gaze(Correspondences(np.zeros((5, 3)), np.zeros((5, 3))), alpha=alpha)
@@ -396,8 +400,10 @@ class TestDampedStep:
         assert (fit.iterations, fit.converged) == (0, True)
 
 
-NON_FINITE = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.array(math.inf)]
-NOT_NUMBERS = [None, "0.2"]
+NON_FINITE = [math.nan, math.inf, -math.inf, np.float64(math.nan), np.array(math.inf),
+              pytest.param(10**400, id="10**400"), pytest.param(-10**400, id="-10**400")]
+NOT_NUMBERS = [None, "0.2", pytest.param(Fraction(1, 10), id="fraction"),
+               pytest.param(Decimal("0.1"), id="decimal")]
 
 
 class TestScalarChecks:
@@ -427,6 +433,17 @@ class TestScalarChecks:
     def test_eye_azimuths_refuse_non_numbers(self, field, value):
         with pytest.raises(TypeError):
             EyeAzimuths(**{"beta_l": 0.3, "beta_r": 0.1, field: value})
+
+    @pytest.mark.parametrize("value", NOT_NUMBERS)
+    @pytest.mark.parametrize("field", ["beta", "rho", "alpha"])
+    def test_gaze_state_names_a_non_number(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be a number"):
+            GazeState(**{"beta": 0.2, "rho": 2.0, "alpha": 0.0, field: value})
+
+    @pytest.mark.parametrize("value", [np.array([0.2]), np.array([[2.0]])])
+    def test_arrays_of_one_element_are_not_numbers(self, value):
+        with pytest.raises(TypeError, match="^beta must be a number"):
+            GazeState(beta=value, rho=2.0)
 
     @pytest.mark.parametrize("beta,rho,alpha", [(np.float64(0.2), np.float64(2.0), 0.1),
                                                 (np.array(0.2), np.array(2.0), np.array(0.0))])

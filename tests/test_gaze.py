@@ -14,7 +14,6 @@ from cyclovision.gaze import (
     EyeAzimuths,
     GazeState,
     VergenceVersion,
-    azimuths_from_vergence_version,
     direction_from_angles,
     eye_azimuths,
     eye_poses,
@@ -27,7 +26,7 @@ from cyclovision.gaze import (
 )
 from cyclovision.geometry import normalize_point, rot_y
 
-from helpers import random_gaze
+from helpers import azimuths_from_vergence_version, random_gaze
 
 HALF_ATAN = math.atan(0.5)
 

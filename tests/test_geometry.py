@@ -13,9 +13,10 @@ from cyclovision.geometry import (
     meet,
     normalize_in_front,
     normalize_point,
-    projectively_equal,
     rot_y,
 )
+
+from helpers import projectively_equal
 
 coord = st.floats(min_value=-50.0, max_value=50.0)
 

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,11 +50,25 @@ class TestSceneSpec:
         ("sigma", True), ("sigma", np.bool_(True)), ("sigma", "0.1"), ("sigma", None),
         ("region bound", ((0.0, 1.0), (False, 1.0), (1.0, 2.0))),
         ("region bound", ((0.0, 1.0), (0.0, 1.0), (1.0, "2"))),
+        ("sigma", Fraction(1, 10)), ("sigma", Decimal("0.1")),
+        ("region bound", ((Fraction(0), 1.0), (0.0, 1.0), (1.0, 2.0))),
+        ("region bound", ((0.0, 1.0), (0.0, Decimal(1)), (1.0, 2.0))),
     ])
     def test_rejects_a_sigma_or_region_bound_that_is_not_a_real_number(self, field, value):
         name = "sigma" if field == "sigma" else "region"
         with pytest.raises(TypeError, match=f"^{field} must be a real number"):
             SceneSpec(**{name: value})
+
+    def test_reads_a_sigma_too_large_for_a_float_as_not_finite(self):
+        with pytest.raises(ValueError, match="^sigma must be finite"):
+            SceneSpec(sigma=10**400)
+
+    @pytest.mark.parametrize("pair", [(0, 10**400), (-10**400, 0), (1e308, 10**400),
+                                      (-10**400, 10**400)],
+                             ids=["high", "low", "high-beside-a-float", "both"])
+    def test_reads_a_bound_too_large_for_a_float_as_not_finite(self, pair):
+        with pytest.raises(ValueError, match="^region bounds and their width must be finite"):
+            SceneSpec(region=((0.0, 1.0), pair, (1.0, 2.0)))
 
     @pytest.mark.parametrize("region", [((0, 1), (0, 1)), ((0, 1), (0, 1), (0, 1), (0, 1)),
                                         ((0, 1), (0, 1), (0, 1, 2)), ((0, 1), (0, 1), 5), 5, ()])
