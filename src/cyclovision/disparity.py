@@ -75,6 +75,10 @@ class Correspondences:
     s: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("q_l", "q_r", "p_c", "s"):
+            value = getattr(self, name)
+            if value is not None:
+                setattr(self, name, np.asarray(value, dtype=float))
         shape = self.q_l.shape
         if shape != self.q_r.shape or shape[-1:] != (3,) or len(shape) > 2:
             raise ValueError(f"q_l and q_r must share one shape, (3,) or (N, 3), "

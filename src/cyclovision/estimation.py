@@ -106,11 +106,16 @@ class DepthMap(NamedTuple):
 
 def _r_factor(correspondences: Correspondences) -> np.ndarray:
     """R factor, min(N, 4) x 4, of the N x 4 feature matrix F: ||R c|| = ||F c||."""
-    q_l, q_r = normalize_point(correspondences.q_l), normalize_point(correspondences.q_r)
-    if np.isnan(q_l).any() or np.isnan(q_r).any():
+    images = normalize_point(np.array([correspondences.q_l, correspondences.q_r]))
+    if np.isnan(images).any():
         raise PointAtInfinityError("cannot normalize an image point at infinity")
-    (xl, yl), (xr, yr) = q_l[:, :2].T, q_r[:, :2].T
-    features = np.column_stack([xl * yr, -xr * yl, yl, -yr])
+    (xl, yl), (xr, yr) = images[0, :, :2].T, images[1, :, :2].T
+    features = np.empty((len(xl), 4))
+    np.multiply(xl, yr, out=features[:, 0])
+    np.multiply(xr, yl, out=features[:, 1])
+    np.negative(features[:, 1], out=features[:, 1])
+    features[:, 2] = yl
+    np.negative(yr, out=features[:, 3])
     features /= _SQRT2
     return np.linalg.qr(features, mode="r")
 

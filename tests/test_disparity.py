@@ -24,11 +24,13 @@ from cyclovision.gaze import (
 )
 from cyclovision.estimation import estimate_depth_map, estimate_gaze
 from cyclovision.geometry import normalize_point
+from cyclovision.simulate import SceneSpec, synthesize_scene
 
 from helpers import project_both, random_gaze
 
 RUNNING_GAZE = GazeState(beta=0.0, rho=1.0)
 RUNNING_RAY = np.array([0.0, 0.0, 1.0])
+TYPES_GAZE = GazeState(beta=0.2, rho=2.0, alpha=0.1)
 
 
 def random_ray_and_depth(rng, gaze):
@@ -463,3 +465,55 @@ class TestCorrespondences:
     def test_truth_of_other_shapes_rejected(self, p_c, s):
         with pytest.raises(ValueError, match=re.escape(f"got {p_c} and {s}")):
             Correspondences(np.ones((5, 3)), np.ones((5, 3)), p_c=np.ones(p_c), s=np.ones(s))
+
+    @staticmethod
+    def assert_same_fit_and_depths(converted, expected):
+        for name in ("q_l", "q_r", "p_c", "s"):
+            value = getattr(converted, name)
+            assert type(value) is np.ndarray and value.dtype == np.float64
+            assert np.array_equal(value, getattr(expected, name), equal_nan=True)
+        if expected.q_l.ndim == 2:
+            assert estimate_gaze(converted) == estimate_gaze(expected)
+        for got, want in zip(estimate_depth_map(converted, TYPES_GAZE),
+                             estimate_depth_map(expected, TYPES_GAZE)):
+            assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("convert", [
+        lambda a: a.tolist(),
+        lambda a: tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist()),
+    ], ids=["lists", "tuples"])
+    @pytest.mark.parametrize("truth", [True, False], ids=["truth", "no-truth"])
+    def test_array_likes_give_the_fit_and_depths_of_float_arrays(self, convert, truth):
+        records = synthesize_scene(TYPES_GAZE, SceneSpec(count=30, sigma=1e-3, seed=5)).records
+        fields = [records.q_l, records.q_r] + ([records.p_c, records.s] if truth else [])
+        self.assert_same_fit_and_depths(Correspondences(*map(convert, fields)),
+                                        Correspondences(*fields))
+
+    def test_an_int_array_gives_the_fit_and_depths_of_its_float_copy(self):
+        records = synthesize_scene(TYPES_GAZE, SceneSpec(count=30, seed=5)).records
+        # homogeneous points with third component 1000, rounded to integers
+        q_l, q_r = (np.rint(1000.0 * q).astype(np.int64) for q in (records.q_l, records.q_r))
+        self.assert_same_fit_and_depths(Correspondences(q_l, q_r),
+                                        Correspondences(q_l.astype(float), q_r.astype(float)))
+
+    def test_a_single_correspondence_takes_a_python_float_depth(self):
+        records = synthesize_scene(TYPES_GAZE, SceneSpec(count=1, seed=5)).records
+        q_l, q_r, p_c = (q[0].tolist() for q in (records.q_l, records.q_r, records.p_c))
+        single = Correspondences(q_l, q_r, p_c=p_c, s=float(records.s[0]))
+        assert single.s.shape == ()
+        self.assert_same_fit_and_depths(single, records[0])
+
+    def test_float_arrays_are_kept_as_they_are(self):
+        q_l, q_r, p_c, s = np.ones((5, 3)), np.ones((5, 3)), np.ones((5, 3)), np.zeros(5)
+        records = Correspondences(q_l, q_r, p_c, s)
+        for got, want in zip((records.q_l, records.q_r, records.p_c, records.s), (q_l, q_r, p_c, s)):
+            assert got is want
+
+    @pytest.mark.parametrize("q_l", [
+        [[0.1, 0.2, 1.0], [0.1, 1.0]],
+        [[0.1, 0.2, 1.0], [0.1, 0.2, 1.0, 1.0]],
+        [[0.1, 0.2, 1.0], 0.5],
+    ], ids=["short-row", "long-row", "scalar-row"])
+    def test_a_ragged_list_raises_a_value_error(self, q_l):
+        with pytest.raises(ValueError):
+            Correspondences(q_l, [[0.1, 0.2, 1.0]] * 2)

@@ -9,6 +9,14 @@ beta x rho x sigma grid, one line per problem.
 
 When a change means to alter output bytes, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and say which changed.
+
+The fit golden, both ``estimate`` goldens, two ``reconstruct`` goldens and
+the fixation-plane patch depend on the OpenBLAS kernel that numpy's OpenBLAS
+picks at run time for the CPU (``OPENBLAS_VERBOSE=2`` prints it as
+``Core:``), through numpy's QR and matmul. They were written under SkylakeX;
+under ``OPENBLAS_CORETYPE=Haswell`` those six cases fail, and under
+Sandybridge, Nehalem or Prescott nine do. numpy's own SIMD dispatch does not
+change them.
 """
 
 from pathlib import Path
