@@ -66,7 +66,10 @@ class Correspondences:
     truth, or one whose shapes do not match the points', raises
     ``ValueError``); it is NaN in the rows where it is unknown.
     Indexing selects rows as numpy does (a slice shares memory); a single
-    correspondence has (3,) points and a scalar depth.
+    correspondence has (3,) points and a scalar depth. Each field may be
+    any array-like of integers or floats and is held as a float array (a
+    float64 array as itself); one of strings, bools, None or other objects
+    raises ``TypeError`` naming the field.
     """
 
     q_l: np.ndarray
@@ -78,7 +81,10 @@ class Correspondences:
         for name in ("q_l", "q_r", "p_c", "s"):
             value = getattr(self, name)
             if value is not None:
-                setattr(self, name, np.asarray(value, dtype=float))
+                array = np.asarray(value)
+                if array.dtype.kind not in "iuf":
+                    raise TypeError(f"{name} must hold numbers, got dtype {array.dtype}")
+                setattr(self, name, array.astype(float, copy=False))
         shape = self.q_l.shape
         if shape != self.q_r.shape or shape[-1:] != (3,) or len(shape) > 2:
             raise ValueError(f"q_l and q_r must share one shape, (3,) or (N, 3), "

@@ -110,13 +110,6 @@ class GazeState:
         rotations.flags.writeable = False
         return rotations
 
-    @cached_property
-    def _fixation_point(self) -> np.ndarray:
-        """``fixation_point``'s (3,) array, built on first use and held read-only."""
-        point = self.rho * direction_from_angles(self.alpha, self.beta)
-        point.flags.writeable = False
-        return point
-
 
 @dataclass(frozen=True)
 class EyeAzimuths:
@@ -183,9 +176,8 @@ def direction_from_angles(alpha: float, beta: float) -> Vec3:
 
 
 def fixation_point(gaze: GazeState) -> Vec3:
-    """Scene coordinates of the fixation point, rho times the gaze direction,
-    built once per gaze and returned read-only."""
-    return gaze._fixation_point
+    """Scene coordinates of the fixation point, rho times the gaze direction."""
+    return gaze.rho * direction_from_angles(gaze.alpha, gaze.beta)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing norm is inf: GazeState refuses it

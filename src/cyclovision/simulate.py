@@ -11,6 +11,7 @@ projection.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -106,27 +107,19 @@ class SynthesisResult(NamedTuple):
     skipped: int  # candidates not in front of all three eyes, or whose images overflow
 
 
-def _default_bounds(gaze: GazeState) -> tuple[list, list]:
-    """Lows and highs of the box centred on the fixation point, scaled with range."""
-    half = BOX_HALF_EXTENT * gaze.rho
-    centre = fixation_point(gaze).tolist()
-    lows, highs = [c - half for c in centre], [c + half for c in centre]
-    if not _all_finite(*lows, *highs):
-        raise ValueError(f"rho {gaze.rho} is too large for the default region; give a region")
-    return lows, highs
-
-
 def default_region(gaze: GazeState) -> Region:
     """Axis-aligned box centred on the fixation point, scaled with range."""
-    return tuple(zip(*_default_bounds(gaze)))
+    half = BOX_HALF_EXTENT * gaze.rho
+    box = tuple((c - half, c + half) for c in fixation_point(gaze).tolist())
+    if not all(math.isfinite(bound) for pair in box for bound in pair):
+        raise ValueError(f"rho {gaze.rho} is too large for the default region; give a region")
+    return box
 
 
 def _scene_candidates(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.generator == "random-box":
-        if spec.region is None:
-            lows, highs = np.array(_default_bounds(gaze))
-        else:
-            lows, highs = np.array(spec.region, dtype=float).T
+        region = spec.region if spec.region is not None else default_region(gaze)
+        lows, highs = np.array(region, dtype=float).T
         # rng.uniform(lows, highs, (count, 3))'s own low + range * next_double per
         # element, in the same stream order, without its broadcast path
         scene = rng.random((spec.count, 3))
@@ -166,20 +159,18 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
 
     with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is dropped
         images = project(EyePose(rotations[:, None], EYE_CENTRES[:, None]), scene)
-        images, depths = normalize_in_front(images, "point lies behind an eye")
-        p_c, s = images[2], depths[2] - gaze.rho
-        finite = np.isfinite(images[0] + images[1])
-        finite &= np.isfinite(p_c)
+        (q_l, q_r, p_c), depths = normalize_in_front(images, "point lies behind an eye")
+        s = depths[2] - gaze.rho
+        kept = np.isfinite(q_l + q_r).all(axis=1) & np.isfinite(p_c).all(axis=1)
     if spec.generator == "fixation-plane-patch":
         p_c, s = rays, np.zeros(spec.count)
-    pair = images[:2]  # left, right
-    if not finite.all():
-        kept = finite.all(axis=1)
-        pair, p_c, s = pair[:, kept], p_c[kept], s[kept]
+    records = Correspondences(q_l, q_r, p_c, s)
+    if not kept.all():
+        records = records[kept]
     if spec.sigma > 0.0:
-        noise = rng.normal(0.0, spec.sigma, (len(s), 2, 2))  # per row: left, then right
-        pair[:, :, :2] += noise.transpose(1, 0, 2)
-        if not np.isfinite(pair).all():
+        noise = rng.normal(0.0, spec.sigma, (len(records), 2, 2))  # per row: left, then right
+        records.q_l[:, :2] += noise[:, 0]
+        records.q_r[:, :2] += noise[:, 1]
+        if not (np.isfinite(records.q_l).all() and np.isfinite(records.q_r).all()):
             raise ValueError(f"sigma {spec.sigma} makes image coordinates non-finite")
-    records = Correspondences(pair[0], pair[1], p_c, s)
     return SynthesisResult(records=records, skipped=spec.count - len(records))

@@ -5,8 +5,6 @@ per-call fast paths."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from cyclovision.disparity import Correspondences, ParallaxDecomposition
@@ -28,30 +26,20 @@ from cyclovision.gaze import (
     EyeAzimuths,
     GazeState,
     VergenceVersion,
-    direction_from_angles,
     eye_azimuths,
     eye_poses,
     project,
-    vergence_version,
-    vieth_muller,
 )
 from cyclovision.geometry import (
     _DEGENERATE_TOL,
     inner,
-    normalize_in_front,
     normalize_point,
     rot_x,
     rot_y,
     transform,
 )
-from cyclovision.horopter import MidlineHoropter, forward_arc_limit, vm_point
-from cyclovision.simulate import (
-    ARC_MARGIN,
-    BOX_HALF_EXTENT,
-    PATCH_HALF_WIDTH,
-    SceneSpec,
-    SynthesisResult,
-)
+from cyclovision.horopter import MidlineHoropter
+from cyclovision.simulate import SceneSpec, default_region
 
 #: tolerance for projective equality after normalizing by the largest entry
 PROJECTIVE_TOL = 1e-9
@@ -180,57 +168,11 @@ def reference_eye_rotations(gaze: GazeState) -> np.ndarray:
     return np.array([rot_y(az.beta_l) @ tilt, rot_y(az.beta_r) @ tilt, rot_y(gaze.beta) @ tilt])
 
 
-def reference_fixation_point(gaze: GazeState) -> np.ndarray:
-    """``fixation_point`` as every call used to build it."""
-    return gaze.rho * direction_from_angles(gaze.alpha, gaze.beta)
-
-
-def reference_default_region(gaze: GazeState):
-    """``default_region`` as a tuple of (low, high) pairs built from Python floats."""
-    half = BOX_HALF_EXTENT * gaze.rho
-    box = tuple((c - half, c + half) for c in reference_fixation_point(gaze).tolist())
-    if not all(math.isfinite(bound) for pair in box for bound in pair):
-        raise ValueError(f"rho {gaze.rho} is too large for the default region; give a region")
-    return box
-
-
 def reference_box(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     """The random box drawn by ``rng.uniform`` on the region's (low, high) pairs."""
-    region = spec.region if spec.region is not None else reference_default_region(gaze)
+    region = spec.region if spec.region is not None else default_region(gaze)
     lows, highs = np.array(region, dtype=float).T
     return rng.uniform(lows, highs, (spec.count, 3))
-
-
-def reference_synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
-    """``synthesize_scene`` with one projection per pose, a per-row finiteness test,
-    a row subset of each array and the noise added and checked per image."""
-    rng = np.random.default_rng(spec.seed)
-    poses = eye_poses(gaze)
-    if spec.generator == "fixation-plane-patch":
-        offsets = rng.uniform(-PATCH_HALF_WIDTH, PATCH_HALF_WIDTH, (spec.count, 2))
-        rays = np.column_stack([offsets, np.ones(spec.count)])
-        scene = gaze.rho * transform(poses.cyclopean.rotation.T, rays)
-    elif spec.generator == "random-box":
-        scene = reference_box(gaze, spec, rng)
-    else:
-        circle = vieth_muller(vergence_version(eye_azimuths(gaze)))
-        limit = ARC_MARGIN * forward_arc_limit(circle)
-        scene = transform(rot_x(gaze.alpha), vm_point(circle, rng.uniform(-limit, limit, spec.count)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        (q_l, _), (q_r, _), (p_c, depth) = (normalize_in_front(project(pose, scene), "behind")
-                                            for pose in poses)
-        s = depth - gaze.rho
-        kept = np.isfinite(q_l + q_r).all(axis=1) & np.isfinite(p_c).all(axis=1)
-    if spec.generator == "fixation-plane-patch":
-        p_c, s = rays, np.zeros(spec.count)
-    records = Correspondences(q_l[kept], q_r[kept], p_c[kept], s[kept])
-    if spec.sigma > 0.0:
-        noise = rng.normal(0.0, spec.sigma, (len(records), 2, 2))
-        records.q_l[:, :2] += noise[:, 0]
-        records.q_r[:, :2] += noise[:, 1]
-        if not (np.isfinite(records.q_l).all() and np.isfinite(records.q_r).all()):
-            raise ValueError(f"sigma {spec.sigma} makes image coordinates non-finite")
-    return SynthesisResult(records=records, skipped=spec.count - len(records))
 
 
 def reference_mark_failures(bad, error, message, values):

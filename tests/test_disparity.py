@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -517,3 +518,22 @@ class TestCorrespondences:
     def test_a_ragged_list_raises_a_value_error(self, q_l):
         with pytest.raises(ValueError):
             Correspondences(q_l, [[0.1, 0.2, 1.0]] * 2)
+
+    @pytest.mark.parametrize("field,value", [
+        ("q_l", [["0.1", "0.2", "1"]] * 5),
+        ("q_l", [[0.1, None, 1.0]] * 5),
+        ("q_l", [[True, False, True]] * 5),
+        ("q_l", np.ones((5, 3), dtype=bool)),
+        ("q_r", [[Fraction(1, 10), 0.2, 1.0]] * 5),
+        ("q_r", np.full((5, 3), 1.0 + 0.0j)),
+        ("p_c", [[0.0, None, 1.0]] * 5),
+        ("s", ["0.5"] * 5),
+        ("s", [None] * 5),
+        ("s", np.zeros(5, dtype=bool)),
+    ], ids=["str", "none", "bool-list", "bool-array", "fraction", "complex",
+            "truth-none", "depth-str", "depth-none", "depth-bool"])
+    def test_a_non_number_array_raises_a_type_error_naming_the_field(self, field, value):
+        fields = dict(q_l=np.ones((5, 3)), q_r=np.ones((5, 3)), p_c=np.ones((5, 3)), s=np.zeros(5))
+        fields[field] = value
+        with pytest.raises(TypeError, match=f"^{field} must hold numbers"):
+            Correspondences(**fields)
