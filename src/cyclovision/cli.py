@@ -64,13 +64,10 @@ _GAZE_OPTIONS = (
                  help="Interpret --alpha and --beta in degrees."),
 )
 
-_CORR_FILE = click.argument(
-    "corr_file", type=click.Path(exists=True, dir_okay=False, path_type=Path))
+_CORR_FILE = click.argument("corr_file", type=click.Path(path_type=Path))
 
-_OUT_OPTION = click.option(
-    "--out", type=click.Path(dir_okay=False, path_type=Path), default=None,
-    help="Output file (default: stdout).",
-)
+_OUT_OPTION = click.option("--out", type=click.Path(path_type=Path), default=None,
+                           help="Output file (default: stdout).")
 
 
 def _parse_floats(text: str, n: int, what: str) -> list[float]:

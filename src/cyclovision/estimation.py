@@ -28,7 +28,6 @@ perspective effects off the meridian.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +45,7 @@ from cyclovision.gaze import (
     EyeAzimuths,
     GazeState,
     _finite_numbers,
+    _integer,
     eye_azimuths,
     gaze_from_azimuths,
 )
@@ -79,11 +79,9 @@ class EstimationConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        cap = self.max_iterations
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Integral):
-            raise TypeError(f"max_iterations must be an integer, got {cap!r}")
-        if cap < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {cap}")
+        _integer("max_iterations", self.max_iterations)
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ the x-rotation maps the tilted visual plane back to y = 0, and with
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -61,6 +62,12 @@ def _is_number(value) -> bool:
     """A Python float or int but not a bool, or a numpy scalar or 0-d array of kind i, u or f."""
     return (isinstance(value, (float, int)) and not isinstance(value, bool)
             or getattr(value, "dtype", np.dtype("O")).kind in "iuf" and np.ndim(value) == 0)
+
+
+def _integer(name: str, value) -> None:
+    """TypeError "``name`` must be an integer" unless a ``numbers.Integral`` but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _all_finite(*values) -> bool:

@@ -12,7 +12,6 @@ projection.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,6 +23,7 @@ from cyclovision.gaze import (
     EyePose,
     GazeState,
     _all_finite,
+    _integer,
     _is_number,
     eye_azimuths,
     fixation_point,
@@ -78,10 +78,8 @@ class SceneSpec:
                 pass
             if len(pairs) != 3:
                 raise ValueError(f"region must be three (low, high) pairs, got {self.region!r}")
-        for name in ("count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+        _integer("count", self.count)
+        _integer("seed", self.seed)
         bounds = [bound for pair in pairs for bound in pair]
         for name, value in [("sigma", self.sigma)] + [("region bound", b) for b in bounds]:
             if not _is_number(value):

@@ -44,6 +44,9 @@ from cyclovision.simulate import SceneSpec, default_region
 #: tolerance for projective equality after normalizing by the largest entry
 PROJECTIVE_TOL = 1e-9
 
+#: values that are not integers: floats, even integral ones, bools, a string and None
+NOT_INTEGERS = [2.5, 1.0, True, False, np.float64(3.0), np.bool_(True), "3", None]
+
 
 def random_gaze(rng, beta=(-0.8, 0.8), rho=(0.8, 50.0), alpha=None) -> GazeState:
     """Draw a valid gaze; alpha is zero unless a range is given."""

@@ -459,7 +459,7 @@ class TestEstimate:
 
     def test_missing_file_fails(self, runner, tmp_path):
         result = runner.invoke(main, ["estimate", str(tmp_path / "nope.json")])
-        assert result.exit_code != 0
+        assert result.exit_code == 3, (result.output, result.exception)
 
     def test_fit_leaving_the_fixation_domain_exits_4(self, runner, tmp_path):
         corr = synthesize_file(runner, tmp_path, sigma=1e-2, beta=0.6, rho=40.0, seed=0)
@@ -585,6 +585,12 @@ class TestUnreadableFiles:
 
     @pytest.mark.parametrize("command", ["estimate", "reconstruct"])
     def test_read_failure_exits_3_naming_the_file(self, runner, tmp_path, monkeypatch, command):
+        missing, directory = tmp_path / "nope.json", tmp_path / "directory"
+        directory.mkdir()
+        for path, reason in ((missing, "No such file or directory"), (directory, "Is a directory")):
+            result = runner.invoke(main, [command, str(path)])
+            assert result.exit_code == 3, (result.output, result.exception)
+            assert result.output == f"Error: {path}: cannot be read ({reason})\n"
         corr = synthesize_file(runner, tmp_path, count=20)
 
         def refuse(self, *args, **kwargs):
@@ -620,6 +626,15 @@ class TestUnreadableFiles:
         result = runner.invoke(main, ["fixate", "--rho", "2", "--out", str(out)])
         assert result.exit_code == 3, (result.output, result.exception)
         assert result.output == f"Error: {out}: cannot be written (No such file or directory)\n"
+        corr, directory = synthesize_file(runner, tmp_path, count=20), tmp_path / "directory"
+        directory.mkdir()
+        for args in (["fixate", "--rho", "2"], ["horopter", "--rho", "2"],
+                     ["essential", "--rho", "2"], ["synthesize", "--rho", "2"],
+                     ["reconstruct", str(corr)], ["estimate", str(corr)]):
+            result = runner.invoke(main, [*args, "--out", str(directory)])
+            assert result.exit_code == 3, (args, result.output, result.exception)
+            assert result.output == f"Error: {directory}: cannot be written (Is a directory)\n"
+            assert not any(directory.iterdir())
 
 
 class TestTooFewPoints:

@@ -41,7 +41,7 @@ from cyclovision.gaze import (
 from cyclovision.geometry import normalize_point
 from cyclovision.records import load_json, parse_correspondence_file
 from cyclovision.simulate import SceneSpec, synthesize_scene
-from helpers import grid_objective, midpoint_oracle, project_both
+from helpers import NOT_INTEGERS, grid_objective, midpoint_oracle, project_both
 
 TRUE_GAZE = GazeState(beta=0.2, rho=2.0)
 GOLDEN_RANDOM_BOX = Path(__file__).resolve().parent / "golden" / "synthesize-random-box.json"
@@ -221,9 +221,9 @@ def direct_residuals(records, beta_l, beta_r):
 
 
 class TestEstimationConfig:
-    @pytest.mark.parametrize("cap", [1.5, True, np.bool_(True), "5", None])
+    @pytest.mark.parametrize("cap", NOT_INTEGERS)
     def test_a_cap_that_is_not_an_integer_raises_a_type_error(self, cap):
-        with pytest.raises(TypeError, match="max_iterations must be an integer"):
+        with pytest.raises(TypeError, match="^max_iterations must be an integer"):
             EstimationConfig(max_iterations=cap)
 
     @pytest.mark.parametrize("cap", [0, -3, np.int64(0)])

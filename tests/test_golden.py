@@ -13,10 +13,14 @@ When a change means to alter output bytes, regenerate the files with
 The fit golden, both ``estimate`` goldens, two ``reconstruct`` goldens and
 the fixation-plane patch depend on the OpenBLAS kernel that numpy's OpenBLAS
 picks at run time for the CPU (``OPENBLAS_VERBOSE=2`` prints it as
-``Core:``), through numpy's QR and matmul. They were written under SkylakeX;
-under ``OPENBLAS_CORETYPE=Haswell`` those six cases fail, and under
-Sandybridge, Nehalem or Prescott nine do. numpy's own SIMD dispatch does not
-change them.
+``Core:``), through numpy's QR and matmul, the per-point
+``geometry.transform`` and ``geometry.inner`` included: ``inner`` and
+``transform`` by a transposed rotation change their last bits under Haswell
+and older cores, ``transform`` by the rotation itself under Sandybridge and
+Prescott, and the patch goes through ``transform(rotations[2].T, rays)``.
+They were written under SkylakeX; under ``OPENBLAS_CORETYPE=Haswell`` those
+six cases fail, and under Sandybridge, Nehalem or Prescott nine do. numpy's
+own SIMD dispatch does not change them.
 """
 
 from pathlib import Path

@@ -20,6 +20,8 @@ from cyclovision.simulate import (
     synthesize_scene,
 )
 
+from helpers import NOT_INTEGERS
+
 GAZE = GazeState(beta=0.1, rho=1.5)
 
 
@@ -35,8 +37,7 @@ class TestSceneSpec:
             SceneSpec(sigma=-1.0)
 
     @pytest.mark.parametrize("field", ["count", "seed"])
-    @pytest.mark.parametrize("value", [2.5, 1.0, True, False, np.float64(3.0), np.bool_(True),
-                                       "3", None])
+    @pytest.mark.parametrize("value", NOT_INTEGERS)
     def test_rejects_a_count_or_seed_that_is_not_an_integer(self, field, value):
         with pytest.raises(TypeError, match=f"^{field} must be an integer"):
             SceneSpec(**{field: value})
