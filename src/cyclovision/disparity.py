@@ -60,16 +60,17 @@ class Correspondences:
     ``q_l`` and ``q_r`` are (N, 3) homogeneous points of one shape, or (3,)
     for a single correspondence; any other shapes raise ``ValueError``.
     Synthesis gives them third component 1; a parsed file keeps whatever
-    nonzero third component it holds, and every consumer normalizes them
-    first. The truth is ``p_c`` (N, 3) and ``s`` (N,), the generating
-    Cyclopean ray and plane depth, given together or not at all (half a
-    truth, or one whose shapes do not match the points', raises
-    ``ValueError``); it is NaN in the rows where it is unknown.
-    Indexing selects rows as numpy does (a slice shares memory); a single
-    correspondence has (3,) points and a scalar depth. Each field may be
-    any array-like of integers or floats and is held as a float array (a
-    float64 array as itself); one of strings, bools, None or other objects
-    raises ``TypeError`` naming the field.
+    third component it holds, and every consumer normalizes them first
+    (``normalize_point`` decides a point at infinity). The truth is ``p_c``
+    (N, 3) and ``s`` (N,), the generating Cyclopean ray and plane depth,
+    given together or not at all (half a truth, or one whose shapes do not
+    match the points', raises ``ValueError``); it is NaN in the rows where
+    it is unknown. Indexing selects rows as numpy does (a slice shares
+    memory); a single correspondence has (3,) points, a scalar depth and no
+    ``len()`` (Python's ``TypeError``). Each field may be any array-like of
+    integers or floats and is held as a float array (a float64 array as
+    itself); one of strings, bools, None or other objects raises
+    ``TypeError`` naming the field.
     """
 
     q_l: np.ndarray

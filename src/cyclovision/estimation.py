@@ -173,11 +173,16 @@ def _grid_seed(r_factor: np.ndarray) -> EyeAzimuths:
     return EyeAzimuths(epsilon + 0.5 * delta, epsilon - 0.5 * delta)
 
 
+def _require_set(correspondences: Correspondences) -> None:
+    """Refuse a single correspondence where a set of them is needed."""
+    if correspondences.q_l.ndim == 1:
+        raise DegenerateConfigurationError("need a set of correspondences, got a single one")
+
+
 def _fit_input(correspondences: Correspondences) -> tuple[np.ndarray, int]:
     """(R factor, size) of a set that determines a gaze. Refuses, in this order, a
     single correspondence, fewer than 3, a point at infinity and meridian-only data."""
-    if correspondences.q_l.ndim == 1:
-        raise DegenerateConfigurationError("need a set of correspondences, got a single one")
+    _require_set(correspondences)
     count = len(correspondences)
     if count < 3:
         raise DegenerateConfigurationError(f"need at least 3 correspondences, got {count}")
@@ -267,9 +272,9 @@ def estimate_depth_map(correspondences: Correspondences, gaze: GazeState) -> Dep
     Each pair of rays is turned into the Cyclopean frame, where the eyes sit
     at -b/2 and b/2 and the elevation cancels, and triangulated at the
     midpoint of its common perpendicular; the Cyclopean ray and plane depth
-    are that point's image and depth less rho. Rows read NaN where the rays
-    are parallel, the point is not in front of both eyes and the Cyclopean
-    eye, or rho + s rounds to 0; such failures are not fatal.
+    are that point's image and depth less rho. Rows read NaN where an image
+    is at infinity, the rays are parallel, the point is not in front of both
+    eyes and the Cyclopean eye, or rho + s rounds to 0; none is fatal.
     """
     az = eye_azimuths(gaze)
     d1 = transform(rot_y(gaze.beta - az.beta_l), normalize_point(correspondences.q_l))

@@ -36,7 +36,7 @@ import numpy as np
 
 from cyclovision.disparity import Correspondences
 from cyclovision.errors import SchemaError
-from cyclovision.estimation import DepthMap, GazeEstimate
+from cyclovision.estimation import DepthMap, GazeEstimate, _require_set
 from cyclovision.gaze import EyeAzimuths, GazeState, eye_azimuths, vergence_version
 
 SCHEMA_VERSION = "cyclovision/1"
@@ -250,7 +250,9 @@ def correspondence_file(
     sigma: float,
     seed: int,
 ) -> dict:
-    """Header plus one record per correspondence, truth included when known."""
+    """Header plus one record per correspondence, truth included when known.
+    A single correspondence raises ``DegenerateConfigurationError``."""
+    _require_set(records)
     return {
         **record_head("correspondences", gaze),
         "generator": generator,
@@ -273,12 +275,11 @@ def _numbers(rows: list, key: str, width: int) -> np.ndarray:
     lists of ``width`` numbers, or (N,) from one number a cell at width 0.
     A number is an ``int`` or ``float`` as JSON parses it, of any size a
     double holds finitely, so a string, null or a boolean fails by its
-    type, and so does a numpy scalar or a float subclass; a point (width 3)
-    needs a nonzero third component. Anything else raises
-    :class:`SchemaError`."""
+    type, and so does a numpy scalar or a float subclass. Anything else
+    raises :class:`SchemaError`."""
     if not isinstance(rows, list):
         raise SchemaError(f"expected an array of rows holding {key!r}")
-    what = "3 finite numbers, the third nonzero" if width == 3 else "a finite number"
+    what = f"{width} finite numbers" if width else "a finite number"
     refused = SchemaError(f"every {key!r} must be {what}")
     try:
         cells = [row[key] for row in rows]
@@ -295,7 +296,7 @@ def _numbers(rows: list, key: str, width: int) -> np.ndarray:
         raise refused from err
     if width:
         values = values.reshape(-1, width)
-    if not np.isfinite(values).all() or width == 3 and not values[:, 2].all():
+    if not np.isfinite(values).all():
         raise refused
     return values
 
@@ -342,7 +343,9 @@ def _rms(errors: np.ndarray) -> float:
 def depth_map_file(gaze: GazeState, records: Correspondences, depth: DepthMap) -> dict:
     """Depth-map records at ``gaze``, with error statistics when the file
     has rows and every true depth is known. A row the depth map failed holds
-    no estimate, as in :func:`experiment_file`, and ``stats.failed`` counts it."""
+    no estimate, as in :func:`experiment_file`, and ``stats.failed`` counts it.
+    A single correspondence raises ``DegenerateConfigurationError``."""
+    _require_set(records)
     out = {
         **record_head("depth-map", gaze),
         "records": Table({

@@ -265,13 +265,13 @@ def reference_numbers(rows: list, key: str, width: int) -> np.ndarray:
     if not isinstance(rows, list):
         raise SchemaError(f"expected an array of rows holding {key!r}")
     shape = (len(rows), width) if width else (len(rows),)
-    what = "3 finite numbers, the third nonzero" if width == 3 else "a finite number"
+    what = f"{width} finite numbers" if width else "a finite number"
     try:
         values = np.array([row[key] for row in rows]) if rows else np.empty(shape)
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise SchemaError(f"every {key!r} must be {what}") from err
     if (values.dtype.kind not in "fiu" or values.shape != shape
-            or not np.isfinite(values).all() or width == 3 and not values[:, 2].all()
+            or not np.isfinite(values).all()
             or _reference_holds_a_boolean(rows, key, values)):
         raise SchemaError(f"every {key!r} must be {what}")
     return values.astype(float, copy=False)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from cyclovision.cli import main
 from cyclovision.disparity import decompose
 from cyclovision.estimation import estimate_depth_map, estimate_gaze
 from cyclovision.gaze import GazeState, eye_azimuths
+from cyclovision.geometry import normalize_point
 from cyclovision.records import (
     _BLOCK_ROWS,
     ExperimentRecord,
@@ -521,6 +523,70 @@ class TestMalformedPoints:
         gaze = ["--rho", "2"] if command == "reconstruct" else []  # the header may be gone
         result = runner.invoke(main, [command, str(corr), *gaze])
         assert result.exit_code == 3, result.output
+
+
+@pytest.fixture(scope="module")
+def twenty_rows():
+    """A noiseless 20-row random-box file at beta 0.2, rho 2, as parsed JSON."""
+    return json.loads(run_ok(CliRunner(), ["synthesize", "--beta", "0.2", "--rho", "2",
+                                           "--count", "20", "--seed", "21"]))
+
+
+def _third_components(runner, tmp_path, data, edits):
+    """Run estimate and reconstruct, warnings as errors, on ``data`` with the
+    third components of each row ``i`` in ``edits`` set to ``edits[i]``
+    (q_l's, q_r's); also the rows whose images ``normalize_point`` marks."""
+    data = json.loads(json.dumps(data))
+    for i, (left, right) in edits.items():
+        data["records"][i]["q_l"][2], data["records"][i]["q_r"][2] = left, right
+    corr = tmp_path / "thirds.json"
+    corr.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = parse_correspondence_file(data).records
+        marked = np.isnan(normalize_point(np.stack([records.q_l, records.q_r]))).any(axis=(0, 2))
+        fit, depth = (runner.invoke(main, [command, str(corr)])
+                      for command in ("estimate", "reconstruct"))
+    return fit, depth, marked
+
+
+def _failed_and_counted(depth, rows):
+    """Whether each of ``rows`` lacks its estimates and ``stats.failed`` counts every failure."""
+    report = json.loads(depth.output)
+    failed = ["s_est" not in row for row in report["records"]]
+    return report["stats"]["failed"] == sum(failed) and all(failed[i] for i in rows)
+
+
+class TestPointAtInfinity:
+    """A zero third component is read; ``normalize_point`` alone decides an
+    image point at infinity: the fit refuses the set (exit 4) and the depth
+    map fails the row."""
+
+    @pytest.mark.parametrize("third", [0, 1e-300])
+    def test_estimate_exits_4_and_reconstruct_fails_the_row(self, runner, tmp_path,
+                                                           twenty_rows, third):
+        fit, depth, marked = _third_components(runner, tmp_path, twenty_rows, {0: (third, 1)})
+        assert np.flatnonzero(marked).tolist() == [0]
+        assert fit.exit_code == 4, (fit.output, fit.exception)
+        assert fit.output == "Error: cannot normalize an image point at infinity\n"
+        assert depth.exit_code == 0, (depth.output, depth.exception)
+        assert json.loads(depth.output)["stats"]["failed"] == 1
+        assert _failed_and_counted(depth, [0])
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edits=st.dictionaries(
+        st.integers(0, 19),
+        st.tuples(*[st.sampled_from([0, 5e-324, -5e-324, 1e-300, -1e-300, 0.5, -0.5, 2])] * 2),
+        max_size=20))
+    @example(edits={})
+    @example(edits={0: (0.5, 2), 7: (-5e-324, 0.5)})
+    def test_every_marked_row_is_refused_by_the_fit_and_failed_by_the_depth_map(
+            self, runner, tmp_path, twenty_rows, edits):
+        fit, depth, marked = _third_components(runner, tmp_path, twenty_rows, edits)
+        assert fit.exit_code in ((4,) if marked.any() else (0, 4)), (fit.output, fit.exception)
+        assert depth.exit_code == 0, (depth.output, depth.exception)
+        assert _failed_and_counted(depth, np.flatnonzero(marked))
 
 
 class TestHeaderFaults:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from cyclovision.errors import SchemaError
+from cyclovision.errors import DegenerateConfigurationError, SchemaError
 from cyclovision.estimation import estimate_depth_map, estimate_gaze
 from cyclovision.gaze import GazeState
 from cyclovision.records import (
@@ -300,6 +300,11 @@ class TestCorrespondenceFiles:
         assert parsed.records.p_c.tolist() == [row["p_c"] for row in data["records"]]
         assert parsed.records.s.tolist() == [row["s"] for row in data["records"]]
 
+    def test_a_single_correspondence_is_refused(self):
+        single = synthesize_scene(GAZE, SceneSpec(count=5, seed=1)).records[0]
+        with pytest.raises(DegenerateConfigurationError, match="got a single one"):
+            correspondence_file(GAZE, single, 0, "random-box", 0.0, 1)
+
     def test_truthless_records_flagged(self):
         data = sample_file_dict()
         for row in data["records"]:
@@ -330,13 +335,11 @@ class TestCorrespondenceFiles:
     @pytest.mark.parametrize("key,value", [
         ("q_l", [0.1, 0.2]),
         ("q_r", [0.1, float("nan"), 1.0]),
-        ("q_l", [0.1, 0.2, 0.0]),
         ("p_c", [0.1, 0.2, 1.0, 1.0]),
         ("p_c", [0.1, float("inf"), 1.0]),
         ("s", float("nan")),
         ("s", [1.0]),
         ("q_r", [[0.1, 0.2, 1.0]]),
-        ("p_c", [0.1, 0.2, 0.0]),
         ("q_l", ["0.1", "0.2", "1"]),
         ("q_r", [0.1, 0.2, "1"]),
         ("p_c", [0.1, None, 1.0]),
@@ -353,6 +356,14 @@ class TestCorrespondenceFiles:
         data["records"][2][key] = value
         with pytest.raises(SchemaError):
             parse_correspondence_file(data)
+
+    @pytest.mark.parametrize("key", ["q_l", "q_r", "p_c"])
+    def test_zero_third_component_is_read(self, key):
+        """A point at infinity is the library's to refuse, not the reader's."""
+        data = sample_file_dict()
+        data["records"][2][key] = [0.1, 0.2, 0]
+        read = getattr(parse_correspondence_file(data).records, key)[2]
+        assert read.tolist() == [0.1, 0.2, 0.0]
 
     @pytest.mark.parametrize("probe", TRUTH_PROBES)
     def test_truth_is_checked_in_every_row_that_holds_it(self, probe):
@@ -388,12 +399,12 @@ class TestCorrespondenceFiles:
 
     @pytest.mark.parametrize("key,value,message", [
         ("s", 10**400, "every 's' must be a finite number"),
-        ("q_r", [0, -10**400, 1], "every 'q_r' must be 3 finite numbers, the third nonzero"),
+        ("q_r", [0, -10**400, 1], "every 'q_r' must be 3 finite numbers"),
     ])
     def test_integer_beyond_the_doubles_is_refused(self, key, value, message):
         data = sample_file_dict()
         data["records"][2][key] = value
-        with pytest.raises(SchemaError, match=message):
+        with pytest.raises(SchemaError, match=f"^{message}$"):
             parse_correspondence_file(data)
 
     @pytest.mark.parametrize("number", [np.float64(0.2), np.int64(1)])
@@ -615,6 +626,11 @@ class TestDepthMapFile:
         records = parse_correspondence_file(data).records
         written = depth_map_file(GAZE, records, estimate_depth_map(records, GAZE))
         assert ("stats" in written) == has_stats
+
+    def test_a_single_correspondence_is_refused(self):
+        single = parse_correspondence_file(sample_file_dict()).records[0]
+        with pytest.raises(DegenerateConfigurationError, match="got a single one"):
+            depth_map_file(GAZE, single, estimate_depth_map(single, GAZE))
 
 
 class TestExperimentRecord:
