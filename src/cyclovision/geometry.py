@@ -68,12 +68,14 @@ def rot_x(angle: float) -> Rot3:
 
 
 def transform(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``matrix @ p`` for each point p in (..., 3), rounded as for one point alone."""
+    """``matrix @ p`` for each point p in (..., 3). Each row equals its own one-point
+    call, not a left-to-right sum: its last bits are the host's OpenBLAS kernel's."""
     return (matrix @ points[..., None])[..., 0]
 
 
 def inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise ``a @ b`` of (..., 3) arrays, rounded as for one row alone."""
+    """Row-wise ``a @ b`` of (..., 3) arrays. Each row equals its own one-row call,
+    not a left-to-right sum: its last bits are the host's OpenBLAS kernel's."""
     return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 

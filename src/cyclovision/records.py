@@ -12,10 +12,10 @@ layout is that of ``json.dumps(obj, indent=2)`` plus a final newline.
 A :class:`Table` is an array of row objects held as columns, the form in
 which the correspondence, depth-map and experiment records are built. It
 is written straight from its arrays, with the bytes the same rows would
-get as dicts: the rows that keep the same keys share one ``%``-template
+get as dicts: each row is given the ``%``-template of the keys it holds,
 with ``%.17g`` in each float slot (``'%.17g' % x == format(x, '.17g')``,
-so :func:`float_repr` stays the one formatting rule), and each such group
-is rendered by one ``template % row`` per row of its stacked float columns.
+so :func:`float_repr` stays the one formatting rule), and each block of
+rows is formatted once, by its row templates joined ``%`` its finite cells.
 
 :func:`text_pieces` gives the same text as an iterator of pieces, each
 table in blocks of a fixed number of rows, so :func:`write_json` and the
@@ -106,33 +106,27 @@ def _table_blocks(columns: dict[str, np.ndarray], indent: str):
                  for (name, c), held in zip(columns.items(), present[:, row]) if held},
                 indent, [])
     names = [json.dumps(name).replace("%", "%%") for name in columns]
-    return _row_blocks(list(columns.values()), present, names, cells, indent)
+    # One integer per row for the set of keys it holds, one template per set.
+    _, first, codes = np.unique(np.ravel_multi_index(present, (2,) * len(present)),
+                                return_index=True, return_inverse=True)
+    templates = [_block([f"{name}: {cell}" for name, cell, held
+                         in zip(names, cells, present[:, row]) if held], "{}", rows_at)
+                 for row in first.tolist()]
+    return _row_blocks(list(columns.values()), [templates[i] for i in codes.tolist()], indent)
 
 
-def _row_blocks(columns: list[np.ndarray], present: np.ndarray, names: list[str],
-                cells: list[str], indent: str):
-    """The checked rows' text, one block of :data:`_BLOCK_ROWS` rows at a time."""
+def _row_blocks(columns: list[np.ndarray], templates: list[str], indent: str):
+    """The checked rows' text, one block of :data:`_BLOCK_ROWS` rows at a time.
+
+    A held cell is finite and a left-out key NaN in all its cells, so a block's
+    non-NaN cells, row by row, fill its row templates' slots in order."""
     rows_at = indent + "  "
-    for start in range(0, present.shape[1], _BLOCK_ROWS):
+    for start in range(0, len(templates), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        block = present[:, start:stop]
-        # Rows that hold the same keys share one template; the stable sort keeps
-        # each group in row order. A row's text depends on that row alone, so
-        # grouping within each block gives the bytes of grouping all rows.
-        order = np.lexsort(block)
-        grouped = block[:, order]
-        changes = np.flatnonzero((grouped[:, 1:] != grouped[:, :-1]).any(axis=0)) + 1
-        out = [""] * block.shape[1]
-        for rows in np.split(order, changes):
-            kept = [(f"{name}: {cell}", c) for name, cell, held, c
-                    in zip(names, cells, block[:, rows[0]], columns) if held]
-            template = _block([item for item, _ in kept], "{}", rows_at)
-            floats = [c[start:stop][rows] for _, c in kept]
-            values = np.column_stack(floats).tolist() if floats else [()] * len(rows)
-            texts = [template % tuple(v) for v in values]
-            for i, text in zip(rows.tolist(), texts):
-                out[i] = text
-        yield ("[\n" if start == 0 else ",\n") + rows_at + f",\n{rows_at}".join(out)
+        cells = np.column_stack([c[start:stop] for c in columns])
+        rows = templates[start:stop]  # led by the block's opening, so its text is made once
+        rows[0] = ("[\n" if start == 0 else ",\n") + rows_at + rows[0]
+        yield f",\n{rows_at}".join(rows) % tuple(cells[~np.isnan(cells)].tolist())
     yield f"\n{indent}]"
 
 

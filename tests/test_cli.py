@@ -263,19 +263,25 @@ class TestUnallocatableSizes:
 class TestStreamedOutput:
     """Records longer than one block of rows reach stdout and ``--out`` alike."""
 
-    def test_stdout_and_out_carry_the_same_bytes(self, runner, tmp_path):
+    # the second is the console script's 3000-row file in CI
+    @pytest.mark.parametrize("count,seed", [(3 * _BLOCK_ROWS // 2, 5), (3000, 7)],
+                             ids=["1536-rows", "3000-rows"])
+    def test_stdout_and_out_carry_the_same_bytes(self, runner, tmp_path, count, seed):
         corr, depth = tmp_path / "corr.json", tmp_path / "depth.json"
-        synthesize = ["synthesize", "--beta", "0.2", "--rho", "2", "--count",
-                      str(3 * _BLOCK_ROWS // 2), "--sigma", "1e-3", "--seed", "5"]
+        synthesize = ["synthesize", "--beta", "0.2", "--rho", "2", "--count", str(count),
+                      "--sigma", "1e-3", "--seed", str(seed)]
         run_ok(runner, [*synthesize, "--out", str(corr)])
-        # at a wrong gaze, failed rows among the rest
+        # at a wrong gaze, failed rows among the rest in every block of rows
         reconstruct = ["reconstruct", str(corr), "--beta", "1.3", "--rho", "0.9"]
         run_ok(runner, [*reconstruct, "--out", str(depth)])
         for args, path in ((synthesize, corr), (reconstruct, depth)):
             assert runner.invoke(main, args).stdout_bytes == path.read_bytes()
-        rows = json.loads(depth.read_bytes())["records"]
-        assert len(rows) > _BLOCK_ROWS
-        assert 0 < sum("s_est" not in row for row in rows) < len(rows)
+        report = json.loads(depth.read_bytes())
+        rows = report["records"]
+        blocks = [rows[start:start + _BLOCK_ROWS] for start in range(0, count, _BLOCK_ROWS)]
+        assert len(blocks) > 1 and [{tuple(row) for row in block} for block in blocks] == [
+            {("p_c", "s_est", "z_c_est", "s_true"), ("s_true",)}] * len(blocks)
+        assert report["stats"]["failed"] == sum("s_est" not in row for row in rows)
 
 
 class TestReconstruct:

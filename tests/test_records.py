@@ -188,6 +188,26 @@ def experiment_record(count):
                            {"estimate_s": 0.125})
 
 
+def runs_across_block_edges(n):
+    """Two columns, each with one run of NaN rows across a block edge."""
+    s = np.linspace(-1.0, 1.0, n)
+    s[_BLOCK_ROWS - 20:_BLOCK_ROWS + 80] = np.nan
+    q = np.column_stack([np.linspace(2.0, 3.0, n), np.full(n, 0.25), np.ones(n)])
+    q[2 * _BLOCK_ROWS - 5:2 * _BLOCK_ROWS + 5] = np.nan
+    return {"s": s, "q": q}
+
+
+def key_set_of_every_row(n):
+    """Three columns whose NaN rows cycle through all 8 key sets, row by row:
+    row i leaves out column j where bit j of i is set."""
+    held = (np.arange(n)[:, None] >> np.arange(3) & 1) == 0
+    s = np.where(held[:, 0], np.linspace(-1.0, 1.0, n), np.nan)
+    q = np.where(held[:, 1:2], np.column_stack([np.linspace(2.0, 3.0, n), np.full(n, 0.25),
+                                                np.ones(n)]), np.nan)
+    t = np.where(held[:, 2], np.geomspace(1e-3, 1e3, n), np.nan)
+    return {"s": s, "q": q, "t": t}
+
+
 # A drawn table of 2560 rows takes about 0.2 s to write all three ways, so
 # shrinking a failing one runs into Hypothesis's five-minute cap. The first
 # failing example is reported as drawn, at its first differing line.
@@ -209,7 +229,8 @@ class TestTableWriter:
         assert_same_text(written(Table(columns)), expected)
         assert_same_text(streamed(Table(columns), out_path), expected)
 
-    @pytest.mark.parametrize("row", [[0.5, math.nan, 1.0], [math.inf, 0.0, 1.0]])
+    @pytest.mark.parametrize("row", [[0.5, math.nan, 1.0], [math.inf, 0.0, 1.0]],
+                             ids=["nan-cell", "inf-cell"])
     def test_partly_finite_vector_row_raises(self, row):
         columns = {"s": np.array([1.0, 2.0]), "q": np.array([[0.0, 0.0, 1.0], row])}
         with pytest.raises(ValueError, match="cannot be serialized"):
@@ -220,13 +241,10 @@ class TestTableWriter:
         assert dumps(Table({"s": np.empty(0), "q": np.empty((0, 3))})) == "[]\n"
         assert dumps(Table({})) == "[]\n"
 
-    def test_groups_that_cross_block_edges_keep_their_bytes(self, tmp_path):
-        n = 5 * _BLOCK_ROWS // 2
-        s = np.linspace(-1.0, 1.0, n)
-        s[_BLOCK_ROWS - 20:_BLOCK_ROWS + 80] = np.nan
-        q = np.column_stack([np.linspace(2.0, 3.0, n), np.full(n, 0.25), np.ones(n)])
-        q[2 * _BLOCK_ROWS - 5:2 * _BLOCK_ROWS + 5] = np.nan
-        columns = {"s": s, "q": q}
+    @pytest.mark.parametrize("make_columns", [runs_across_block_edges, key_set_of_every_row],
+                             ids=["runs-across-block-edges", "key-set-of-every-row"])
+    def test_groups_that_cross_block_edges_keep_their_bytes(self, tmp_path, make_columns):
+        columns = make_columns(5 * _BLOCK_ROWS // 2)
         pieces = list(text_pieces({"t": Table(columns)}))
         # head, one piece per block of rows, the table's close, the record's close
         assert len(pieces) == 3 + 3 and max(p.count("\n    {") for p in pieces) == _BLOCK_ROWS
@@ -350,7 +368,10 @@ class TestCorrespondenceFiles:
         ("q_l", [0.1, 0.2, True]),
         ("q_r", [0.1, True, 1.0]),
         ("p_c", [False, 0.2, 1.0]),
-    ])
+    ], ids=["q_l-two-numbers", "q_r-nan", "p_c-four-numbers", "p_c-inf", "s-nan", "s-array",
+            "q_r-nested", "q_l-quoted-numbers", "q_r-one-quoted-number", "p_c-null",
+            "s-quoted-number", "s-null", "s-true", "s-false", "q_l-true", "q_r-true",
+            "p_c-false"])
     def test_invalid_point_rejected(self, key, value):
         data = sample_file_dict()
         data["records"][2][key] = value
@@ -456,7 +477,9 @@ class TestCorrespondenceFiles:
         {"beta": 0.2, "rho": 2.0, "alpha": None},
         {"beta": 0.2, "rho": 2.0, "alpha": "0"},
         None,
-    ])
+    ], ids=["rho-nan", "rho-below-range", "rho-string", "beta-out-of-range", "rho-missing",
+            "array", "quoted-numbers", "rho-true", "beta-false", "alpha-null",
+            "alpha-quoted-number", "null"])
     def test_malformed_gaze_header_rejected(self, gaze):
         data = sample_file_dict()
         data["gaze"] = gaze
@@ -694,7 +717,9 @@ class TestExperimentRecord:
         ("timings", {"estimate_s": "x"}),
         ("residual_stats", [1]),
         ("residual_stats", {"rms_residual": None}),
-    ])
+    ], ids=["points-string", "points-short-q_l", "deltas-array", "deltas-string-value",
+            "timings-string", "timings-string-value", "residual_stats-array",
+            "residual_stats-null-value"])
     def test_malformed_points_or_deltas_raise_schema_error(self, key, value):
         data = json.loads(dumps(self.make_file()[-1]))
         data[key] = value
