@@ -26,14 +26,15 @@ from cyclovision.errors import DegenerateGeometryError
 from cyclovision.estimation import estimate_gaze
 from cyclovision.gaze import GazeState, eye_azimuths
 from cyclovision.records import csv_rows
-from cyclovision.simulate import SceneSpec, synthesize_scene
+from cyclovision.simulate import SceneSpec, default_region, synthesize_scene
 
 DEFAULT_SIGMAS = (0.0, 1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 
 
 def parse_args() -> tuple[argparse.Namespace, GazeState, list[SceneSpec]]:
-    """The arguments, the gaze and one unseeded spec per sigma. Refuses, with
-    exit 2 before any trial runs, what would fail later or write nothing."""
+    """The arguments, the gaze and one spec per sigma, holding the base seed.
+    Refuses, with exit 2 before any trial runs, what would fail later or write
+    nothing: a negative seed, or a range too large for the default region."""
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--beta", type=float, default=0.2, help="gaze azimuth (rad)")
@@ -51,7 +52,8 @@ def parse_args() -> tuple[argparse.Namespace, GazeState, list[SceneSpec]]:
         parser.error(f"--out directory {str(args.out.parent)!r} does not exist")
     try:
         gaze = GazeState(beta=args.beta, rho=args.rho)
-        specs = [SceneSpec(count=args.count, sigma=sigma) for sigma in args.sigmas]
+        default_region(gaze)
+        specs = [SceneSpec(count=args.count, sigma=sigma, seed=args.seed) for sigma in args.sigmas]
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
     return args, gaze, specs
@@ -66,7 +68,7 @@ def main() -> int:
         sigma = spec.sigma
         rho_errors, azimuth_errors, failures = [], [], 0
         for trial in range(args.trials):
-            seeded = replace(spec, seed=args.seed + 10_000 * trial + hash(sigma) % 1000)
+            seeded = replace(spec, seed=spec.seed + 10_000 * trial + hash(sigma) % 1000)
             records = synthesize_scene(gaze, seeded).records
             try:
                 fit = estimate_gaze(records)

@@ -30,11 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclovision.epipolar import epipoles
-from cyclovision.errors import (
-    BehindEyeError,
-    DegenerateGeometryError,
-    PointAtInfinityError,
-)
+from cyclovision.errors import DegenerateGeometryError, PointAtInfinityError
 from cyclovision.gaze import (
     BASELINE,
     GazeState,
@@ -44,9 +40,9 @@ from cyclovision.gaze import (
 )
 from cyclovision.geometry import (
     HomogPoint2,
+    in_front,
     inner,
     mark_failures,
-    normalize_in_front,
     normalize_point,
     rot_y,
     transform,
@@ -111,10 +107,11 @@ class ParallaxDecomposition:
     """Per-eye ingredients of the parallax model for Cyclopean rays.
 
     ``predicted`` is the image of the ray's intersection with the fixation
-    plane; ``direction`` the unit epipolar direction with exactly zero
-    third component; ``kappa`` its normalizing length. ``lam`` and ``mu``
-    relate eye depths to Cyclopean depths affinely: z_eye = lam z_c + mu.
-    All but ``mu``, ``eye`` and ``rho``, the gaze's range, have the rays' leading shape.
+    plane, which may lie behind the eye; ``direction`` the unit epipolar
+    direction with exactly zero third component; ``kappa`` its normalizing
+    length. ``lam`` and ``mu`` relate eye depths to Cyclopean depths
+    affinely: z_eye = lam z_c + mu. All but ``mu``, ``eye`` and ``rho``, the
+    gaze's range, have the rays' leading shape.
     """
 
     predicted: HomogPoint2
@@ -137,8 +134,10 @@ def decompose(
     that eye. The epipolar direction is (mu p - e/2) / kappa rather than
     p - e/(2 mu), because mu vanishes whenever the eye looks straight
     ahead; the difference of third components cancels, so d always lies in
-    the image plane. A single ray raises the left eye's error before the
-    right eye's.
+    the image plane. A plane point behind the eye is still an exact image
+    point, so a ray fails only at the epipole or with its plane point at
+    infinity; ``parallax`` decides per scene point whether it is seen. A
+    single ray raises the left eye's error before the right eye's.
     """
     p_c = normalize_point(p_c)
     az = eye_azimuths(gaze)
@@ -148,7 +147,7 @@ def decompose(
         e_half = 0.5 * e
         relative = rot_y(beta_eye - gaze.beta)  # R_eye R^T, elevation cancels
         u = gaze.rho * transform(relative, p_c) + e_half
-        predicted, _ = normalize_in_front(u, f"predicted point lies behind the {eye} eye")
+        predicted = normalize_point(u)
         lam = p_c[..., 0] * relative[2, 0] + relative[0, 0]  # sin, cos of the eye's turn
         mu = float(e_half[2])
         kappa_vec = mu * predicted - e_half
@@ -166,12 +165,11 @@ def decompose(
 def parallax(dec: ParallaxDecomposition, s):
     """Scalar parallax t(s) = kappa (s/rho) / (lam (rho + s) + mu).
 
-    The denominator is the scene point's depth along this eye's axis and
-    must be positive.
+    The denominator is the scene point's depth along this eye's axis, kept
+    by ``geometry.in_front``.
     """
     denom = dec.lam * (dec.rho + s) + dec.mu
-    denom = mark_failures(denom <= 0.0, BehindEyeError,
-                          f"scene point lies behind the {dec.eye} eye", denom)
+    denom = in_front(denom, f"scene point lies behind the {dec.eye} eye", denom)
     return dec.kappa * (s / dec.rho) / denom
 
 
@@ -214,8 +212,7 @@ def synthesize_correspondence(gaze: GazeState, p_c: HomogPoint2, s) -> Correspon
     s = np.asarray(s, dtype=float)
     if s.ndim == 0:
         s = np.full(np.shape(p_c)[:-1], s)
-    depth = mark_failures(gaze.rho + s <= 0.0, BehindEyeError,
-                          "Cyclopean depth rho + s is not positive", s)
+    depth = in_front(gaze.rho + s, "scene point lies behind the Cyclopean eye", s)
     p_c = normalize_point(p_c)
     images = [dec.predicted + parallax(dec, depth)[..., None] * dec.direction
               for dec in decompose(gaze, p_c)]
@@ -232,8 +229,7 @@ def plane_homography(gaze: GazeState) -> np.ndarray:
     poses = eye_poses(gaze)
     v = direction_from_angles(gaze.alpha, gaze.beta)
     w_l = gaze.rho - float(v @ poses.left.centre)
-    if w_l <= 0.0:
-        raise BehindEyeError("fixation plane does not pass in front of the left eye")
+    in_front(w_l, "fixation plane does not pass in front of the left eye", w_l)
     return (
         poses.right.rotation
         @ (np.eye(3) - np.outer(BASELINE, v) / w_l)

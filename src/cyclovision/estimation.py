@@ -35,7 +35,6 @@ import numpy as np
 
 from cyclovision.disparity import Correspondences
 from cyclovision.errors import (
-    BehindEyeError,
     DegenerateConfigurationError,
     DegenerateGeometryError,
     PointAtInfinityError,
@@ -50,6 +49,7 @@ from cyclovision.gaze import (
     gaze_from_azimuths,
 )
 from cyclovision.geometry import (
+    in_front,
     inner,
     mark_failures,
     normalize_in_front,
@@ -287,8 +287,8 @@ def estimate_depth_map(correspondences: Correspondences, gaze: GazeState) -> Dep
     # left eye + u d1 and right eye + v d2 are the ends of the common perpendicular
     u = inner(np.cross(b, d2), n) / nn
     v = inner(np.cross(b, d1), n) / nn
-    u = mark_failures(u <= 0.0, BehindEyeError, "point lies behind the left eye", u)
-    v = mark_failures(v <= 0.0, BehindEyeError, "point lies behind the right eye", v)
+    u = in_front(u, "point lies behind the left eye", u)
+    v = in_front(v, "point lies behind the right eye", v)
     p_c, depth = normalize_in_front(0.5 * (u[..., None] * d1 + v[..., None] * d2),
                                     "point lies behind the Cyclopean eye")
     s = depth - gaze.rho

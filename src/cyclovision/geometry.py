@@ -110,11 +110,14 @@ def normalize_point(p: HomogPoint2) -> HomogPoint2:
     return p / p[..., 2:]
 
 
-def normalize_in_front(u: HomogPoint2, message: str) -> tuple[HomogPoint2, np.ndarray]:
-    """Pinhole images u (..., 3) scaled to third component 1, and their depths u[..., 2].
+def in_front(depth, message: str, values):
+    """The one visibility rule: a point is in front of an eye at a depth along its axis
+    above 1e-12. Other rows of a batch's ``values`` read NaN; one point raises BehindEyeError."""
+    return mark_failures(depth <= 1e-12, BehindEyeError, message, values)
 
-    An image lies in front of its eye when its depth is above 1e-12; one
-    that does not raises BehindEyeError(message), or reads NaN in a batch.
-    """
-    u = mark_failures(u[..., 2] <= 1e-12, BehindEyeError, message, u)
+
+def normalize_in_front(u: HomogPoint2, message: str) -> tuple[HomogPoint2, np.ndarray]:
+    """Pinhole images u (..., 3) scaled to third component 1, and their depths u[..., 2],
+    each kept by ``in_front``."""
+    u = in_front(u[..., 2], message, u)
     return u / u[..., 2:], u[..., 2]

@@ -4,9 +4,9 @@ A scene is drawn, projected and perturbed in one array pass into a
 Correspondences set whose truth is each point's clean (p_c, s), the Cyclopean
 image and depth less rho that the depth map recovers in the Cyclopean frame.
 The images are pinhole projections through the left, right and Cyclopean
-poses at once, kept in front of each eye by ``geometry.normalize_in_front``,
-not the parallax model: that model is what the acceptance suite checks against
-projection.
+poses at once, kept in front of each eye by ``geometry.in_front``, not the
+parallax model, which reproduces every kept row and is what the acceptance
+suite checks against projection.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
     the depth map reads them off its triangulated point. The fixation-plane
     patch draws its rays p_c at s = 0, keeps them as its truth, and projects
     the points rho R_c^T p_c. A candidate is skipped and counted unless
-    ``normalize_in_front`` finds it in front of both eyes and the Cyclopean
-    eye (a depth above 1e-12 in each) and its truth and the sum q_l + q_r
-    are finite. Noise is added after synthesis; the stored truth stays clean.
+    ``geometry.in_front`` finds it in front of both eyes and the Cyclopean
+    eye and its truth and q_l + q_r are finite: the same rows the parallax
+    model sees. Noise is added after synthesis; the stored truth stays clean.
     """
     rng = np.random.default_rng(spec.seed)
     rotations = gaze.rotations  # left, right, Cyclopean

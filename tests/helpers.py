@@ -202,10 +202,8 @@ def reference_decompose(gaze: GazeState, p_c, eye: str) -> ParallaxDecomposition
     az = eye_azimuths(gaze)
     epi = epipoles(az)
     beta_eye, e_half = (az.beta_l, 0.5 * epi.e_l) if eye == "left" else (az.beta_r, 0.5 * epi.e_r)
-    u = gaze.rho * transform(rot_y(beta_eye - gaze.beta), p_c) + e_half
-    u = reference_mark_failures(u[..., 2] <= 1e-12, BehindEyeError,
-                                f"predicted point lies behind the {eye} eye", u)
-    predicted = u / u[..., 2:]
+    predicted = reference_normalize_point(
+        gaze.rho * transform(rot_y(beta_eye - gaze.beta), p_c) + e_half)
     lam = p_c[..., 0] * np.sin(beta_eye - gaze.beta) + np.cos(beta_eye - gaze.beta)
     mu = float(e_half[2])
     kappa_vec = mu * predicted - e_half
@@ -220,14 +218,14 @@ def reference_decompose(gaze: GazeState, p_c, eye: str) -> ParallaxDecomposition
 def reference_synthesize_correspondence(gaze: GazeState, p_c, s) -> Correspondences:
     """``synthesize_correspondence`` as both ``reference_decompose`` eyes, then both parallaxes."""
     s = np.asarray(s, dtype=float)
-    depth = reference_mark_failures(gaze.rho + s <= 0.0, BehindEyeError,
-                                    "Cyclopean depth rho + s is not positive", s)
+    depth = reference_mark_failures(gaze.rho + s <= 1e-12, BehindEyeError,
+                                    "scene point lies behind the Cyclopean eye", s)
     p_c = reference_normalize_point(p_c)
     pair = [reference_decompose(gaze, p_c, eye) for eye in ("left", "right")]
     images = []
     for dec in pair:
         denom = dec.lam * (gaze.rho + depth) + dec.mu
-        denom = reference_mark_failures(denom <= 0.0, BehindEyeError,
+        denom = reference_mark_failures(denom <= 1e-12, BehindEyeError,
                                         f"scene point lies behind the {dec.eye} eye", denom)
         t = dec.kappa * (depth / gaze.rho) / denom
         images.append(dec.predicted + t[..., None] * dec.direction)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cyclovision.cli import main
-from cyclovision.disparity import decompose
+from cyclovision.disparity import decompose, synthesize_correspondence
 from cyclovision.estimation import estimate_depth_map, estimate_gaze
 from cyclovision.gaze import GazeState, eye_azimuths
 from cyclovision.geometry import normalize_point
@@ -199,14 +199,20 @@ class TestSynthesize:
             self, runner, tmp_path):
         # These points lie in front of both eyes and the Cyclopean eye, but
         # their Cyclopean rays meet the fixation plane z = 2 near x = -100,
-        # behind the left eye, where the parallax model has no predicted point.
+        # behind the left eye: the parallax model still reproduces each image.
         path = tmp_path / "side.json"
         run_ok(runner, ["synthesize", "--beta", "0", "--rho", "2", "--count", "20",
                         "--region", "-0.26,-0.24,-0.01,0.01,0.004,0.006", "--out", str(path)])
         data = json.loads(path.read_text())
         assert data["skipped"] == 0
-        p_c = np.array([row["p_c"] for row in data["records"]])
-        assert np.isnan(decompose(GazeState(beta=0.0, rho=2.0), p_c)[0].predicted).all()
+        p_c, s = (np.array([row[key] for row in data["records"]]) for key in ("p_c", "s"))
+        gaze = GazeState(beta=0.0, rho=2.0)
+        left = decompose(gaze, p_c)[0]
+        assert (left.lam * gaze.rho + left.mu < 0.0).all()  # the plane points' left depths
+        model = synthesize_correspondence(gaze, p_c, s)
+        for key, images in (("q_l", model.q_l), ("q_r", model.q_r)):
+            written = np.array([row[key] for row in data["records"]])
+            assert np.abs(images - written).max() < 1e-9 * np.abs(written).max()
         depths = json.loads(run_ok(runner, ["reconstruct", str(path)]))["records"]
         assert len(depths) == 20
         assert max(abs(row["s_est"] - row["s_true"]) for row in depths) < 1e-9

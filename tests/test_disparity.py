@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from cyclovision.disparity import (
     Correspondences,
+    ParallaxDecomposition,
     decompose,
     parallax,
     plane_homography,
@@ -17,6 +18,7 @@ from cyclovision.disparity import (
 from cyclovision.epipolar import epipolar_residual, essential_closed_form
 from cyclovision.errors import BehindEyeError, DegenerateGeometryError, PointAtInfinityError
 from cyclovision.gaze import (
+    EYE_CENTRES,
     GazeState,
     eye_azimuths,
     eye_poses,
@@ -24,8 +26,8 @@ from cyclovision.gaze import (
     project,
 )
 from cyclovision.estimation import estimate_depth_map, estimate_gaze
-from cyclovision.geometry import normalize_point
-from cyclovision.simulate import SceneSpec, synthesize_scene
+from cyclovision.geometry import normalize_point, transform
+from cyclovision.simulate import GENERATORS, SceneSpec, synthesize_scene
 
 from helpers import project_both, random_gaze
 
@@ -383,30 +385,39 @@ class TestBatches:
         assert np.isfinite(batch.q_l[[0, 2]]).all() and np.isfinite(batch.q_r[[0, 2]]).all()
         assert batch.s.tolist() == depths.tolist()
 
-    def test_ray_behind_an_eye_marks_its_row(self):
-        # a ray far off axis in a near fixation lands behind the left eye
-        rays = np.array([[0.0, 0.0, 1.0], [-40.0, 0.0, 1.0]])
-        with pytest.raises(BehindEyeError):
-            decompose(RUNNING_GAZE, rays[1])
-        dec = decompose(RUNNING_GAZE, rays)[0]
-        assert np.isnan(dec.predicted[1]).all() and np.isnan(dec.kappa[1])
-        assert np.isfinite(dec.predicted[0]).all() and np.isfinite(dec.kappa[0])
+    def test_plane_point_behind_an_eye_leaves_visibility_to_each_scene_point(self):
+        # a ray far off axis in a near fixation meets the fixation plane behind
+        # the left eye, yet its points near the Cyclopean eye are seen by both
+        ray = np.array([-40.0, 0.0, 1.0])
+        left, _ = decompose(RUNNING_GAZE, ray)
+        assert np.isfinite(left.predicted).all() and np.isfinite(left.kappa)
+        assert left.lam * RUNNING_GAZE.rho + left.mu < 0.0  # the plane point's left depth
+        with pytest.raises(BehindEyeError, match="behind the left eye"):
+            parallax(left, 0.0)
+        depths = np.array([-0.99, 0.0])
+        batch = synthesize_correspondence(RUNNING_GAZE, np.tile(ray, (2, 1)), depths)
+        assert np.isnan(batch.q_l[1]).all() and np.isfinite(batch.q_r[1]).all()
+        scene = (RUNNING_GAZE.rho + depths[0]) * normalize_point(ray)
+        for got, want in zip((batch.q_l[0], batch.q_r[0]), project_both(RUNNING_GAZE, scene)):
+            assert_allclose(got, want, rtol=1e-12)
 
-    def test_ray_behind_the_right_eye_alone_fails_the_pair_there(self):
-        # at beta = 1.2, rho = 0.8 the ray (1, 0, 1) passes in front of the
-        # left eye and behind the right one
+    def test_scene_point_behind_the_right_eye_alone_fails_the_pair_there(self):
+        # at beta = 1.2, rho = 0.8 the ray (1, 0, 1) meets the fixation plane
+        # in front of the left eye and behind the right one; farther out along
+        # the ray its points are in front of both eyes
         gaze = GazeState(beta=1.2, rho=0.8)
-        rays = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
+        ray = np.array([1.0, 0.0, 1.0])
+        left, right = decompose(gaze, ray)
+        assert np.isfinite(left.predicted).all() and np.isfinite(right.predicted).all()
+        assert right.lam * gaze.rho + right.mu < 0.0
         with pytest.raises(BehindEyeError, match="behind the right eye"):
-            decompose(gaze, rays[1])
-        left, right = decompose(gaze, rays)
-        assert np.isfinite(left.predicted).all() and np.isfinite(left.kappa).all()
-        assert np.isnan(right.predicted[1]).all() and np.isnan(right.kappa[1])
-        assert np.isfinite(right.predicted[0]).all() and np.isfinite(right.kappa[0])
-        # a batch of that ray alone still gives its left eye
-        alone_left, alone_right = decompose(gaze, rays[1:])
-        assert np.array_equal(alone_left.predicted[0], left.predicted[1])
-        assert np.isnan(alone_right.kappa[0])
+            synthesize_correspondence(gaze, ray, 0.0)
+        batch = synthesize_correspondence(gaze, np.tile(ray, (2, 1)), np.array([0.0, 1.0]))
+        assert np.isfinite(batch.q_l).all()
+        assert np.isnan(batch.q_r[0]).all() and np.isfinite(batch.q_r[1]).all()
+        scene = (gaze.rho + 1.0) * (eye_poses(gaze).cyclopean.rotation.T @ normalize_point(ray))
+        for got, want in zip((batch.q_l[1], batch.q_r[1]), project_both(gaze, scene)):
+            assert_allclose(got, want, rtol=1e-12)
 
     def test_ray_at_the_epipole_marks_its_row(self):
         # the fixation plane of beta = 0.5, rho = 1 meets the baseline at
@@ -437,6 +448,107 @@ class TestBatches:
         assert depths[0] == pytest.approx(0.5, abs=1e-12) and np.isnan(depths[1])
         values = parallax(dec, np.array([0.5, -2.0]))
         assert values[0] == pytest.approx(1.0 / 7.0, abs=1e-15) and np.isnan(values[1])
+
+
+_AGREEMENT_RNG = np.random.default_rng(35)
+AGREEMENT_GAZES = [random_gaze(_AGREEMENT_RNG, rho=(0.8, 3.0), alpha=(-0.5, 0.5))
+                   for _ in range(200)]
+
+
+class TestAgreementWithProjection:
+    """The parallax model sees exactly the scene points projection sees: for a
+    point in front of the Cyclopean eye, ``synthesize_correspondence`` marks
+    the row NaN where a left or right depth is at most 1e-12 and otherwise
+    reproduces both pinhole images, and each image's parallax gives back s."""
+
+    AROUND_THE_EYES = ((-0.5, 0.5), (-0.5, 0.5), (-1.0, 1.0))
+
+    @staticmethod
+    def assert_reproduces(gaze, p_c, s, q_l, q_r):
+        model = synthesize_correspondence(gaze, p_c, s)
+        for dec, image, q in zip(decompose(gaze, p_c), (model.q_l, model.q_r), (q_l, q_r)):
+            assert (np.abs(image - q).max(axis=-1) <= 1e-9 * np.abs(q).max(axis=-1)).all()
+            recovered = recover_depth(dec, project_parallax_scalar(dec, q)[0])
+            assert (np.abs(recovered - s) <= 1e-9 * np.abs(s) + 1e-12 * gaze.rho).all()
+
+    def test_wide_box_candidates_are_refused_only_behind_an_eye(self):
+        rng = np.random.default_rng(36)
+        refused = 0
+        for gaze in AGREEMENT_GAZES:
+            # from behind the eyes to twice the fixation range, one range to each side
+            scene = rng.uniform([-gaze.rho, -0.5 * gaze.rho, -1.0],
+                                [gaze.rho, 0.5 * gaze.rho, 2.0 * gaze.rho], (300, 3))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                images = transform(gaze.rotations[:, None], scene - EYE_CENTRES[:, None])
+                images = images[:, images[2, :, 2] > 1e-12]  # in front of the Cyclopean eye
+                q_l, q_r, p_c = images / images[..., 2:]
+                s = images[2, :, 2] - gaze.rho
+                hidden = (images[0, :, 2] <= 1e-12) | (images[1, :, 2] <= 1e-12)
+                model = synthesize_correspondence(gaze, p_c, s)
+            assert (np.isnan(model.q_l).any(axis=1) | np.isnan(model.q_r).any(axis=1)
+                    == hidden).all()
+            seen = ~hidden
+            self.assert_reproduces(gaze, p_c[seen], s[seen], q_l[seen], q_r[seen])
+            refused += hidden.sum()
+        assert 0 < refused < 0.2 * 200 * 300  # both kinds of row occur
+
+    @pytest.mark.parametrize("spec", [
+        *(SceneSpec(count=100, generator=generator, seed=3) for generator in GENERATORS),
+        SceneSpec(count=100, region=AROUND_THE_EYES, seed=3),
+    ], ids=[*GENERATORS, "around-the-eyes"])
+    def test_every_synthesized_row_is_reproduced(self, spec):
+        for gaze in AGREEMENT_GAZES:
+            records = synthesize_scene(gaze, spec).records
+            self.assert_reproduces(gaze, records.p_c, records.s, records.q_l, records.q_r)
+
+
+class TestVisibilityRule:
+    """Each in-front test of this module is ``geometry.in_front``: a depth along
+    an eye's axis of at most 1e-12 is refused, the next double up is kept."""
+
+    KEPT = float(np.nextafter(1e-12, 1.0))
+
+    @staticmethod
+    def at_depth(depth):
+        # the parallax denominator lam (rho + s) + mu is lam itself at s = 0
+        return ParallaxDecomposition(predicted=np.array([0.0, 0.0, 1.0]),
+                                     direction=np.array([1.0, 0.0, 0.0]), kappa=1.0,
+                                     lam=depth, mu=0.0, rho=1.0, eye="left")
+
+    def test_parallax_refuses_a_denominator_of_1e_12_and_keeps_the_next(self):
+        with pytest.raises(BehindEyeError, match="behind the left eye"):
+            parallax(self.at_depth(1e-12), 0.0)
+        assert parallax(self.at_depth(self.KEPT), 0.0) == 0.0
+        values = parallax(self.at_depth(np.array([1e-12, self.KEPT])), np.zeros(2))
+        assert np.isnan(values[0]) and values[1] == 0.0
+
+    def test_synthesis_refuses_a_cyclopean_depth_of_at_most_1e_12(self):
+        # rho + s is 5e-13 in row 0 and 4e-12 in row 1, both eyes 0.22 away
+        depths = np.array([-(1.0 - 5e-13), -(1.0 - 4e-12)])
+        with pytest.raises(BehindEyeError, match="behind the Cyclopean eye"):
+            synthesize_correspondence(RUNNING_GAZE, RUNNING_RAY, depths[0])
+        batch = synthesize_correspondence(RUNNING_GAZE, np.tile(RUNNING_RAY, (2, 1)), depths)
+        assert np.isnan(batch.q_l[0]).all() and np.isnan(batch.q_r[0]).all()
+        assert np.isfinite(batch.q_l[1]).all() and np.isfinite(batch.q_r[1]).all()
+
+    @staticmethod
+    def unchecked_gaze(beta, rho):
+        # no valid gaze (rho >= 0.75) brings the fixation plane within 0.25 of
+        # an eye, so this one skips GazeState's checks
+        gaze = object.__new__(GazeState)
+        for name, value in (("beta", beta), ("rho", rho), ("alpha", 0.0)):
+            object.__setattr__(gaze, name, value)
+        return gaze
+
+    @pytest.mark.parametrize("margin,kept", [(5e-13, False), (4e-12, True)])
+    def test_plane_homography_needs_the_plane_beyond_1e_12_of_the_left_eye(self, margin, kept):
+        # the plane's distance from the left eye is rho + sin(beta) / 2
+        gaze = self.unchecked_gaze(-1.0, 0.5 * np.sin(1.0) + margin)
+        if kept:
+            assert np.isfinite(plane_homography(gaze)).all()
+        else:
+            with pytest.raises(BehindEyeError, match="in front of the left eye"):
+                plane_homography(gaze)
 
 
 class TestCorrespondences:

@@ -30,6 +30,7 @@ from cyclovision.estimation import (
     grid_init,
 )
 from cyclovision.gaze import (
+    EYE_CENTRES,
     EyeAzimuths,
     GazeState,
     eye_azimuths,
@@ -470,6 +471,21 @@ class TestDepthMap:
         with pytest.raises(BehindEyeError, match="behind the left eye"):
             estimate_depth_map(Correspondences(records.q_r[5] * mirror, records.q_l[5] * mirror),
                                GazeState(beta=-1.3, rho=0.9))
+
+    @pytest.mark.parametrize("eye,beta", [(0, -0.3), (1, 0.3)], ids=["left", "right"])
+    def test_a_point_within_1e_12_of_an_eye_is_refused_by_the_rule(self, eye, beta):
+        # points on the eye's axis, 0.15 in front of the Cyclopean eye, at eye
+        # depths 5e-13 (at most 1e-12: refused) and 1e-11 (kept)
+        gaze = GazeState(beta=beta, rho=2.0)
+        points = EYE_CENTRES[eye] + np.outer([5e-13, 1e-11], gaze.rotations[eye][2])
+        q_l, q_r = zip(*(project_both(gaze, point) for point in points))
+        records = Correspondences(np.array(q_l), np.array(q_r))
+        depth = estimate_depth_map(records, gaze)
+        assert np.isnan(depth.s[0])
+        cyclopean_depth = project(eye_poses(gaze).cyclopean, points[1])[2]
+        assert depth.s[1] == pytest.approx(cyclopean_depth - gaze.rho, rel=1e-9)
+        with pytest.raises(BehindEyeError, match=f"behind the {('left', 'right')[eye]} eye"):
+            estimate_depth_map(records[0], gaze)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_elevation_changes_no_depth(self, seed):

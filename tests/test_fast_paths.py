@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclovision import disparity, estimation, simulate
@@ -188,8 +188,12 @@ class TestMarkFailures:
 
 
 class TestPipelineFunctions:
+    # the second ray meets the fixation plane behind the right eye
+    BEHIND_RIGHT = (GazeState(beta=1.2, rho=0.8), np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0]]))
+
     @settings(max_examples=300, deadline=None)
     @given(gazes, points())
+    @example(*BEHIND_RIGHT)
     def test_decompose_matches_both_eyes_form(self, gaze, p_c):
         def pair(gaze, p_c):
             return reference_decompose(gaze, p_c, "left"), reference_decompose(gaze, p_c, "right")
@@ -198,6 +202,7 @@ class TestPipelineFunctions:
 
     @settings(max_examples=300, deadline=None)
     @given(gazes, points(min_rows=1), st.lists(component, min_size=6, max_size=6))
+    @example(*BEHIND_RIGHT, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
     def test_synthesize_correspondence_matches_the_per_eye_loop(self, gaze, p_c, depths):
         s = depths[0] if p_c.ndim == 1 else np.array(depths[:len(p_c)])
         assert_identical(outcome(synthesize_correspondence, gaze, p_c, s),

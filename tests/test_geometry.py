@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from cyclovision.errors import BehindEyeError, DegenerateInputError, PointAtInfinityError
 from cyclovision.geometry import (
     cross_matrix,
+    in_front,
     join,
     meet,
     normalize_in_front,
@@ -140,6 +141,29 @@ class TestNormalizePoint:
         normalized = normalize_point(points)
         assert_allclose(normalized[[0, 2]], [[1.0, 2.0, 1.0], [0.0, 0.0, 1.0]])
         assert np.isnan(normalized[1]).all()
+
+
+KEPT_DEPTH = float(np.nextafter(1e-12, 1.0))
+
+
+class TestInFront:
+    """The one visibility rule: a depth along an eye's axis above 1e-12."""
+
+    @pytest.mark.parametrize("depth", [0.0, 1e-12])
+    def test_a_single_point_at_or_below_1e_12_raises_the_callers_message(self, depth):
+        with pytest.raises(BehindEyeError, match="^behind the left eye$"):
+            in_front(depth, "behind the left eye", 7.0)
+
+    def test_a_single_point_just_above_1e_12_comes_back_as_it_is(self):
+        assert in_front(KEPT_DEPTH, "behind", 7.0) == 7.0
+
+    def test_a_batch_reads_nan_in_each_refused_row_of_its_values(self):
+        depths = np.array([0.0, 1e-12, KEPT_DEPTH])
+        points = np.arange(9.0).reshape(3, 3)
+        marked = in_front(depths, "behind", points)
+        assert np.isnan(marked[:2]).all() and marked[2].tolist() == [6.0, 7.0, 8.0]
+        assert np.isnan(in_front(depths, "behind", depths)[:2]).all()
+        assert in_front(depths, "behind", depths)[2] == KEPT_DEPTH
 
 
 class TestNormalizeInFront:

@@ -34,6 +34,8 @@ def test_noise_sweep(monkeypatch, tmp_path, capsys):
     (["--count", "0"], "count must be positive, got 0"),
     (["--sigmas", "-1"], "sigma must be nonnegative, got -1.0"),
     (["--trials", "0"], "--trials must be at least 1, got 0"),
+    (["--seed", "-1"], "seed must be nonnegative, got -1"),
+    (["--rho", "1.5e308"], "rho 1.5e+308 is too large for the default region"),
 ])
 def test_noise_sweep_refuses_bad_arguments_up_front(monkeypatch, tmp_path, capsys, args, message):
     out = tmp_path / "sweep.csv"
