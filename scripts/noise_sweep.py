@@ -34,7 +34,7 @@ DEFAULT_SIGMAS = (0.0, 1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 def parse_args() -> tuple[argparse.Namespace, GazeState, list[SceneSpec]]:
     """The arguments, the gaze and one spec per sigma, holding the base seed.
     Refuses, with exit 2 before any trial runs, what would fail later or write
-    nothing: a negative seed, or a range too large for the default region."""
+    nothing: a negative seed, or a range too large for the default scene box."""
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--beta", type=float, default=0.2, help="gaze azimuth (rad)")
@@ -52,10 +52,14 @@ def parse_args() -> tuple[argparse.Namespace, GazeState, list[SceneSpec]]:
         parser.error(f"--out directory {str(args.out.parent)!r} does not exist")
     try:
         gaze = GazeState(beta=args.beta, rho=args.rho)
-        default_region(gaze)
         specs = [SceneSpec(count=args.count, sigma=sigma, seed=args.seed) for sigma in args.sigmas]
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
+    try:
+        default_region(gaze)
+    except ValueError:
+        parser.error(f"--rho {args.rho} is too large: the default scene box, which "
+                     "scales with range, overflows")
     return args, gaze, specs
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import os
 import sys
-import time
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -268,17 +267,13 @@ def estimate(corr_file, max_iterations):
     """Estimate gaze from correspondences, then reconstruct the depth map."""
     parsed = parse_correspondence_file(load_json(corr_file))
     records, truth = parsed.records, parsed.gaze
-    started = time.perf_counter()
     fit = estimate_gaze(
         records,
         config=EstimationConfig(max_iterations=max_iterations),
         alpha=truth.alpha if truth is not None else 0.0,
     )
-    fitted = time.perf_counter()
     depth = estimate_depth_map(records, fit.gaze)
-    finished = time.perf_counter()
-    timings = {"estimate_s": fitted - started, "depth_map_s": finished - fitted}
-    return experiment_file(fit, records, depth, truth, timings)
+    return experiment_file(fit, records, depth, truth)
 
 
 if __name__ == "__main__":

@@ -222,14 +222,13 @@ def synthesize_correspondence(gaze: GazeState, p_c: HomogPoint2, s) -> Correspon
 def plane_homography(gaze: GazeState) -> np.ndarray:
     """Homography induced by the fixation plane, mapping p_l to p_r.
 
-    H = R_r (I - b v^T / w_l) R_l^T with w_l the perpendicular distance
-    from the left optical centre to the plane. Composed with the right
-    parallax term it reproduces the plane-plus-parallax form of q_r.
+    H = R_r (I - b v^T / w_l) R_l^T with w_l = rho + sin(beta) / 2 >= 0.25
+    the left optical centre's distance from the plane. Composed with the
+    right parallax term it reproduces the plane-plus-parallax form of q_r.
     """
     poses = eye_poses(gaze)
     v = direction_from_angles(gaze.alpha, gaze.beta)
     w_l = gaze.rho - float(v @ poses.left.centre)
-    in_front(w_l, "fixation plane does not pass in front of the left eye", w_l)
     return (
         poses.right.rotation
         @ (np.eye(3) - np.outer(BASELINE, v) / w_l)

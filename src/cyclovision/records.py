@@ -359,7 +359,7 @@ def depth_map_file(gaze: GazeState, records: Correspondences, depth: DepthMap) -
 
 
 def experiment_file(fit: GazeEstimate, records: Correspondences, depth: DepthMap,
-                    truth: GazeState | None, timings: dict) -> dict:
+                    truth: GazeState | None) -> dict:
     """The experiment record of a fit and the depth map at its gaze, with
     the truth and the deltas from it when the gaze is known."""
     errors = _depth_errors(depth, records)
@@ -390,7 +390,6 @@ def experiment_file(fit: GazeEstimate, records: Correspondences, depth: DepthMap
     stats = out["residual_stats"] = {"rms_residual": fit.rms_residual}
     if errors.size:
         stats["rms_depth_error"] = _rms(errors)
-    out["timings"] = timings
     return out
 
 
@@ -410,7 +409,6 @@ class ExperimentRecord:
     deltas: dict | None                  # truth-vs-estimate differences
     points: list[dict]                   # the file's rows: p_c, s_est, s_true, q_l, q_r
     residual_stats: dict
-    timings: dict                        # seconds, by stage
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentRecord":
@@ -443,7 +441,6 @@ class ExperimentRecord:
             deltas=deltas,
             points=points,
             residual_stats=_number_object(data, "residual_stats"),
-            timings=_number_object(data, "timings"),
         )
 
 

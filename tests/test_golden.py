@@ -1,8 +1,8 @@
 """Byte-exact outputs of every command, against the files in ``tests/golden``.
 
-Each case runs one command line in-process and compares its stdout with
-the file of the same name; ``estimate`` is compared up to its wall-clock
-``timings``, the one part that differs between runs. The reconstruct and
+Each case runs one command line in-process and compares its whole stdout
+with the file of the same name: every output, the ``estimate`` experiment
+record included, is the same bytes on every run. The reconstruct and
 estimate cases read the random-box file of the synthesize case.
 ``fits-n50.txt`` pins the library's synthesize -> fit path at N = 50 over a
 beta x rho x sigma grid, one line per problem.
@@ -37,7 +37,6 @@ from cyclovision.simulate import SceneSpec, synthesize_scene
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUT = str(GOLDEN / "synthesize-random-box.json")
 GAZE = ["--alpha", "0.1", "--beta", "0.2", "--rho", "2"]
-TIMINGS = b'\n  "timings": '
 
 # In dependency order: the synthesize files come before the cases that read them.
 CASES = {
@@ -50,8 +49,8 @@ CASES = {
     "reconstruct-wrong-gaze.json": ["reconstruct", INPUT, "--beta", "1.3", "--rho", "0.9"],
     # every row fails at a far gaze, where rho + s cancels to 0 in each row in front of the eye
     "reconstruct-far-gaze.json": ["reconstruct", INPUT, "--rho", "1e300"],
-    "estimate-until-timings.txt": ["estimate", INPUT],
-    "estimate-one-iteration-until-timings.txt": ["estimate", INPUT, "--max-iterations", "1"],
+    "estimate.json": ["estimate", INPUT],
+    "estimate-one-iteration.json": ["estimate", INPUT, "--max-iterations", "1"],
     "fixate-angles.json": ["fixate", *GAZE],
     "fixate-point.json": ["fixate", "--point", "0.3,0.2,1.5"],
     "fixate-degrees.json": ["fixate", "--alpha", "5", "--beta", "10", "--rho", "3",
@@ -64,8 +63,7 @@ CASES = {
 def output(args: list[str]) -> bytes:
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, (args, result.output, result.exception)
-    text = result.stdout_bytes
-    return text[:text.index(TIMINGS)] if args[0] == "estimate" else text
+    return result.stdout_bytes
 
 
 FITS = "fits-n50.txt"

@@ -35,14 +35,15 @@ def test_noise_sweep(monkeypatch, tmp_path, capsys):
     (["--sigmas", "-1"], "sigma must be nonnegative, got -1.0"),
     (["--trials", "0"], "--trials must be at least 1, got 0"),
     (["--seed", "-1"], "seed must be nonnegative, got -1"),
-    (["--rho", "1.5e308"], "rho 1.5e+308 is too large for the default region"),
+    (["--rho", "1.5e308"], "--rho 1.5e+308 is too large: the default scene box, which scales "
+                           "with range, overflows"),
 ])
 def test_noise_sweep_refuses_bad_arguments_up_front(monkeypatch, tmp_path, capsys, args, message):
     out = tmp_path / "sweep.csv"
     run_script(monkeypatch, "noise_sweep.py",
                ["--trials", "1", "--sigmas", "0", "--out", str(out), *args], code=2)
     captured = capsys.readouterr()
-    assert f"error: {message}" in captured.err
+    assert f"error: {message}" in captured.err and "give a region" not in captured.err
     assert "sigma=" not in captured.out  # no trial ran
     assert not out.exists()
 
