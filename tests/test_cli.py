@@ -242,6 +242,16 @@ class TestSynthesize:
         assert result.exit_code == 2, (result.output, result.exception)
         assert f"Error: {name}" in result.output
 
+    def test_a_range_too_large_for_the_default_box_is_told_to_give_a_region(self, runner):
+        # unlike scripts/noise_sweep.py, the command has --region, so the advice holds
+        result = runner.invoke(main, ["synthesize", "--rho", "1.5e308", "--count", "3"])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert ("Error: rho 1.5e+308 is too large for the default region; give a region"
+                in result.output)
+        text = run_ok(runner, ["synthesize", "--rho", "1.5e308", "--count", "3",
+                               "--region", "-1,1,-1,1,1,2"])
+        assert json.loads(text)["gaze"]["rho"] == 1.5e308
+
 
 def synthesize_file(runner, tmp_path, name="corr.json", sigma=0.0, beta=0.2,
                     rho=2.0, count=50, seed=21, scene="random-box"):
