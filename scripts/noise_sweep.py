@@ -63,15 +63,14 @@ def parse_args() -> tuple[argparse.Namespace, GazeState, list[SceneSpec]]:
     return args, gaze, specs
 
 
-def main() -> int:
-    args, gaze, specs = parse_args()
+def sweep(gaze: GazeState, specs: list[SceneSpec], trials: int) -> list[list]:
+    """One CSV row per spec, printing each row's summary line as it ends."""
     true_az = eye_azimuths(gaze)
-
     rows = []
     for spec in specs:
         sigma = spec.sigma
         rho_errors, azimuth_errors, failures = [], [], 0
-        for trial in range(args.trials):
+        for trial in range(trials):
             seeded = replace(spec, seed=spec.seed + 10_000 * trial + hash(sigma) % 1000)
             records = synthesize_scene(gaze, seeded).records
             try:
@@ -93,11 +92,21 @@ def main() -> int:
                 float(np.quantile(azimuth_errors, 0.9)),
             ]
         rows.append([sigma, *errors, failures])
-        line = f"sigma={sigma:9.2e}  failed={failures}/{args.trials}"
+        line = f"sigma={sigma:9.2e}  failed={failures}/{trials}"
         if rho_errors:
             line += (f"  median rho err={errors[0]:.2e}  p90 rho err={errors[1]:.2e}  "
                      f"median az err={errors[2]:.2e}")
         print(line)
+    return rows
+
+
+def main() -> int:
+    args, gaze, specs = parse_args()
+    try:
+        rows = sweep(gaze, specs, args.trials)
+    except MemoryError as exc:  # a --count too large to allocate, as `synthesize` refuses it
+        print(f"{Path(sys.argv[0]).name}: error: {exc}", file=sys.stderr)
+        return 2
 
     args.out.write_text(csv_rows(
         "sigma,rho_err_median,rho_err_p90,azimuth_err_median,azimuth_err_p90,failures",

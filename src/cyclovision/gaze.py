@@ -46,13 +46,11 @@ PARALLEL_GAZE_TOL = 1e-12
 
 _HALF_PI = np.pi / 2
 
-LEFT_CENTRE = np.array([-0.5, 0.0, 0.0])
-RIGHT_CENTRE = np.array([0.5, 0.0, 0.0])
-CYCLOPEAN_CENTRE = np.array([0.0, 0.0, 0.0])
-
-#: optical centres of the left, right and Cyclopean eyes, as ``GazeState.rotations``
-EYE_CENTRES = np.array([LEFT_CENTRE, RIGHT_CENTRE, CYCLOPEAN_CENTRE])
+#: optical centres of the left, right and Cyclopean eyes, as ``GazeState.rotations``;
+#: each eye's centre is a read-only row, shared by every pose
+EYE_CENTRES = np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
 EYE_CENTRES.flags.writeable = False
+LEFT_CENTRE, RIGHT_CENTRE, CYCLOPEAN_CENTRE = EYE_CENTRES
 
 #: baseline vector from the left to the right optical centre (unit length)
 BASELINE = RIGHT_CENTRE - LEFT_CENTRE
@@ -238,8 +236,8 @@ def gaze_from_azimuths(az: EyeAzimuths, alpha: float = 0.0) -> GazeState:
 
 
 def eye_poses(gaze: GazeState) -> BinocularPoses:
-    """Left, right and Cyclopean eye poses for a fixation, whose rotations are
-    read-only views of ``gaze.rotations``."""
+    """Left, right and Cyclopean eye poses for a fixation, whose rotations and
+    centres are read-only views of ``gaze.rotations`` and ``EYE_CENTRES``."""
     left, right, cyclopean = gaze.rotations
     return BinocularPoses(
         left=EyePose(left, LEFT_CENTRE),

@@ -279,7 +279,7 @@ class TestUnallocatableSizes:
 class TestStreamedOutput:
     """Records longer than one block of rows reach stdout and ``--out`` alike."""
 
-    # the second is the console script's 3000-row file in CI
+    # a block and a half of rows, and about three blocks
     @pytest.mark.parametrize("count,seed", [(3 * _BLOCK_ROWS // 2, 5), (3000, 7)],
                              ids=["1536-rows", "3000-rows"])
     def test_stdout_and_out_carry_the_same_bytes(self, runner, tmp_path, count, seed):

@@ -297,6 +297,8 @@ class TestPoses:
             assert same_bits(pose.rotation, rotation)
             with pytest.raises(ValueError):
                 pose.rotation[0, 0] = 0.5
+            with pytest.raises(ValueError):
+                pose.centre[0] = 7.0
         assert gaze.rotations is rotations
 
     @pytest.mark.parametrize("make", [

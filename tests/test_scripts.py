@@ -37,6 +37,8 @@ def test_noise_sweep(monkeypatch, tmp_path, capsys):
     (["--seed", "-1"], "seed must be nonnegative, got -1"),
     (["--rho", "1.5e308"], "--rho 1.5e+308 is too large: the default scene box, which scales "
                            "with range, overflows"),
+    # numpy refuses 10^15 rows before it maps any memory
+    (["--count", "1000000000000000"], "Unable to allocate"),
 ])
 def test_noise_sweep_refuses_bad_arguments_up_front(monkeypatch, tmp_path, capsys, args, message):
     out = tmp_path / "sweep.csv"
