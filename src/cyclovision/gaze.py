@@ -52,8 +52,9 @@ EYE_CENTRES = np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
 EYE_CENTRES.flags.writeable = False
 LEFT_CENTRE, RIGHT_CENTRE, CYCLOPEAN_CENTRE = EYE_CENTRES
 
-#: baseline vector from the left to the right optical centre (unit length)
+#: baseline vector from the left to the right optical centre (unit length), read-only
 BASELINE = RIGHT_CENTRE - LEFT_CENTRE
+BASELINE.flags.writeable = False
 
 
 def _is_number(value) -> bool:

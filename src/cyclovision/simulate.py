@@ -114,7 +114,9 @@ def default_region(gaze: GazeState) -> Region:
     return box
 
 
-def _scene_candidates(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
+def _scene_candidates(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator) -> tuple:
+    """The generator's scene points, and their exact truth (p_c, s) or None: the
+    fixation-plane patch draws rays p_c at s = 0 and the points rho R_c^T p_c."""
     if spec.generator == "random-box":
         region = spec.region if spec.region is not None else default_region(gaze)
         lows, highs = np.array(region, dtype=float).T
@@ -123,12 +125,16 @@ def _scene_candidates(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator
         scene = rng.random((spec.count, 3))
         scene *= highs - lows
         scene += lows
-        return scene
+        return scene, None
+    if spec.generator == "fixation-plane-patch":
+        offsets = rng.uniform(-PATCH_HALF_WIDTH, PATCH_HALF_WIDTH, (spec.count, 2))
+        rays = np.column_stack([offsets, np.ones(spec.count)])
+        return gaze.rho * transform(gaze.rotations[2].T, rays), (rays, np.zeros(spec.count))
     # horopter-samples: iso-vergence circle points, rotated into the visual plane
     circle = vieth_muller(vergence_version(eye_azimuths(gaze)))
     limit = ARC_MARGIN * forward_arc_limit(circle)
     thetas = rng.uniform(-limit, limit, spec.count)
-    return transform(rot_x(gaze.alpha), vm_point(circle, thetas))
+    return transform(rot_x(gaze.alpha), vm_point(circle, thetas)), None
 
 
 def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
@@ -139,29 +145,21 @@ def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
     ``gaze.rotations`` and ``EYE_CENTRES``; each image is R (X - c) divided
     by its third component. The left and right images are the correspondence, and
     the Cyclopean image and its depth minus rho are the truth (p_c, s), as
-    the depth map reads them off its triangulated point. The fixation-plane
-    patch draws its rays p_c at s = 0, keeps them as its truth, and projects
-    the points rho R_c^T p_c. A candidate is skipped and counted unless
+    the depth map reads them off its triangulated point, unless the generator
+    drew its truth exactly. A candidate is skipped and counted unless
     ``geometry.in_front`` finds it in front of both eyes and the Cyclopean
     eye and its truth and q_l + q_r are finite: the same rows the parallax
     model sees. Noise is added after synthesis; the stored truth stays clean.
     """
     rng = np.random.default_rng(spec.seed)
-    rotations = gaze.rotations  # left, right, Cyclopean
-    if spec.generator == "fixation-plane-patch":
-        offsets = rng.uniform(-PATCH_HALF_WIDTH, PATCH_HALF_WIDTH, (spec.count, 2))
-        rays = np.column_stack([offsets, np.ones(spec.count)])
-        scene = gaze.rho * transform(rotations[2].T, rays)
-    else:
-        scene = _scene_candidates(gaze, spec, rng)
-
+    scene, truth = _scene_candidates(gaze, spec, rng)
     with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is dropped
-        images = project(EyePose(rotations[:, None], EYE_CENTRES[:, None]), scene)
+        images = project(EyePose(gaze.rotations[:, None], EYE_CENTRES[:, None]), scene)
         (q_l, q_r, p_c), depths = normalize_in_front(images, "point lies behind an eye")
         s = depths[2] - gaze.rho
         kept = np.isfinite(q_l + q_r).all(axis=1) & np.isfinite(p_c).all(axis=1)
-    if spec.generator == "fixation-plane-patch":
-        p_c, s = rays, np.zeros(spec.count)
+    if truth is not None:
+        p_c, s = truth
     records = Correspondences(q_l, q_r, p_c, s)
     if not kept.all():
         records = records[kept]

@@ -53,7 +53,7 @@ from cyclovision.estimation import (
     estimate_depth_map,
     estimate_gaze,
 )
-from cyclovision.gaze import EyeAzimuths, GazeState, eye_poses, project
+from cyclovision.gaze import BASELINE, EyeAzimuths, GazeState, eye_poses, project
 from cyclovision.geometry import mark_failures, normalize_point
 from cyclovision.simulate import (
     GENERATORS,
@@ -299,6 +299,8 @@ class TestPoses:
                 pose.rotation[0, 0] = 0.5
             with pytest.raises(ValueError):
                 pose.centre[0] = 7.0
+        with pytest.raises(ValueError):
+            BASELINE[0] = 7.0
         assert gaze.rotations is rotations
 
     @pytest.mark.parametrize("make", [
@@ -338,8 +340,9 @@ class TestBoxDraw:
         assume(all(low < high for low, high in region))
         spec = SceneSpec(count=count, seed=seed, region=region)
         gaze = GazeState(beta=0.2, rho=2.0)
-        drawn = _scene_candidates(gaze, spec, np.random.default_rng(seed))
+        drawn, truth = _scene_candidates(gaze, spec, np.random.default_rng(seed))
         assert drawn.tobytes() == reference_box(gaze, spec, np.random.default_rng(seed)).tobytes()
+        assert truth is None
 
     @pytest.mark.parametrize("gaze", [
         GazeState(beta=-0.0, rho=2.0), GazeState(beta=0.3, rho=1.5, alpha=-0.0),
@@ -348,8 +351,13 @@ class TestBoxDraw:
     ])
     def test_default_box_matches_rng_uniform(self, gaze):
         spec = SceneSpec(count=50, seed=7)
-        assert_identical(outcome(_scene_candidates, gaze, spec, np.random.default_rng(7)),
-                         outcome(reference_box, gaze, spec, np.random.default_rng(7)))
+        drawn = outcome(_scene_candidates, gaze, spec, np.random.default_rng(7))
+        expected = outcome(reference_box, gaze, spec, np.random.default_rng(7))
+        if isinstance(expected, tuple):  # the default box refused this range
+            assert_identical(drawn, expected)
+        else:
+            assert_identical(drawn[0], expected)
+            assert drawn[1] is None
 
     def test_near_overflow_gazes_reach_both_sides_of_the_refusal(self):
         refused = [outcome(default_region, GazeState(beta=0.0, rho=rho))[0] is ValueError

@@ -196,7 +196,7 @@ def drawn_scene(gaze: GazeState, spec: SceneSpec):
     draws them, and the patch's drawn rays (None for the other generators)."""
     rng = np.random.default_rng(spec.seed)
     if spec.generator != "fixation-plane-patch":
-        return _scene_candidates(gaze, spec, rng), None
+        return _scene_candidates(gaze, spec, rng)[0], None
     offsets = rng.uniform(-PATCH_HALF_WIDTH, PATCH_HALF_WIDTH, (spec.count, 2))
     rays = np.column_stack([offsets, np.ones(spec.count)])
     turn_back = eye_poses(gaze).cyclopean.rotation.T
