@@ -34,7 +34,8 @@ DEFAULT_SIGMAS = (0.0, 1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2)
 def parse_args() -> tuple[argparse.Namespace, GazeState, list[SceneSpec]]:
     """The arguments, the gaze and one spec per sigma, holding the base seed.
     Refuses, with exit 2 before any trial runs, what would fail later or write
-    nothing: a negative seed, or a range too large for the default scene box."""
+    nothing: a negative seed, a gaze at |beta| = pi/2, a range too large for the
+    default scene box, or an --out that is a directory."""
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--beta", type=float, default=0.2, help="gaze azimuth (rad)")
@@ -50,8 +51,11 @@ def parse_args() -> tuple[argparse.Namespace, GazeState, list[SceneSpec]]:
         parser.error(f"--trials must be at least 1, got {args.trials}")
     if not args.out.parent.is_dir():
         parser.error(f"--out directory {str(args.out.parent)!r} does not exist")
+    if args.out.is_dir():
+        parser.error(f"--out {str(args.out)!r} is a directory")
     try:
         gaze = GazeState(beta=args.beta, rho=args.rho)
+        eye_azimuths(gaze)
         specs = [SceneSpec(count=args.count, sigma=sigma, seed=args.seed) for sigma in args.sigmas]
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))

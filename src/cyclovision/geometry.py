@@ -99,12 +99,9 @@ def normalize_point(p: HomogPoint2) -> HomogPoint2:
     """Scale homogeneous points (..., 3) so that the third component is exactly 1.
 
     A point at infinity raises PointAtInfinityError, or reads NaN in a batch.
-    Points that are already normalized, finite and below 1e12 in magnitude
-    come back as a copy, which is what the division by 1 would give.
+    Every call returns a new array.
     """
     p = np.asarray(p, dtype=float)
-    if (p[..., 2] == 1.0).all() and _DEGENERATE_TOL * np.abs(p).max(initial=0.0) < 1.0:
-        return p.copy()
     p = mark_failures(np.abs(p[..., 2]) <= _DEGENERATE_TOL * np.abs(p).max(axis=-1),
                       PointAtInfinityError, "cannot normalize a point at infinity", p)
     return p / p[..., 2:]

@@ -1,7 +1,5 @@
 """The per-call shortcuts agree bit for bit with their reference formulations.
 
-- ``normalize_point`` skips the at-infinity pass for points already scaled
-  to third component 1.
 - ``mark_failures`` returns a batch without failing rows as it is.
 - ``decompose`` reads each eye's sine and cosine off that eye's rotation.
 - ``_r_factor`` normalizes both images in one ``normalize_point`` call on

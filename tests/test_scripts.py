@@ -39,6 +39,7 @@ def test_noise_sweep(monkeypatch, tmp_path, capsys):
                            "with range, overflows"),
     # numpy refuses 10^15 rows before it maps any memory
     (["--count", "1000000000000000"], "Unable to allocate"),
+    (["--beta", "1.5707963267948966"], "eye azimuths are unbounded at |beta| = pi/2"),
 ])
 def test_noise_sweep_refuses_bad_arguments_up_front(monkeypatch, tmp_path, capsys, args, message):
     out = tmp_path / "sweep.csv"
@@ -57,6 +58,17 @@ def test_noise_sweep_refuses_a_missing_out_directory(monkeypatch, tmp_path, caps
     captured = capsys.readouterr()
     assert "error: --out directory" in captured.err and "sigma=" not in captured.out
     assert not out.parent.exists()
+
+
+def test_noise_sweep_refuses_a_directory_out(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    out.mkdir()
+    run_script(monkeypatch, "noise_sweep.py", ["--trials", "1", "--sigmas", "0", "--out", str(out)],
+               code=2)
+    captured = capsys.readouterr()
+    assert f"error: --out {str(out)!r} is a directory" in captured.err
+    assert "sigma=" not in captured.out
+    assert not any(out.iterdir())
 
 
 def test_end_to_end_demo(monkeypatch, capsys):
