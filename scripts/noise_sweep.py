@@ -35,7 +35,9 @@ def parse_args() -> tuple[argparse.Namespace, GazeState, list[SceneSpec]]:
     """The arguments, the gaze and one spec per sigma, holding the base seed.
     Refuses, with exit 2 before any trial runs, what would fail later or write
     nothing: a negative seed, a gaze at |beta| = pi/2, a range too large for the
-    default scene box, or an --out that is a directory."""
+    default scene box, or an --out that is a directory. A sigma whose noise
+    overflows an image coordinate depends on the draw: ``main`` refuses it
+    with exit 2 when a trial meets it, and writes no CSV."""
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--beta", type=float, default=0.2, help="gaze azimuth (rad)")
@@ -106,9 +108,11 @@ def sweep(gaze: GazeState, specs: list[SceneSpec], trials: int) -> list[list]:
 
 def main() -> int:
     args, gaze, specs = parse_args()
+    # a --count too large to allocate, or a sigma whose noise overflows an image
+    # coordinate, ends as `synthesize` ends it: exit 2 with one error line
     try:
         rows = sweep(gaze, specs, args.trials)
-    except MemoryError as exc:  # a --count too large to allocate, as `synthesize` refuses it
+    except (MemoryError, ValueError) as exc:
         print(f"{Path(sys.argv[0]).name}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -85,7 +85,7 @@ def _gaze_from_flags(alpha, beta, rho, point, degrees) -> GazeState:
     if rho is None:
         raise click.UsageError("provide --rho (with optional --alpha/--beta) or --point")
     if degrees:
-        alpha, beta = float(np.radians(alpha)), float(np.radians(beta))
+        alpha, beta = np.radians(alpha), np.radians(beta)
     return GazeState(beta=beta, rho=rho, alpha=alpha)
 
 

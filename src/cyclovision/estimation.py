@@ -43,7 +43,7 @@ from cyclovision.gaze import (
     BASELINE,
     EyeAzimuths,
     GazeState,
-    _finite_numbers,
+    _floats,
     _integer,
     eye_azimuths,
     gaze_from_azimuths,
@@ -169,7 +169,7 @@ def _grid_seed(r_factor: np.ndarray) -> EyeAzimuths:
     columns = (r_factor @ _GRID_TURN_PAIRS).reshape(-1, 2, 4 * GRID_SIZE)
     gram = np.einsum("ke,ke->e", columns[:, 0], columns[:, 1]).reshape(4, GRID_SIZE)
     i, j = divmod(int((gram.T @ _GRID_PRODUCTS).argmin()), GRID_SIZE)
-    delta, epsilon = float(_GRID_DELTAS[i]), float(_GRID_EPSILONS[j])
+    delta, epsilon = _GRID_DELTAS[i], _GRID_EPSILONS[j]
     return EyeAzimuths(epsilon + 0.5 * delta, epsilon - 0.5 * delta)
 
 
@@ -222,7 +222,7 @@ def estimate_gaze(
     image point at infinity, and at once ValueError when ``alpha`` is not
     a finite angle in [-pi/2, pi/2] and TypeError when it is a boolean.
     """
-    _finite_numbers("alpha", alpha=alpha)
+    alpha = _floats("alpha", alpha=alpha)["alpha"]
     if abs(alpha) > math.pi / 2:
         raise ValueError(f"alpha must lie in [-pi/2, pi/2], got {alpha}")
     r_factor, count = _fit_input(correspondences)
@@ -231,7 +231,7 @@ def estimate_gaze(
 
     rows = r_factor.tolist() + [[0.0] * 4]  # a 3 x 4 factor (N = 3) reads a zero fourth row
     upper = (*rows[0], *rows[1][1:], *rows[2][2:], rows[3][3])
-    theta_l, theta_r = float(initial.beta_l), float(initial.beta_r)
+    theta_l, theta_r = initial.beta_l, initial.beta_r
     objective, normal = _linearize(upper, theta_l, theta_r)
     damping, iterations, converged = INITIAL_DAMPING, 0, False
 

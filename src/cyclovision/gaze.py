@@ -69,22 +69,21 @@ def _integer(name: str, value) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def _all_finite(*values) -> bool:
-    """``math.isfinite`` of every value, reading an int too large for a float as infinite."""
-    try:
-        return all(map(math.isfinite, values))
-    except OverflowError:
-        return False
-
-
-def _finite_numbers(what: str, **values) -> None:
-    """TypeError "``name`` must be a number" unless ``_is_number(value)``;
-    ValueError "``what`` must be finite" unless ``_all_finite``."""
+def _floats(what: str, **values) -> dict[str, float]:
+    """Each value as a Python float, by name. TypeError "``name`` must be a number"
+    unless ``_is_number(value)``; then ValueError "``what`` must be finite" unless
+    every float is, reading an int too large for a float as infinite. The frozen
+    gaze types store what it returns with ``vars(self).update``."""
     for name, value in values.items():
         if not _is_number(value):
             raise TypeError(f"{name} must be a number, got {value!r}")
-    if not _all_finite(*values.values()):
+        try:
+            values[name] = float(value)
+        except OverflowError:
+            values[name] = math.inf
+    if not all(map(math.isfinite, values.values())):
         raise ValueError(f"{what} must be finite")
+    return values
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,8 @@ class GazeState:
     alpha: float = 0.0
 
     def __post_init__(self):
-        _finite_numbers("gaze parameters", beta=self.beta, rho=self.rho, alpha=self.alpha)
+        # vars(self) holds the three fields alone until ``rotations`` is cached
+        vars(self).update(_floats("gaze parameters", **vars(self)))
         if self.rho < MIN_RANGE:
             raise ValueError(
                 f"rho must be at least {MIN_RANGE} baseline units, got {self.rho}"
@@ -125,7 +125,7 @@ class EyeAzimuths:
     beta_r: float
 
     def __post_init__(self):
-        _finite_numbers("azimuths", beta_l=self.beta_l, beta_r=self.beta_r)
+        vars(self).update(_floats("azimuths", **vars(self)))
         if abs(self.beta_l) >= _HALF_PI or abs(self.beta_r) >= _HALF_PI:
             raise ValueError("azimuths must lie strictly inside (-pi/2, pi/2)")
         if self.beta_r > self.beta_l:
@@ -142,7 +142,7 @@ class VergenceVersion:
     epsilon: float
 
     def __post_init__(self):
-        _finite_numbers("vergence and version", delta=self.delta, epsilon=self.epsilon)
+        vars(self).update(_floats("vergence and version", **vars(self)))
         if not (0.0 <= self.delta <= np.pi):
             raise ValueError(f"vergence must lie in [0, pi], got {self.delta}")
 
@@ -191,15 +191,16 @@ def helmholtz_from_point(p: Vec3) -> GazeState:
     """Helmholtz coordinates of a scene point in the forward hemifield.
 
     Inverts ``fixation_point``: tan(alpha) = -y/z and sin(beta) = x/rho.
+    A zero coordinate of either sign gives the same gaze, with no -0.
     """
-    p = np.asarray(p, dtype=float)
-    rho = float(np.linalg.norm(p))
+    p = np.asarray(p, dtype=float) + 0.0  # -0.0 + 0.0 is 0.0: arctan2(0, -0) is pi
+    rho = np.linalg.norm(p)
     if rho == 0.0:
         raise ValueError("fixation point at the Cyclopean origin has no direction")
     if p[2] < 0.0:
         raise ValueError("fixation point must lie in the forward hemifield (z >= 0)")
-    alpha = float(np.arctan2(-p[1], p[2]))
-    beta = float(np.arcsin(np.clip(p[0] / rho, -1.0, 1.0)))
+    alpha = np.arctan2(-p[1], p[2]) + 0.0  # arctan2(-0, z) is -0
+    beta = np.arcsin(np.clip(p[0] / rho, -1.0, 1.0))
     return GazeState(beta=beta, rho=rho, alpha=alpha)
 
 
@@ -214,7 +215,7 @@ def eye_azimuths(gaze: GazeState) -> EyeAzimuths:
     if cb <= 1e-12:
         raise DegenerateGeometryError("eye azimuths are unbounded at |beta| = pi/2")
     tb, half_sec = np.tan(gaze.beta), 1.0 / (2.0 * gaze.rho * cb)
-    return EyeAzimuths(float(np.arctan(tb + half_sec)), float(np.arctan(tb - half_sec)))
+    return EyeAzimuths(np.arctan(tb + half_sec), np.arctan(tb - half_sec))
 
 
 def vergence_version(az: EyeAzimuths) -> VergenceVersion:
@@ -231,8 +232,8 @@ def gaze_from_azimuths(az: EyeAzimuths, alpha: float = 0.0) -> GazeState:
     if az.beta_l - az.beta_r < PARALLEL_GAZE_TOL:
         raise DegenerateGeometryError("parallel visual axes: fixation range is unbounded")
     tl, tr = np.tan(az.beta_l), np.tan(az.beta_r)
-    beta = float(np.arctan(0.5 * (tl + tr)))
-    rho = float(1.0 / (np.cos(beta) * (tl - tr)))
+    beta = np.arctan(0.5 * (tl + tr))
+    rho = 1.0 / (np.cos(beta) * (tl - tr))
     return GazeState(beta=beta, rho=rho, alpha=alpha)
 
 

@@ -212,7 +212,7 @@ def require_schema(data: dict, kind: str) -> None:
 
 
 def gaze_to_dict(gaze: GazeState) -> dict:
-    return {"alpha": float(gaze.alpha), "beta": float(gaze.beta), "rho": float(gaze.rho)}
+    return {"alpha": gaze.alpha, "beta": gaze.beta, "rho": gaze.rho}
 
 
 def record_head(kind: str, gaze: GazeState) -> dict:
@@ -368,10 +368,10 @@ def experiment_file(fit: GazeEstimate, records: Correspondences, depth: DepthMap
         out["gaze_truth"] = gaze_to_dict(truth)
     vv = vergence_version(fit.azimuths)
     out["gaze_estimate"] = {
-        "beta_l": float(fit.azimuths.beta_l),
-        "beta_r": float(fit.azimuths.beta_r),
-        "delta": float(vv.delta),
-        "epsilon": float(vv.epsilon),
+        "beta_l": fit.azimuths.beta_l,
+        "beta_r": fit.azimuths.beta_r,
+        "delta": vv.delta,
+        "epsilon": vv.epsilon,
         **gaze_to_dict(fit.gaze),
         "rms_residual": float(fit.rms_residual),
         "iterations": int(fit.iterations),

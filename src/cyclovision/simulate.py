@@ -22,9 +22,8 @@ from cyclovision.gaze import (
     EYE_CENTRES,
     EyePose,
     GazeState,
-    _all_finite,
+    _floats,
     _integer,
-    _is_number,
     eye_azimuths,
     fixation_point,
     project,
@@ -80,22 +79,19 @@ class SceneSpec:
                 raise ValueError(f"region must be three (low, high) pairs, got {self.region!r}")
         _integer("count", self.count)
         _integer("seed", self.seed)
-        bounds = [bound for pair in pairs for bound in pair]
-        for name, value in [("sigma", self.sigma)] + [("region bound", b) for b in bounds]:
-            if not _is_number(value):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
+        _floats("sigma", sigma=self.sigma)
+        bounds = [_floats("region bounds and their width", **{"region bound": b})["region bound"]
+                  for pair in pairs for b in pair]
         if self.count <= 0:
             raise ValueError(f"count must be positive, got {self.count}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if not _all_finite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        for low, high in pairs:
+        for low, high in zip(bounds[::2], bounds[1::2]):
             if not low < high:
                 raise ValueError(f"region bounds must increase, got ({low}, {high})")
-            if not (_all_finite(low, high) and _all_finite(high - low)):
+            if not math.isfinite(high - low):
                 raise ValueError(
                     f"region bounds and their width must be finite, got ({low}, {high})")
 

@@ -74,11 +74,13 @@ def proportional_form(a: np.ndarray) -> np.ndarray:
 
 
 def projectively_equal(a: np.ndarray, b: np.ndarray, tol: float = PROJECTIVE_TOL) -> bool:
-    """Equality of homogeneous arrays up to a nonzero common scale."""
+    """Equality of homogeneous arrays up to a nonzero common scale, of either sign:
+    ``proportional_form``'s sign flips where the first entry straddles its threshold."""
     try:
-        return bool(np.abs(proportional_form(a) - proportional_form(b)).max() <= tol)
+        a, b = proportional_form(a), proportional_form(b)
     except DegenerateInputError:
         return False
+    return bool(min(np.abs(a - b).max(), np.abs(a + b).max()) <= tol)
 
 
 def azimuths_from_vergence_version(vv: VergenceVersion) -> EyeAzimuths:

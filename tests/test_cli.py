@@ -57,9 +57,16 @@ class TestFixate:
         assert report["circle"]["eta"] == pytest.approx(0.625, abs=1e-12)
         assert report["azimuths"]["beta_l"] == pytest.approx(math.atan(0.5), abs=1e-12)
 
-    def test_cartesian_point(self, runner):
-        report = json.loads(run_ok(runner, ["fixate", "--point", "0,0,2"]))
-        assert report["gaze"] == {"alpha": 0.0, "beta": 0.0, "rho": 2.0}
+    @pytest.mark.parametrize("point", ["0,0,2", "-0,-0,2"])
+    def test_cartesian_point(self, runner, point):
+        # the bytes, since -0.0 == 0.0 but the report would read "-0"
+        assert (run_ok(runner, ["fixate", "--point", point])
+                == run_ok(runner, ["fixate", "--rho", "2"]))
+
+    @pytest.mark.parametrize("point", ["2,0,0", "2,0,-0"])
+    def test_a_point_on_the_interocular_axis_exits_4(self, runner, point):
+        result = runner.invoke(main, ["fixate", "--point", point])
+        assert result.exit_code == 4, result.output
 
     def test_degrees_flag(self, runner):
         rad = json.loads(run_ok(runner, ["fixate", "--beta", "0.2", "--rho", "2"]))

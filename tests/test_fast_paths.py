@@ -8,10 +8,12 @@
   2 x 2 solve on Python floats, whose backward error is pinned instead of
   its bits; a system that is not positive definite gives a NaN step, which
   the fit rejects, instead of an exception.
-- ``GazeState``, ``EyeAzimuths`` and ``estimate_gaze`` check finiteness
-  with ``math.isfinite``, which reads an integer too large for a float as
-  infinite, after one type test: a number is a Python float or int, or a
-  numpy scalar or 0-d array of integer or float kind, and never a bool.
+- ``GazeState``, ``EyeAzimuths``, ``VergenceVersion`` and ``estimate_gaze``
+  convert each number to a Python float after one type test, and check it
+  with ``math.isfinite``; an integer too large for a float reads as
+  infinite. A number is a Python float or int, or a numpy scalar or 0-d
+  array of integer or float kind, and never a bool. A numpy gaze computes
+  as the float gaze of the same value.
 - ``GazeState.rotations`` builds a gaze's three eye rotations once, and
   ``eye_poses`` returns read-only views of them.
 - ``synthesize_scene`` images a scene through the three poses in one
@@ -51,7 +53,15 @@ from cyclovision.estimation import (
     estimate_depth_map,
     estimate_gaze,
 )
-from cyclovision.gaze import BASELINE, EyeAzimuths, GazeState, eye_poses, project
+from cyclovision.gaze import (
+    BASELINE,
+    EyeAzimuths,
+    GazeState,
+    VergenceVersion,
+    eye_azimuths,
+    eye_poses,
+    project,
+)
 from cyclovision.geometry import mark_failures, normalize_point
 from cyclovision.simulate import (
     GENERATORS,
@@ -391,12 +401,12 @@ class TestEstimateGazeAlpha:
         with pytest.raises(TypeError):
             estimate_gaze(Correspondences(np.zeros((5, 3)), np.zeros((5, 3))), alpha=alpha)
 
-    @pytest.mark.parametrize("alpha", [HALF_PI, -HALF_PI, 0.3])
+    @pytest.mark.parametrize("alpha", [HALF_PI, -HALF_PI, 0.3, np.float32(0.3)])
     def test_alpha_orients_the_fitted_gaze(self, alpha):
         gaze = GazeState(beta=0.2, rho=2.0)
         records = synthesize_scene(gaze, SceneSpec(count=30, seed=3)).records
         fit = estimate_gaze(records, alpha=alpha)
-        assert fit.gaze.alpha == alpha
+        assert fit.gaze.alpha == alpha and type(fit.gaze.alpha) is float
         assert (fit.gaze.beta, fit.gaze.rho) == (estimate_gaze(records).gaze.beta,
                                                  estimate_gaze(records).gaze.rho)
 
@@ -501,9 +511,33 @@ class TestScalarChecks:
         with pytest.raises(TypeError, match="^beta must be a number"):
             GazeState(beta=value, rho=2.0)
 
-    @pytest.mark.parametrize("beta,rho,alpha", [(np.float64(0.2), np.float64(2.0), 0.1),
-                                                (np.array(0.2), np.array(2.0), np.array(0.0))])
+    @pytest.mark.parametrize("beta,rho,alpha", [
+        (np.float64(0.2), np.float64(2.0), 0.1),
+        (np.array(0.2), np.array(2.0), np.array(0.0)),
+        (np.float16(0.2), np.float16(2.0), np.float16(0.1)),
+        (np.float32(0.2), np.float32(2.0), np.float32(0.1)),
+        (np.int64(0), np.int64(2), np.int64(-1)),
+        (np.array(0.2, np.float32), np.array(2, np.int64), np.array(0.1, np.float16)),
+    ])
     def test_numpy_scalars_are_accepted(self, beta, rho, alpha):
-        assert GazeState(beta=beta, rho=rho, alpha=alpha).rho == 2.0
-        assert EyeAzimuths(beta, np.float64(0.1)).beta_l == 0.2
+        """Each field holds the Python float with the float64 bits of its value."""
+        held = (*dataclasses.astuple(GazeState(beta=beta, rho=rho, alpha=alpha)),
+                *dataclasses.astuple(EyeAzimuths(beta, beta)),
+                *dataclasses.astuple(VergenceVersion(rho, alpha)))
+        values = (beta, rho, alpha, beta, beta, rho, alpha)
+        assert all(type(value) is float for value in held)
+        assert np.array(held).tobytes() == np.array(values, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("number", [np.float32, lambda value: np.array(value, np.float32)],
+                             ids=["float32", "0d-float32"])
+    def test_a_numpy_gaze_computes_as_the_float_gaze_of_its_value(self, number):
+        values = {"beta": 0.2, "rho": 2.0, "alpha": 0.1}
+        numpy_gaze = GazeState(**{name: number(value) for name, value in values.items()})
+        gaze = GazeState(**{name: float(np.float32(value)) for name, value in values.items()})
+        assert numpy_gaze == gaze and hash(numpy_gaze) == hash(gaze)
+        assert eye_azimuths(numpy_gaze) == eye_azimuths(gaze)
+        assert numpy_gaze.rotations.tobytes() == gaze.rotations.tobytes()
+        records = synthesize_scene(gaze, SceneSpec(count=20, seed=1)).records
+        assert all(a.tobytes() == b.tobytes() for a, b in
+                   zip(estimate_depth_map(records, numpy_gaze), estimate_depth_map(records, gaze)))
 

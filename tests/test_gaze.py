@@ -159,6 +159,11 @@ class TestVergenceVersion:
         with pytest.raises(ValueError, match="vergence and version must be finite"):
             VergenceVersion(**{"delta": 0.5, "epsilon": 0.0, field: value})
 
+    @pytest.mark.parametrize("delta", [-1e-300, -0.5, math.pi + 1e-15, 4.0])
+    def test_vergence_outside_zero_to_pi_is_refused(self, delta):
+        with pytest.raises(ValueError, match=r"^vergence must lie in \[0, pi\], got"):
+            VergenceVersion(delta, 0.0)
+
     @given(st.floats(1e-6, 1.0), st.floats(-0.7, 0.7))
     def test_round_trip_with_azimuths(self, delta, epsilon):
         vv = VergenceVersion(delta, epsilon)

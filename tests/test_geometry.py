@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -94,6 +94,8 @@ class TestJoinMeet:
             meet(np.array([1.0, 2.0, 3.0]), np.array([-2.0, -4.0, -6.0]))
 
     @given(triples(), triples(), triples())
+    # recovers (4.95e-10, 0, -495): its first entry is above 1e-12 after scaling, p's is not
+    @example(np.array([1e-12, 0.0, -1.0]), np.array([0.0, 45.0, 0.0]), np.array([11.0, 0.0, 0.0]))
     def test_join_meet_duality(self, p, q, r):
         # meet(join(p,q), join(p,r)) recovers p for non-collinear triples
         assume(np.abs(np.cross(p, q)).max() > 1e-2)

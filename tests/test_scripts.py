@@ -51,6 +51,18 @@ def test_noise_sweep_refuses_bad_arguments_up_front(monkeypatch, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigmas", [["1e308"], ["0", "1e308"]])
+def test_noise_sweep_refuses_an_overflowing_sigma(monkeypatch, tmp_path, capsys, sigmas):
+    # the overflow depends on the draw, so the trials of an earlier sigma may run
+    out = tmp_path / "sweep.csv"
+    run_script(monkeypatch, "noise_sweep.py",
+               ["--trials", "1", "--count", "5", "--out", str(out), "--sigmas", *sigmas], code=2)
+    captured = capsys.readouterr()
+    assert captured.err == ("noise_sweep.py: error: sigma 1e+308 makes image coordinates "
+                            "non-finite\n")
+    assert not out.exists()
+
+
 def test_noise_sweep_refuses_a_missing_out_directory(monkeypatch, tmp_path, capsys):
     out = tmp_path / "missing" / "sweep.csv"
     run_script(monkeypatch, "noise_sweep.py", ["--trials", "1", "--sigmas", "0", "--out", str(out)],

@@ -57,7 +57,7 @@ class TestSceneSpec:
     ])
     def test_rejects_a_sigma_or_region_bound_that_is_not_a_real_number(self, field, value):
         name = "sigma" if field == "sigma" else "region"
-        with pytest.raises(TypeError, match=f"^{field} must be a real number"):
+        with pytest.raises(TypeError, match=f"^{field} must be a number"):
             SceneSpec(**{name: value})
 
     def test_reads_a_sigma_too_large_for_a_float_as_not_finite(self):
