@@ -42,13 +42,11 @@ from cyclovision.estimation import (
 )
 from cyclovision.gaze import (
     EyeAzimuths,
-    EyePose,
     GazeState,
     VergenceVersion,
     ViethMullerCircle,
     direction_from_angles,
     eye_azimuths,
-    eye_poses,
     fixation_point,
     gaze_from_azimuths,
     helmholtz_from_point,

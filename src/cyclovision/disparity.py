@@ -33,10 +33,10 @@ from cyclovision.epipolar import epipoles
 from cyclovision.errors import DegenerateGeometryError, PointAtInfinityError
 from cyclovision.gaze import (
     BASELINE,
+    EYE_CENTRES,
     GazeState,
     direction_from_angles,
     eye_azimuths,
-    eye_poses,
 )
 from cyclovision.geometry import (
     HomogPoint2,
@@ -226,11 +226,6 @@ def plane_homography(gaze: GazeState) -> np.ndarray:
     the left optical centre's distance from the plane. Composed with the
     right parallax term it reproduces the plane-plus-parallax form of q_r.
     """
-    poses = eye_poses(gaze)
     v = direction_from_angles(gaze.alpha, gaze.beta)
-    w_l = gaze.rho - float(v @ poses.left.centre)
-    return (
-        poses.right.rotation
-        @ (np.eye(3) - np.outer(BASELINE, v) / w_l)
-        @ poses.left.rotation.T
-    )
+    w_l = gaze.rho - float(v @ EYE_CENTRES[0])
+    return gaze.rotations[1] @ (np.eye(3) - np.outer(BASELINE, v) / w_l) @ gaze.rotations[0].T

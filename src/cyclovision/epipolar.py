@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cyclovision.errors import DegenerateGeometryError
-from cyclovision.gaze import EyeAzimuths, EyePose
+from cyclovision.gaze import EyeAzimuths
 from cyclovision.geometry import (
     HomogLine2,
     HomogPoint2,
@@ -70,13 +70,13 @@ def essential_closed_form(az: EyeAzimuths) -> EssentialMatrix:
     return e
 
 
-def essential_traditional(left: EyePose, right: EyePose) -> EssentialMatrix:
-    """Essential matrix from the relative pose, R_r (b x) R_l^T.
+def essential_traditional(rotations: np.ndarray, centres: np.ndarray) -> EssentialMatrix:
+    """Essential matrix from the relative pose, R_r (b x) R_l^T with b = c_r - c_l, where
+    rows 0 and 1 of ``rotations`` and ``centres`` are the left and right eye.
 
     Not specific to fixation; used to cross-validate the other constructions.
     """
-    b = right.centre - left.centre
-    return right.rotation @ cross_matrix(b) @ left.rotation.T
+    return rotations[1] @ cross_matrix(centres[1] - centres[0]) @ rotations[0].T
 
 
 def epipolar_line(E: EssentialMatrix, q: HomogPoint2) -> HomogLine2:

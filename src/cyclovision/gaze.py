@@ -21,7 +21,9 @@ Eye orientations are world-to-eye maps: a scene point ``q`` appears in
 the left image at ``R_l @ (q - c_l)``, read as homogeneous coordinates.
 For elevation ``alpha`` each rotation is ``rot_y(azimuth) @ rot_x(-alpha)``;
 the x-rotation maps the tilted visual plane back to y = 0, and with
-``alpha = 0`` the poses reduce to pure azimuth turns.
+``alpha = 0`` the poses reduce to pure azimuth turns. ``gaze.rotations`` and
+``EYE_CENTRES`` hold the left, right and Cyclopean poses in that order, and
+``project`` images scene points through all three at once.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from cyclovision.errors import DegenerateGeometryError
-from cyclovision.geometry import HomogPoint2, Rot3, Vec3, rot_x, rot_y, transform
+from cyclovision.geometry import Vec3, rot_x, rot_y, transform
 
 #: smallest admissible fixation range, in baseline units; closer fixation
 #: points fall inside the immediate inter-ocular region and are rejected
@@ -46,14 +47,13 @@ PARALLEL_GAZE_TOL = 1e-12
 
 _HALF_PI = np.pi / 2
 
-#: optical centres of the left, right and Cyclopean eyes, as ``GazeState.rotations``;
-#: each eye's centre is a read-only row, shared by every pose
+#: optical centres of the left, right and Cyclopean eyes, read-only; with
+#: ``GazeState.rotations``, in the same order, they are the three eye poses
 EYE_CENTRES = np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.0, 0.0]])
 EYE_CENTRES.flags.writeable = False
-LEFT_CENTRE, RIGHT_CENTRE, CYCLOPEAN_CENTRE = EYE_CENTRES
 
 #: baseline vector from the left to the right optical centre (unit length), read-only
-BASELINE = RIGHT_CENTRE - LEFT_CENTRE
+BASELINE = EYE_CENTRES[1] - EYE_CENTRES[0]
 BASELINE.flags.writeable = False
 
 
@@ -104,11 +104,15 @@ class GazeState:
         if abs(self.beta) > _HALF_PI or abs(self.alpha) > _HALF_PI:
             raise ValueError("alpha and beta must lie in [-pi/2, pi/2]")
 
+    def __reduce__(self):
+        # a copy or unpickled gaze rebuilds its own read-only rotations
+        return type(self), (self.beta, self.rho, self.alpha)
+
     @cached_property
     def rotations(self) -> np.ndarray:
         """World-to-eye rotations of the left, right and Cyclopean eyes, (3, 3, 3),
-        built on first use and held read-only by this instance; ``eye_poses``
-        returns views of them. Raises DegenerateGeometryError at |beta| = pi/2."""
+        built on first use and held read-only by this instance: with ``EYE_CENTRES``,
+        the eye poses. Raises DegenerateGeometryError at |beta| = pi/2."""
         az = eye_azimuths(self)
         tilt = rot_x(-self.alpha)
         rotations = np.stack([rot_y(azimuth) @ tilt
@@ -145,20 +149,6 @@ class VergenceVersion:
         vars(self).update(_floats("vergence and version", **vars(self)))
         if not (0.0 <= self.delta <= np.pi):
             raise ValueError(f"vergence must lie in [0, pi], got {self.delta}")
-
-
-@dataclass(frozen=True, eq=False)
-class EyePose:
-    """World-to-eye rotation (..., 3, 3) plus optical centre (..., 3) of one eye or a stack."""
-
-    rotation: Rot3
-    centre: Vec3
-
-
-class BinocularPoses(NamedTuple):
-    left: EyePose
-    right: EyePose
-    cyclopean: EyePose
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,21 +227,14 @@ def gaze_from_azimuths(az: EyeAzimuths, alpha: float = 0.0) -> GazeState:
     return GazeState(beta=beta, rho=rho, alpha=alpha)
 
 
-def eye_poses(gaze: GazeState) -> BinocularPoses:
-    """Left, right and Cyclopean eye poses for a fixation, whose rotations and
-    centres are read-only views of ``gaze.rotations`` and ``EYE_CENTRES``."""
-    left, right, cyclopean = gaze.rotations
-    return BinocularPoses(
-        left=EyePose(left, LEFT_CENTRE),
-        right=EyePose(right, RIGHT_CENTRE),
-        cyclopean=EyePose(cyclopean, CYCLOPEAN_CENTRE),
-    )
-
-
-def project(pose: EyePose, point: Vec3) -> HomogPoint2:
-    """Pinhole images of scene points (..., 3): R @ (q - c), as homogeneous coordinates.
-    A stacked pose, rotation (..., 3, 3) and centre (..., 3), broadcasts against them."""
-    return transform(pose.rotation, np.asarray(point, dtype=float) - pose.centre)
+def project(gaze: GazeState, points) -> np.ndarray:
+    """Pinhole images R (X - c) of scene points X (..., 3) in the left, right and
+    Cyclopean eyes, (3, ..., 3) in the order of ``gaze.rotations``, as homogeneous
+    coordinates. Raises DegenerateGeometryError at |beta| = pi/2."""
+    points = np.asarray(points, dtype=float)
+    eyes = (3,) + (1,) * (points.ndim - 1)
+    return transform(gaze.rotations.reshape(eyes + (3, 3)),
+                     points - EYE_CENTRES.reshape(eyes + (3,)))
 
 
 def vieth_muller(vv: VergenceVersion) -> ViethMullerCircle:

@@ -19,8 +19,6 @@ import numpy as np
 
 from cyclovision.disparity import Correspondences
 from cyclovision.gaze import (
-    EYE_CENTRES,
-    EyePose,
     GazeState,
     _floats,
     _integer,
@@ -79,16 +77,18 @@ class SceneSpec:
                 raise ValueError(f"region must be three (low, high) pairs, got {self.region!r}")
         _integer("count", self.count)
         _integer("seed", self.seed)
-        _floats("sigma", sigma=self.sigma)
+        vars(self).update(_floats("sigma", sigma=self.sigma))
         bounds = [_floats("region bounds and their width", **{"region bound": b})["region bound"]
                   for pair in pairs for b in pair]
+        if pairs:  # the checked floats, not the caller's object, which may change or not hash
+            vars(self)["region"] = tuple(zip(bounds[::2], bounds[1::2]))
         if self.count <= 0:
             raise ValueError(f"count must be positive, got {self.count}")
         if self.sigma < 0.0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        for low, high in zip(bounds[::2], bounds[1::2]):
+        for low, high in self.region or ():
             if not low < high:
                 raise ValueError(f"region bounds must increase, got ({low}, {high})")
             if not math.isfinite(high - low):
@@ -136,21 +136,20 @@ def _scene_candidates(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator
 def synthesize_scene(gaze: GazeState, spec: SceneSpec) -> SynthesisResult:
     """Generate correspondences for a scene, deterministically for a seed.
 
-    Each candidate point X is projected through the left, right and
-    Cyclopean poses in one ``project`` call on the stacked pose of
-    ``gaze.rotations`` and ``EYE_CENTRES``; each image is R (X - c) divided
-    by its third component. The left and right images are the correspondence, and
-    the Cyclopean image and its depth minus rho are the truth (p_c, s), as
+    Each candidate point X is projected through the left, right and Cyclopean
+    poses in one ``project(gaze, scene)`` call; each image is R (X - c) divided
+    by its third component. The left and right images are the correspondence,
+    and the Cyclopean image and its depth minus rho are the truth (p_c, s), as
     the depth map reads them off its triangulated point, unless the generator
     drew its truth exactly. A candidate is skipped and counted unless
-    ``geometry.in_front`` finds it in front of both eyes and the Cyclopean
-    eye and its truth and q_l + q_r are finite: the same rows the parallax
-    model sees. Noise is added after synthesis; the stored truth stays clean.
+    ``geometry.in_front`` finds it in front of both eyes and the Cyclopean eye
+    and its truth and q_l + q_r are finite: the same rows the parallax model
+    sees. Noise is added after synthesis; the stored truth stays clean.
     """
     rng = np.random.default_rng(spec.seed)
     scene, truth = _scene_candidates(gaze, spec, rng)
     with np.errstate(over="ignore", invalid="ignore"):  # a row that overflows is dropped
-        images = project(EyePose(gaze.rotations[:, None], EYE_CENTRES[:, None]), scene)
+        images = project(gaze, scene)
         (q_l, q_r, p_c), depths = normalize_in_front(images, "point lies behind an eye")
         s = depths[2] - gaze.rho
         kept = np.isfinite(q_l + q_r).all(axis=1) & np.isfinite(p_c).all(axis=1)

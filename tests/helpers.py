@@ -23,11 +23,11 @@ from cyclovision.estimation import (
     _r_factor,
 )
 from cyclovision.gaze import (
+    EYE_CENTRES,
     EyeAzimuths,
     GazeState,
     VergenceVersion,
     eye_azimuths,
-    eye_poses,
     project,
 )
 from cyclovision.geometry import (
@@ -99,26 +99,23 @@ def project_both(gaze: GazeState, scene_point) -> tuple[np.ndarray, np.ndarray]:
     This is the brute-force oracle: rotate-and-translate projection only,
     independent of the parallax and epipolar constructions it validates.
     """
-    poses = eye_poses(gaze)
-    q_l = normalize_point(project(poses.left, scene_point))
-    q_r = normalize_point(project(poses.right, scene_point))
-    return q_l, q_r
+    left, right, _ = project(gaze, scene_point)
+    return normalize_point(left), normalize_point(right)
 
 
 def midpoint_oracle(gaze: GazeState, q_l, q_r) -> tuple[np.ndarray, float, float]:
     """Head-frame midpoint of the common perpendicular of one pair's back-projected
     rays, with the rays' parameters u and v at its ends.
 
-    The other oracle: each ray leaves its eye's centre of ``eye_poses`` along
+    The other oracle: each ray leaves its eye's centre in ``EYE_CENTRES`` along
     R^T q, and c_l + u d_l - (c_r + v d_r) is minimized by ``np.linalg.lstsq``,
     with no frame change, closed form or normal equations.
     """
-    poses = eye_poses(gaze)
-    d_l = poses.left.rotation.T @ normalize_point(q_l)
-    d_r = poses.right.rotation.T @ normalize_point(q_r)
-    (u, v), *_ = np.linalg.lstsq(np.column_stack([d_l, -d_r]),
-                                 poses.right.centre - poses.left.centre, rcond=None)
-    near_l, near_r = poses.left.centre + u * d_l, poses.right.centre + v * d_r
+    (c_l, c_r, _), (r_l, r_r, _) = EYE_CENTRES, gaze.rotations
+    d_l = r_l.T @ normalize_point(q_l)
+    d_r = r_r.T @ normalize_point(q_r)
+    (u, v), *_ = np.linalg.lstsq(np.column_stack([d_l, -d_r]), c_r - c_l, rcond=None)
+    near_l, near_r = c_l + u * d_l, c_r + v * d_r
     return 0.5 * (near_l + near_r), float(u), float(v)
 
 
@@ -167,10 +164,16 @@ def grid_objective(
 
 
 def reference_eye_rotations(gaze: GazeState) -> np.ndarray:
-    """``GazeState.rotations`` as every ``eye_poses`` call used to build them."""
+    """``GazeState.rotations`` built one eye at a time, from each eye's own azimuth."""
     az = eye_azimuths(gaze)
     tilt = rot_x(-gaze.alpha)
     return np.array([rot_y(az.beta_l) @ tilt, rot_y(az.beta_r) @ tilt, rot_y(gaze.beta) @ tilt])
+
+
+def reference_project(gaze: GazeState, points) -> np.ndarray:
+    """``project``'s images one eye at a time: one ``transform`` per pose."""
+    return np.stack([transform(gaze.rotations[eye], points - EYE_CENTRES[eye])
+                     for eye in range(3)])
 
 
 def reference_box(gaze: GazeState, spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:

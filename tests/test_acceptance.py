@@ -27,9 +27,9 @@ from cyclovision.epipolar import (
 from cyclovision.errors import DegenerateConfigurationError
 from cyclovision.estimation import estimate_gaze, grid_init
 from cyclovision.gaze import (
+    EYE_CENTRES,
     GazeState,
     eye_azimuths,
-    eye_poses,
     fixation_point,
     project,
     vergence_version,
@@ -67,11 +67,8 @@ def test_criterion_01_foveation():
     rng = np.random.default_rng(101)
     for _ in range(1000):
         gaze = random_gaze(rng, beta=(-0.8, 0.8), rho=(0.8, 50.0))
-        poses = eye_poses(gaze)
-        p0 = fixation_point(gaze)
-        for pose in (poses.left, poses.right):
-            image = normalize_point(project(pose, p0))
-            assert np.abs(image - np.array([0.0, 0.0, 1.0])).max() < 1e-9
+        for image in project(gaze, fixation_point(gaze))[:2]:
+            assert np.abs(normalize_point(image) - np.array([0.0, 0.0, 1.0])).max() < 1e-9
 
 
 @criterion(2, "symmetric closed form")
@@ -102,9 +99,7 @@ def test_criterion_03_horopter_fixed_points():
         circle = vieth_muller(vergence_version(eye_azimuths(gaze)))
         scene = np.array([0.0, float(rng.uniform(-2.0, 2.0)),
                           circle.zeta + circle.eta])
-        poses = eye_poses(gaze)
-        left = project(poses.left, scene)
-        right = project(poses.right, scene)
+        left, right, _ = project(gaze, scene)
         assert np.abs(left - right).max() < 1e-9
     # generic points fail both equalities
     count = 0
@@ -116,9 +111,8 @@ def test_criterion_03_horopter_fixed_points():
         count += 1
         q_l, q_r = project_both(gaze, scene)
         assert not projectively_equal(q_l, q_r, tol=1e-9)
-        poses = eye_poses(gaze)
-        assert np.abs(project(poses.left, scene)
-                      - project(poses.right, scene)).max() > 1e-9
+        left, right, _ = project(gaze, scene)
+        assert np.abs(left - right).max() > 1e-9
 
 
 @criterion(4, "Essential matrix triple agreement")
@@ -127,12 +121,11 @@ def test_criterion_04_essential_triple_agreement():
     for _ in range(1000):
         gaze = random_gaze(rng, rho=(0.8, 50.0))
         az = eye_azimuths(gaze)
-        poses = eye_poses(gaze)
         mid = midline(vergence_version(az))
         forms = (
             essential_from_horopter(epipoles(az), mid.image_line),
             essential_closed_form(az),
-            essential_traditional(poses.left, poses.right),
+            essential_traditional(gaze.rotations, EYE_CENTRES),
         )
         canonical = [proportional_form(e) for e in forms]
         assert np.abs(canonical[0] - canonical[1]).max() < 1e-9
@@ -171,8 +164,7 @@ def test_criterion_06_parallax_oracle():
         gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 20.0))
         ray, s = random_ray_and_depth(rng, gaze)
         corr = synthesize_correspondence(gaze, ray, s)
-        poses = eye_poses(gaze)
-        scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ ray)
+        scene = (gaze.rho + s) * (gaze.rotations[2].T @ ray)
         q_l, q_r = project_both(gaze, scene)
         assert np.abs(corr.q_l - q_l).max() < 1e-9
         assert np.abs(corr.q_r - q_r).max() < 1e-9
@@ -196,7 +188,6 @@ def test_criterion_08_homography():
     rng = np.random.default_rng(108)
     gaze = random_gaze(rng, beta=(-0.4, 0.4), rho=(1.0, 5.0))
     h = plane_homography(gaze)
-    poses = eye_poses(gaze)
     for _ in range(100):
         ray = np.array([rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), 1.0])
         s = float(rng.uniform(-0.3 * gaze.rho, 1.5 * gaze.rho))
@@ -206,8 +197,8 @@ def test_criterion_08_homography():
         assert np.abs(mapped - dec_r.predicted).max() < 1e-9
         # plane-plus-parallax composition equals the direct projection
         composed = mapped + parallax(dec_r, s) * dec_r.direction
-        scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ ray)
-        expected = normalize_point(project(poses.right, scene))
+        scene = (gaze.rho + s) * (gaze.rotations[2].T @ ray)
+        expected = normalize_point(project(gaze, scene)[1])
         assert np.abs(composed - expected).max() < 1e-9
 
 
@@ -243,11 +234,10 @@ def test_criterion_09_gaze_estimation():
 @criterion(10, "parallel-gaze disparity limit")
 def test_criterion_10_parallel_gaze_limit():
     gaze = GazeState(beta=0.0, rho=1e9)
-    poses = eye_poses(gaze)
     rng = np.random.default_rng(110)
     for _ in range(200):
         scene = rng.uniform([-1.0, -1.0, 0.5], [1.0, 1.0, 4.0])
-        ray_raw = poses.cyclopean.rotation @ scene
+        ray_raw = gaze.rotations[2] @ scene
         ray = ray_raw / ray_raw[2]
         s = float(ray_raw[2]) - gaze.rho
         corr = synthesize_correspondence(gaze, ray, s)

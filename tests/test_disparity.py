@@ -18,15 +18,13 @@ from cyclovision.disparity import (
 from cyclovision.epipolar import epipolar_residual, essential_closed_form
 from cyclovision.errors import BehindEyeError, DegenerateGeometryError, PointAtInfinityError
 from cyclovision.gaze import (
-    EYE_CENTRES,
     GazeState,
     eye_azimuths,
-    eye_poses,
     fixation_point,
     project,
 )
 from cyclovision.estimation import estimate_depth_map, estimate_gaze
-from cyclovision.geometry import normalize_point, transform
+from cyclovision.geometry import normalize_point
 from cyclovision.simulate import GENERATORS, SceneSpec, synthesize_scene
 
 from helpers import project_both, random_gaze
@@ -68,9 +66,8 @@ class TestPlaneDepth:
     def test_random_in_plane_points(self):
         rng = np.random.default_rng(3)
         gaze = GazeState(beta=0.4, rho=1.8)
-        poses = eye_poses(gaze)
         rays = np.column_stack([rng.uniform(-1, 1, (100, 2)), np.ones(100)])
-        depth = self.depth_of(gaze, gaze.rho * rays @ poses.cyclopean.rotation)
+        depth = self.depth_of(gaze, gaze.rho * rays @ gaze.rotations[2])
         assert np.abs(depth.s).max() < 1e-12
 
 
@@ -109,12 +106,10 @@ class TestDecompose:
         for _ in range(300):
             gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 20.0))
             ray, s = random_ray_and_depth(rng, gaze)
-            poses = eye_poses(gaze)
-            plane_point = gaze.rho * (poses.cyclopean.rotation.T @ ray)
-            scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ ray)
-            for dec, pose in zip(decompose(gaze, ray), (poses.left, poses.right)):
-                rho_eye = project(pose, plane_point)[2]
-                z_eye = project(pose, scene)[2]
+            plane_point = gaze.rho * (gaze.rotations[2].T @ ray)
+            scene = (gaze.rho + s) * (gaze.rotations[2].T @ ray)
+            rho_eyes, z_eyes = project(gaze, plane_point)[:2, 2], project(gaze, scene)[:2, 2]
+            for dec, rho_eye, z_eye in zip(decompose(gaze, ray), rho_eyes, z_eyes):
                 assert rho_eye == pytest.approx(dec.lam * gaze.rho + dec.mu, rel=1e-12)
                 assert z_eye == pytest.approx(dec.lam * (gaze.rho + s) + dec.mu, rel=1e-12)
                 if abs(s) > 1e-6:
@@ -194,8 +189,7 @@ class TestSynthesize:
                                alpha=(-0.8, 0.8))
             ray, s = random_ray_and_depth(rng, gaze)
             corr = synthesize_correspondence(gaze, ray, s)
-            poses = eye_poses(gaze)
-            scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ ray)
+            scene = (gaze.rho + s) * (gaze.rotations[2].T @ ray)
             q_l, q_r = project_both(gaze, scene)
             assert np.abs(corr.q_l - q_l).max() < 1e-9
             assert np.abs(corr.q_r - q_r).max() < 1e-9
@@ -214,10 +208,9 @@ class TestSynthesize:
         # at rho = 1e9 the disparity vector of (x, y, z) tends to (1/z, 0)
         gaze = GazeState(beta=0.0, rho=1e9)
         rng = np.random.default_rng(19)
-        poses = eye_poses(gaze)
         for _ in range(100):
             scene = rng.uniform([-1.0, -1.0, 0.5], [1.0, 1.0, 4.0])
-            ray_raw = poses.cyclopean.rotation @ scene
+            ray_raw = gaze.rotations[2] @ scene
             ray = ray_raw / ray_raw[2]
             s = float(ray_raw[2]) - gaze.rho
             corr = synthesize_correspondence(gaze, ray, s)
@@ -328,16 +321,15 @@ class TestPlaneHomography:
     def test_plane_plus_parallax_composition(self):
         rng = np.random.default_rng(41)
         for _ in range(200):
-            gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 20.0))
+            gaze = random_gaze(rng, beta=(-0.6, 0.6), rho=(0.8, 20.0), alpha=(-0.8, 0.8))
             h = plane_homography(gaze)
             ray, s = random_ray_and_depth(rng, gaze)
             dec_l, dec_r = decompose(gaze, ray)
             composed = normalize_point(h @ dec_l.predicted) + parallax(
                 dec_r, s
             ) * dec_r.direction
-            poses = eye_poses(gaze)
-            scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ ray)
-            expected = normalize_point(project(poses.right, scene))
+            scene = (gaze.rho + s) * (gaze.rotations[2].T @ ray)
+            expected = normalize_point(project(gaze, scene)[1])
             assert np.abs(composed - expected).max() < 1e-9
 
 
@@ -415,7 +407,7 @@ class TestBatches:
         batch = synthesize_correspondence(gaze, np.tile(ray, (2, 1)), np.array([0.0, 1.0]))
         assert np.isfinite(batch.q_l).all()
         assert np.isnan(batch.q_r[0]).all() and np.isfinite(batch.q_r[1]).all()
-        scene = (gaze.rho + 1.0) * (eye_poses(gaze).cyclopean.rotation.T @ normalize_point(ray))
+        scene = (gaze.rho + 1.0) * (gaze.rotations[2].T @ normalize_point(ray))
         for got, want in zip((batch.q_l[1], batch.q_r[1]), project_both(gaze, scene)):
             assert_allclose(got, want, rtol=1e-12)
 
@@ -479,7 +471,7 @@ class TestAgreementWithProjection:
             scene = rng.uniform([-gaze.rho, -0.5 * gaze.rho, -1.0],
                                 [gaze.rho, 0.5 * gaze.rho, 2.0 * gaze.rho], (300, 3))
             with np.errstate(divide="ignore", invalid="ignore"):
-                images = transform(gaze.rotations[:, None], scene - EYE_CENTRES[:, None])
+                images = project(gaze, scene)
                 images = images[:, images[2, :, 2] > 1e-12]  # in front of the Cyclopean eye
                 q_l, q_r, p_c = images / images[..., 2:]
                 s = images[2, :, 2] - gaze.rho

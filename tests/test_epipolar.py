@@ -14,11 +14,10 @@ from cyclovision.epipolar import (
 from cyclovision.errors import DegenerateGeometryError, DegenerateInputError
 from cyclovision.gaze import (
     BASELINE,
+    EYE_CENTRES,
     EyeAzimuths,
-    EyePose,
     GazeState,
     eye_azimuths,
-    eye_poses,
     project,
     vergence_version,
 )
@@ -45,11 +44,10 @@ def symmetric_az():
 def three_forms(gaze):
     az = eye_azimuths(gaze)
     mid = midline(vergence_version(az))
-    poses = eye_poses(gaze)
     return (
         essential_from_horopter(epipoles(az), mid.image_line),
         essential_closed_form(az),
-        essential_traditional(poses.left, poses.right),
+        essential_traditional(gaze.rotations, EYE_CENTRES),
     )
 
 
@@ -85,11 +83,11 @@ class TestEpipoles:
         for _ in range(200):
             gaze = random_gaze(rng)
             epi = epipoles(eye_azimuths(gaze))
-            poses = eye_poses(gaze)
-            assert projectively_equal(epi.e_l, poses.left.rotation @ BASELINE)
-            assert projectively_equal(epi.e_r, poses.right.rotation @ -BASELINE)
-            assert projectively_equal(epi.e_l, project(poses.left, poses.right.centre))
-            assert projectively_equal(epi.e_r, project(poses.right, poses.left.centre))
+            r_l, r_r, _ = gaze.rotations
+            assert projectively_equal(epi.e_l, r_l @ BASELINE)
+            assert projectively_equal(epi.e_r, r_r @ -BASELINE)
+            assert projectively_equal(epi.e_l, project(gaze, EYE_CENTRES[1])[0])
+            assert projectively_equal(epi.e_r, project(gaze, EYE_CENTRES[0])[1])
 
 
 class TestEssentialForms:
@@ -156,9 +154,8 @@ class TestEssentialForms:
             assert np.abs(e.T @ epi.e_r).max() < 1e-12
 
     def test_traditional_with_identity_rotations(self):
-        left = EyePose(np.eye(3), np.array([-0.5, 0.0, 0.0]))
-        right = EyePose(np.eye(3), np.array([0.5, 0.0, 0.0]))
-        assert_allclose(essential_traditional(left, right), cross_matrix(BASELINE))
+        assert_allclose(essential_traditional(np.stack([np.eye(3)] * 2), EYE_CENTRES),
+                        cross_matrix(BASELINE))
 
 
 class TestEpipolarConstraint:

@@ -34,7 +34,6 @@ from cyclovision.gaze import (
     EyeAzimuths,
     GazeState,
     eye_azimuths,
-    eye_poses,
     fixation_point,
     project,
     vergence_version,
@@ -394,7 +393,7 @@ class TestDepthMap:
         scene = fixation_point(gaze) + rng.uniform(-0.8, 0.8, (20, 3))
         records = Correspondences(*map(np.array, zip(*(project_both(gaze, x) for x in scene))))
         depth = estimate_depth_map(records, gaze)
-        recovered = (gaze.rho + depth.s)[:, None] * (depth.p_c @ eye_poses(gaze).cyclopean.rotation)
+        recovered = (gaze.rho + depth.s)[:, None] * (depth.p_c @ gaze.rotations[2])
         assert_allclose(recovered, scene, rtol=0.0, atol=1e-10)
         for i in range(len(records)):
             single = estimate_depth_map(records[i], gaze)
@@ -423,11 +422,10 @@ class TestDepthMap:
     def test_failed_points_read_nan_and_leave_the_rest_alone(self):
         records = synthesized_set(TRUE_GAZE, seed=47)[:10]
         clean = estimate_depth_map(records, TRUE_GAZE)
-        poses = eye_poses(TRUE_GAZE)
         broken = Correspondences(records.q_l.copy(), records.q_r.copy())
         far = np.array([0.1, 0.05, 1.0])          # images of a point at infinity
-        broken.q_l[3] = normalize_point(poses.left.rotation @ far)
-        broken.q_r[3] = normalize_point(poses.right.rotation @ far)
+        broken.q_l[3] = normalize_point(TRUE_GAZE.rotations[0] @ far)
+        broken.q_r[3] = normalize_point(TRUE_GAZE.rotations[1] @ far)
         broken.q_l[6] = [1.0, 0.0, 1e-13]        # image point at infinity
         broken.q_l[8] = [-0.9, 0.0, 1.0]         # rays that meet behind the eyes
         broken.q_r[8] = [0.9, 0.0, 1.0]
@@ -456,7 +454,7 @@ class TestDepthMap:
         records = parse_correspondence_file(load_json(GOLDEN_RANDOM_BOX)).records
         gaze = GazeState(beta=0.0, rho=1e300)
         point, u, v = midpoint_oracle(gaze, records.q_l[3], records.q_r[3])
-        assert u > 0.0 and v > 0.0 and project(eye_poses(gaze).cyclopean, point)[2] > 1e-12
+        assert u > 0.0 and v > 0.0 and project(gaze, point)[2, 2] > 1e-12
         with pytest.raises(DegenerateGeometryError, match="rounds to 0") as raised:
             estimate_depth_map(records[3], gaze)
         assert not isinstance(raised.value, BehindEyeError)
@@ -482,7 +480,7 @@ class TestDepthMap:
         records = Correspondences(np.array(q_l), np.array(q_r))
         depth = estimate_depth_map(records, gaze)
         assert np.isnan(depth.s[0])
-        cyclopean_depth = project(eye_poses(gaze).cyclopean, points[1])[2]
+        cyclopean_depth = project(gaze, points[1])[2, 2]
         assert depth.s[1] == pytest.approx(cyclopean_depth - gaze.rho, rel=1e-9)
         with pytest.raises(BehindEyeError, match=f"behind the {('left', 'right')[eye]} eye"):
             estimate_depth_map(records[0], gaze)
@@ -493,10 +491,9 @@ class TestDepthMap:
         # cannot constrain alpha: gazes that differ only in alpha give the
         # same failed rows and exactly the same rays and depths.
         records = synthesized_set(TRUE_GAZE, count=200, seed=seed, sigma=1e-3)
-        poses = eye_poses(TRUE_GAZE)
         far = np.array([0.1, 0.05, 1.0])          # images of a point at infinity
-        records.q_l[3] = normalize_point(poses.left.rotation @ far)
-        records.q_r[3] = normalize_point(poses.right.rotation @ far)
+        records.q_l[3] = normalize_point(TRUE_GAZE.rotations[0] @ far)
+        records.q_r[3] = normalize_point(TRUE_GAZE.rotations[1] @ far)
         records.q_l[8] = [-0.9, 0.0, 1.0]         # rays that meet behind the eyes
         records.q_r[8] = [0.9, 0.0, 1.0]
         level = estimate_depth_map(records, TRUE_GAZE)
@@ -516,13 +513,13 @@ class TestDepthMap:
         gaze = GazeState(beta, rho, alpha)
         records = synthesize_scene(gaze, SceneSpec(count=20, sigma=sigma, seed=seed)).records
         depth = estimate_depth_map(records, gaze)
-        poses = eye_poses(gaze)
+        r_l, r_r, _ = gaze.rotations
         for i in range(len(records)):
             point, u, v = midpoint_oracle(gaze, records.q_l[i], records.q_r[i])
-            d_l = poses.left.rotation.T @ records.q_l[i]
-            d_r = poses.right.rotation.T @ records.q_r[i]
+            d_l = r_l.T @ records.q_l[i]
+            d_r = r_r.T @ records.q_r[i]
             sine = np.linalg.norm(np.cross(d_l, d_r)) / (np.linalg.norm(d_l) * np.linalg.norm(d_r))
-            image = project(poses.cyclopean, point)
+            image = project(gaze, point)[2]
             distance = np.linalg.norm(point)
             if sine < 1e-3 or min(u, v, image[2]) < 1e-6 * distance:
                 continue  # ill-conditioned, or too near an eye's failure rule

@@ -14,10 +14,10 @@
   infinite. A number is a Python float or int, or a numpy scalar or 0-d
   array of integer or float kind, and never a bool. A numpy gaze computes
   as the float gaze of the same value.
-- ``GazeState.rotations`` builds a gaze's three eye rotations once, and
-  ``eye_poses`` returns read-only views of them.
-- ``synthesize_scene`` images a scene through the three poses in one
-  ``project`` call on a stacked pose.
+- ``GazeState.rotations`` builds a gaze's three eye rotations once, read-only,
+  and a copied or unpickled gaze builds its own.
+- ``project`` images points in the three eyes with one stacked ``transform``,
+  and ``synthesize_scene`` makes one ``project`` call a scene.
 - The random box is drawn as ``rng.random`` scaled and shifted in place,
   ``rng.uniform``'s own formula without its broadcast path.
 
@@ -27,8 +27,10 @@ fails. (The separable grid seed is checked against the brute-force grid in
 ``tests/test_estimation.py``.)
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -55,11 +57,11 @@ from cyclovision.estimation import (
 )
 from cyclovision.gaze import (
     BASELINE,
+    EYE_CENTRES,
     EyeAzimuths,
     GazeState,
     VergenceVersion,
     eye_azimuths,
-    eye_poses,
     project,
 )
 from cyclovision.geometry import mark_failures, normalize_point
@@ -76,6 +78,7 @@ from helpers import (
     reference_eye_rotations,
     reference_mark_failures,
     reference_normalize_point,
+    reference_project,
     reference_r_factor,
     reference_synthesize_correspondence,
 )
@@ -224,7 +227,7 @@ class TestPipelineFunctions:
         assert same_bits(epi.e_r, np.array([-np.cos(beta_r), 0.0, -np.sin(beta_r)]))
 
     @pytest.mark.parametrize("beta", [HALF_PI, -HALF_PI])
-    def test_depth_map_refuses_beta_at_half_pi_as_eye_poses_does(self, beta):
+    def test_depth_map_refuses_beta_at_half_pi_as_project_does(self, beta):
         q = np.array([0.0, 0.0, 1.0])
         with pytest.raises(DegenerateGeometryError, match="unbounded"):
             estimate_depth_map(Correspondences(q, q), GazeState(beta=beta, rho=2.0))
@@ -271,9 +274,9 @@ class RecordingProject:
     def __init__(self):
         self.calls = []
 
-    def __call__(self, pose, point):
-        images = project(pose, point)
-        self.calls.append((point, images))
+    def __call__(self, gaze, points):
+        images = project(gaze, points)
+        self.calls.append((points, images))
         return images
 
 
@@ -281,6 +284,8 @@ SYNTHESIS_GAZES = [GazeState(beta=0.3, rho=2.5, alpha=-0.4), GazeState(beta=-0.6
 
 
 class TestPoses:
+    """``gaze.rotations`` and ``EYE_CENTRES`` are the one record of the three eye poses."""
+
     @pytest.mark.parametrize("gaze", SYNTHESIS_GAZES)
     @pytest.mark.parametrize("generator", GENERATORS)
     @pytest.mark.parametrize("count", [1, 50, 10_000])
@@ -290,25 +295,25 @@ class TestPoses:
         monkeypatch.setattr(simulate, "project", recorder)
         synthesize_scene(gaze, SceneSpec(generator=generator, count=count, sigma=1e-3, seed=count))
         [(scene, images)] = recorder.calls
-        expected = np.stack([project(pose, scene) for pose in eye_poses(gaze)])
         assert images.shape == (3, count, 3)
-        assert same_bits(images, expected)
+        assert same_bits(images, reference_project(gaze, scene))
+
+    @pytest.mark.parametrize("gaze", SYNTHESIS_GAZES)
+    @pytest.mark.parametrize("shape", [(3,), (1, 3), (50, 3), (10_000, 3),
+                                       (2, 1, 3), (2, 50, 3), (2, 10_000, 3)])
+    def test_project_has_the_bits_of_one_transform_per_eye(self, gaze, shape):
+        points = np.random.default_rng(sum(shape)).normal(0.0, gaze.rho, shape)
+        images = project(gaze, points)
+        assert images.shape == (3, *shape)
+        assert same_bits(images, reference_project(gaze, points))
 
     @pytest.mark.parametrize("gaze", SYNTHESIS_GAZES + [GazeState(beta=-0.0, rho=1.0, alpha=-0.0)])
     def test_rotations_are_built_once_per_gaze_and_read_only(self, gaze):
         rotations = gaze.rotations
         assert same_bits(rotations, reference_eye_rotations(gaze))
-        assert not rotations.flags.writeable
-        first, second = eye_poses(gaze), eye_poses(gaze)
-        for pose, again, rotation in zip(first, second, rotations):
-            assert pose.rotation.base is rotations and again.rotation.base is rotations
-            assert same_bits(pose.rotation, rotation)
+        for array in (rotations, rotations[0], EYE_CENTRES, EYE_CENTRES[0], BASELINE):
             with pytest.raises(ValueError):
-                pose.rotation[0, 0] = 0.5
-            with pytest.raises(ValueError):
-                pose.centre[0] = 7.0
-        with pytest.raises(ValueError):
-            BASELINE[0] = 7.0
+                array[0] = 7.0
         assert gaze.rotations is rotations
 
     @pytest.mark.parametrize("make", [
@@ -323,15 +328,31 @@ class TestPoses:
         assert other == gaze
         assert not np.shares_memory(other.rotations, rotations)
         assert same_bits(other.rotations, reference_eye_rotations(other))
-        for pose, before in zip(eye_poses(other), rotations):
-            assert not np.shares_memory(pose.rotation, before)
+
+    @pytest.mark.parametrize("make", [
+        copy.copy,
+        copy.deepcopy,
+        lambda gaze: pickle.loads(pickle.dumps(gaze)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("gaze", SYNTHESIS_GAZES + [GazeState(beta=-0.0, rho=1.0, alpha=-0.0)])
+    def test_a_copied_gaze_builds_its_own_read_only_rotations(self, make, gaze):
+        rotations = gaze.rotations
+        points = np.random.default_rng(3).normal(0.0, gaze.rho, (50, 3))
+        other = make(gaze)
+        assert other == gaze and hash(other) == hash(gaze)
+        assert not other.rotations.flags.writeable
+        assert not np.shares_memory(other.rotations, rotations)
+        assert same_bits(other.rotations, rotations)
+        assert same_bits(project(other, points), project(gaze, points))
 
     @pytest.mark.parametrize("beta", [HALF_PI, -HALF_PI])
     def test_rotations_at_beta_half_pi_raise_on_every_call(self, beta):
         gaze = GazeState(beta=beta, rho=2.0)
         for _ in range(2):
             with pytest.raises(DegenerateGeometryError, match="unbounded"):
-                eye_poses(gaze)
+                gaze.rotations
+            with pytest.raises(DegenerateGeometryError, match="unbounded"):
+                project(gaze, np.zeros(3))
 
 
 # the default box is finite up to rho = max / 1.4 at beta = alpha = 0

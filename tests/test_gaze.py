@@ -8,15 +8,14 @@ from numpy.testing import assert_allclose
 
 from cyclovision.errors import DegenerateGeometryError
 from cyclovision.gaze import (
-    LEFT_CENTRE,
+    BASELINE,
+    EYE_CENTRES,
     MIN_RANGE,
-    RIGHT_CENTRE,
     EyeAzimuths,
     GazeState,
     VergenceVersion,
     direction_from_angles,
     eye_azimuths,
-    eye_poses,
     fixation_point,
     gaze_from_azimuths,
     helmholtz_from_point,
@@ -132,11 +131,8 @@ class TestEyeAzimuths:
     def test_fixation_point_projects_to_origin(self):
         # the defining property, checked by direct projection
         gaze = GazeState(beta=0.2, rho=2.0)
-        poses = eye_poses(gaze)
-        p0 = fixation_point(gaze)
-        for pose in (poses.left, poses.right):
-            image = normalize_point(project(pose, p0))
-            assert_allclose(image, [0.0, 0.0, 1.0], atol=1e-12)
+        for image in project(gaze, fixation_point(gaze))[:2]:
+            assert_allclose(normalize_point(image), [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_extreme_azimuth_rejected(self):
         with pytest.raises(DegenerateGeometryError):
@@ -199,35 +195,30 @@ class TestGazeFromAzimuths:
             gaze_from_azimuths(EyeAzimuths(0.1, 0.1))
 
 
-class TestEyePoses:
+class TestPoses:
     def test_far_fixation_rotations_are_identity(self):
-        poses = eye_poses(GazeState(beta=0.0, rho=1e9))
-        assert_allclose(poses.left.rotation, np.eye(3), atol=1e-9)
-        assert_allclose(poses.right.rotation, np.eye(3), atol=1e-9)
+        left, right, _ = GazeState(beta=0.0, rho=1e9).rotations
+        assert_allclose(left, np.eye(3), atol=1e-9)
+        assert_allclose(right, np.eye(3), atol=1e-9)
 
     def test_foveation_over_random_gazes(self):
         rng = np.random.default_rng(5)
         for _ in range(300):
             gaze = random_gaze(rng, alpha=(-1.0, 1.0))
-            poses = eye_poses(gaze)
-            p0 = fixation_point(gaze)
-            for pose in poses:
-                image = project(pose, p0)
+            for image in project(gaze, fixation_point(gaze)):
                 assert abs(image[0] / image[2]) < 1e-12
                 assert abs(image[1] / image[2]) < 1e-12
 
     def test_relative_rotation_is_vergence_turn(self):
         gaze = GazeState(beta=0.2, rho=2.0)
         az = eye_azimuths(gaze)
-        poses = eye_poses(gaze)
-        relative = poses.right.rotation @ poses.left.rotation.T
+        left, right, _ = gaze.rotations
+        relative = right @ left.T
         assert_allclose(relative, rot_y(az.beta_r - az.beta_l), atol=1e-15)
 
     def test_centres(self):
-        poses = eye_poses(GazeState(beta=0.1, rho=2.0))
-        assert_allclose(poses.left.centre, [-0.5, 0, 0])
-        assert_allclose(poses.right.centre, [0.5, 0, 0])
-        assert_allclose(poses.cyclopean.centre, [0, 0, 0])
+        assert_allclose(EYE_CENTRES, [[-0.5, 0, 0], [0.5, 0, 0], [0, 0, 0]])
+        assert_allclose(BASELINE, [1, 0, 0])
 
 
 class TestViethMuller:
@@ -250,7 +241,7 @@ class TestViethMuller:
         for delta in rng.uniform(0.01, 1.2, 200):
             circle = vieth_muller(VergenceVersion(float(delta), 0.0))
             centre = np.array([0.0, 0.0, circle.zeta])
-            for c in (LEFT_CENTRE, RIGHT_CENTRE):
+            for c in EYE_CENTRES[:2]:
                 assert abs(np.linalg.norm(c - centre) - circle.eta) < 1e-9
             assert circle.eta ** 2 - circle.zeta ** 2 == pytest.approx(0.25, abs=1e-9)
 

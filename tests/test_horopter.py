@@ -4,12 +4,10 @@ from numpy.testing import assert_allclose
 
 from cyclovision.errors import DegenerateGeometryError
 from cyclovision.gaze import (
-    LEFT_CENTRE,
-    RIGHT_CENTRE,
+    EYE_CENTRES,
     GazeState,
     VergenceVersion,
     eye_azimuths,
-    eye_poses,
     fixation_point,
     project,
     vergence_version,
@@ -77,10 +75,7 @@ class TestMidline:
         # hand case: scene point (0, -1/2, 1) at beta=0, rho=1 has the same
         # full eye-frame coordinates (0, -1/2, sqrt(5)/2) in the two eyes
         gaze = GazeState(beta=0.0, rho=1.0)
-        poses = eye_poses(gaze)
-        scene = np.array([0.0, -0.5, 1.0])
-        left = project(poses.left, scene)
-        right = project(poses.right, scene)
+        left, right, _ = project(gaze, np.array([0.0, -0.5, 1.0]))
         assert_allclose(left, right, atol=1e-15)
         assert_allclose(left, [0.0, -0.5, np.sqrt(5) / 2], atol=1e-12)
 
@@ -88,14 +83,13 @@ class TestMidline:
         vv = VergenceVersion(0.5, 0.2)
         mid = midline(vv)
         reach = 0.5 / np.sin(vv.delta / 2)
-        assert abs(np.linalg.norm(mid.scene_base - LEFT_CENTRE) - reach) < 1e-12
-        assert abs(np.linalg.norm(mid.scene_base - RIGHT_CENTRE) - reach) < 1e-12
+        for centre in EYE_CENTRES[:2]:
+            assert abs(np.linalg.norm(mid.scene_base - centre) - reach) < 1e-12
 
     def test_base_inscribes_vergence_angle(self):
         vv = VergenceVersion(0.62, -0.15)
         mid = midline(vv)
-        to_l = LEFT_CENTRE - mid.scene_base
-        to_r = RIGHT_CENTRE - mid.scene_base
+        to_l, to_r = EYE_CENTRES[:2] - mid.scene_base
         cos_angle = to_l @ to_r / (np.linalg.norm(to_l) * np.linalg.norm(to_r))
         assert abs(np.arccos(cos_angle) - vv.delta) < 1e-12
 
@@ -168,6 +162,5 @@ class TestMembership:
             gaze = random_gaze(rng, rho=(0.8, 10.0))
             circle = vieth_muller(vergence_version(eye_azimuths(gaze)))
             scene = np.array([0.0, float(rng.uniform(-2, 2)), circle.zeta + circle.eta])
-            poses = eye_poses(gaze)
-            assert_allclose(project(poses.left, scene), project(poses.right, scene),
-                            atol=1e-12)
+            left, right, _ = project(gaze, scene)
+            assert_allclose(left, right, atol=1e-12)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cyclovision.epipolar import epipolar_residual, essential_closed_form
 from cyclovision.estimation import estimate_depth_map
-from cyclovision.gaze import GazeState, eye_azimuths, eye_poses, project
+from cyclovision.gaze import GazeState, eye_azimuths, project
 from cyclovision.geometry import normalize_point, transform
 from cyclovision.simulate import (
     GENERATORS,
@@ -82,6 +82,24 @@ class TestSceneSpec:
         region = ((value, 1.0), (-1.0, 1.0), (1.0, 2.0))
         assert SceneSpec(sigma=value, region=region) == SceneSpec(sigma=float(value),
                                                                   region=region)
+
+    @pytest.mark.parametrize("kind", ["list", "ndarray", "mutated-list"])
+    def test_keeps_the_checked_floats_not_the_callers_region(self, kind):
+        region = ((-1.0, 1.0), (-0.5, 0.5), (1.0, 3.0))
+        given_region = np.array(region) if kind == "ndarray" else [list(p) for p in region]
+        spec = SceneSpec(count=40, sigma=np.float64(1e-3), seed=4, region=given_region)
+        if kind == "mutated-list":  # an inverted z pair and an infinite bound
+            given_region[2][:] = [5, 2]
+            given_region[0][1] = math.inf
+        expected = SceneSpec(count=40, sigma=1e-3, seed=4, region=region)
+        assert spec.region == region and type(spec.region) is tuple
+        assert all(type(pair) is tuple and type(b) is float for pair in spec.region for b in pair)
+        assert type(spec.sigma) is float
+        assert spec == expected and hash(spec) == hash(expected)
+        result, reference = synthesize_scene(GAZE, spec), synthesize_scene(GAZE, expected)
+        assert result.skipped == reference.skipped
+        for name in ("q_l", "q_r", "p_c", "s"):
+            assert same_bytes(getattr(result.records, name), getattr(reference.records, name))
 
     @pytest.mark.parametrize("generator", ["horopter-samples", "fixation-plane-patch"])
     def test_rejects_a_region_that_the_generator_would_ignore(self, generator):
@@ -173,21 +191,19 @@ class TestSynthesizeScene:
         result = synthesize_scene(GAZE, SceneSpec(count=200, seed=13, region=region))
         assert result.skipped > 0
         assert len(result.records) + result.skipped == 200
-        poses = eye_poses(GAZE)
         records = result.records
         for p_c, s in zip(records.p_c, records.s):
-            scene = (GAZE.rho + s) * (poses.cyclopean.rotation.T @ p_c)
-            assert project(poses.left, scene)[2] > 0
-            assert project(poses.right, scene)[2] > 0
+            scene = (GAZE.rho + s) * (GAZE.rotations[2].T @ p_c)
+            left, right, _ = project(GAZE, scene)
+            assert left[2] > 0 and right[2] > 0
 
     def test_elevated_gaze_synthesis_matches_projection(self):
         gaze = GazeState(beta=0.2, rho=2.0, alpha=0.5)
         result = synthesize_scene(gaze, SceneSpec(count=30, seed=15))
-        poses = eye_poses(gaze)
         records = result.records
         for p_c, s, q_l in zip(records.p_c, records.s, records.q_l):
-            scene = (gaze.rho + s) * (poses.cyclopean.rotation.T @ p_c)
-            left = project(poses.left, scene)
+            scene = (gaze.rho + s) * (gaze.rotations[2].T @ p_c)
+            left = project(gaze, scene)[0]
             assert np.abs(q_l - left / left[2]).max() < 1e-9
 
 
@@ -199,7 +215,7 @@ def drawn_scene(gaze: GazeState, spec: SceneSpec):
         return _scene_candidates(gaze, spec, rng)[0], None
     offsets = rng.uniform(-PATCH_HALF_WIDTH, PATCH_HALF_WIDTH, (spec.count, 2))
     rays = np.column_stack([offsets, np.ones(spec.count)])
-    turn_back = eye_poses(gaze).cyclopean.rotation.T
+    turn_back = gaze.rotations[2].T
     return np.array([gaze.rho * transform(turn_back, ray) for ray in rays]), rays
 
 
@@ -228,11 +244,10 @@ class TestPinholeSynthesis:
                          region=region if generator == "random-box" else None)
         records = synthesize_scene(gaze, spec).records
         scene, rays = drawn_scene(gaze, spec)
-        poses = eye_poses(gaze)
         with np.errstate(all="ignore"):
             expected = []
             for i, point in enumerate(scene):
-                left, right, cyclopean = (project(pose, point) for pose in poses)
+                left, right, cyclopean = project(gaze, point)
                 if not all(image[2] > 1e-12 for image in (left, right, cyclopean)):
                     continue
                 q_l, q_r = left / left[2], right / right[2]
